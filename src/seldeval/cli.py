@@ -93,7 +93,11 @@ def _parse_theta_class(items) -> dict:
     return out
 
 
-def _load_config_file(path) -> dict:
+def _load_config_file(args) -> dict:
+    """The --config file's settings, or {} when none was given."""
+    path = args.config
+    if not path:
+        return {}
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -103,27 +107,28 @@ def _load_config_file(path) -> dict:
     return data
 
 
-def _build_config(args) -> EvaluationConfig:
-    file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
-
+def _build_config(args, file_cfg: dict) -> EvaluationConfig:
     def pick(flag, key, default):
         return flag if flag is not None else file_cfg.get(key, default)
 
     thetas = args.theta if args.theta else file_cfg.get("thetas", [10.0, 30.0])
     overrides = _parse_theta_class(getattr(args, "theta_class", None))
-    if not overrides:
-        overrides = dict(file_cfg.get("theta_class", {}))
-    return EvaluationConfig(
-        frame_hop=pick(args.hop, "frame_hop", 0.02),
-        segment_length=pick(args.segment, "segment_length", 1.0),
-        thetas=tuple(float(t) for t in thetas),
-        theta_class=tuple(sorted((str(k), float(v)) for k, v in overrides.items())),
-        loc_mode=pick(args.loc_mode, "loc_mode", "frame-average"),
-        le_mode=pick(args.le_mode, "le_mode", "micro"),
-        confidence=pick(getattr(args, "confidence", None), "confidence", 0.95),
-        duration=pick(args.duration, "duration", None),
-        jobs=int(pick(getattr(args, "jobs", None), "jobs", 1)),
-    )
+    try:
+        if not overrides:
+            overrides = dict(file_cfg.get("theta_class", {}))
+        return EvaluationConfig(
+            frame_hop=pick(args.hop, "frame_hop", 0.02),
+            segment_length=pick(args.segment, "segment_length", 1.0),
+            thetas=tuple(float(t) for t in thetas),
+            theta_class=tuple(sorted((str(k), float(v)) for k, v in overrides.items())),
+            loc_mode=pick(args.loc_mode, "loc_mode", "frame-average"),
+            le_mode=pick(args.le_mode, "le_mode", "micro"),
+            confidence=pick(getattr(args, "confidence", None), "confidence", 0.95),
+            duration=pick(args.duration, "duration", None),
+            jobs=int(pick(getattr(args, "jobs", None), "jobs", 1)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad configuration value: {exc}") from None
 
 
 def _config_json(config: EvaluationConfig) -> dict:
@@ -146,7 +151,10 @@ def _load_vocabulary(args) -> Vocabulary:
             f"vocabulary file not found: {vocab_path} (pass --vocab or place "
             f"{_VOCAB_NAME} beside the references)"
         )
-    return Vocabulary.from_file(vocab_path)
+    try:
+        return Vocabulary.from_file(vocab_path)
+    except ValueError as exc:
+        raise ConfigError(f"bad vocabulary file {vocab_path}: {exc}") from None
 
 
 def _parse_systems(items) -> list:
@@ -305,7 +313,7 @@ def _correlation_table(result) -> str:
 
 
 def _cmd_evaluate(args, with_ci: bool) -> int:
-    config = _build_config(args)
+    config = _build_config(args, _load_config_file(args))
     vocabulary = _load_vocabulary(args)
     result = evaluate_directory(args.ref, args.pred, vocabulary, config, _VOCAB_NAME)
     report = result.report()
@@ -319,7 +327,7 @@ def _cmd_evaluate(args, with_ci: bool) -> int:
 
 
 def _cmd_rank(args) -> int:
-    config = _build_config(args)
+    config = _build_config(args, _load_config_file(args))
     vocabulary = _load_vocabulary(args)
     systems = _parse_systems(args.pred)
     table, _ = rank_systems(args.ref, systems, vocabulary, config, args.metric_set)
@@ -331,7 +339,7 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
-    config = _build_config(args)
+    config = _build_config(args, _load_config_file(args))
     vocabulary = _load_vocabulary(args)
     systems = _parse_systems(args.pred)
     result = correlate_systems(args.ref, systems, vocabulary, config)
@@ -343,21 +351,24 @@ def _cmd_correlate(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    config = _build_config(args)
+    file_cfg = _load_config_file(args)
+    config = _build_config(args, file_cfg)
     vocabulary = _load_vocabulary(args)
-    file_cfg = _load_config_file(args.config) if args.config else {}
 
     def pick(flag, key, default):
         return flag if flag is not None else file_cfg.get(key, default)
 
-    spec = PerturbationSpec(
-        doa_jitter_deg=float(pick(args.jitter, "doa_jitter_deg", 0.0)),
-        deletion_prob=float(pick(args.delete_prob, "deletion_prob", 0.0)),
-        insertion_rate=float(pick(args.insert_rate, "insertion_rate", 0.0)),
-        substitution_prob=float(pick(args.sub_prob, "substitution_prob", 0.0)),
-        swap_locations=bool(pick(args.swap_locations, "swap_locations", False)),
-        seed=int(pick(args.seed, "seed", 0)),
-    )
+    try:
+        spec = PerturbationSpec(
+            doa_jitter_deg=float(pick(args.jitter, "doa_jitter_deg", 0.0)),
+            deletion_prob=float(pick(args.delete_prob, "deletion_prob", 0.0)),
+            insertion_rate=float(pick(args.insert_rate, "insertion_rate", 0.0)),
+            substitution_prob=float(pick(args.sub_prob, "substitution_prob", 0.0)),
+            swap_locations=bool(pick(args.swap_locations, "swap_locations", False)),
+            seed=int(pick(args.seed, "seed", 0)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad perturbation parameter: {exc}") from None
     ref_dir = Path(args.ref)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -369,7 +380,7 @@ def _cmd_synth(args) -> int:
         total_frames = math.ceil(config.duration / config.frame_hop - 1e-9)
     log = {
         "schema": INJECTION_SCHEMA,
-        "seed": args.seed,
+        "seed": spec.seed,
         "spec": {
             "doa_jitter_deg": spec.doa_jitter_deg,
             "deletion_prob": spec.deletion_prob,
@@ -457,13 +468,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hop", type=float, default=None, help="frame hop in seconds (default 0.02)")
     p.add_argument("--duration", type=float, default=None,
                    help="fixed file duration in seconds (bounds insertions)")
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed (per-file: seed + index)")
-    p.add_argument("--jitter", type=float, default=0.0, help="DoA jitter magnitude in degrees")
-    p.add_argument("--delete-prob", type=float, default=0.0, help="event deletion probability")
-    p.add_argument("--insert-rate", type=float, default=0.0,
-                   help="expected spurious events per minute")
-    p.add_argument("--sub-prob", type=float, default=0.0, help="class substitution probability")
-    p.add_argument("--swap-locations", action="store_true",
+    p.add_argument("--seed", type=int, help="base RNG seed (per-file: seed + index)")
+    p.add_argument("--jitter", type=float, help="DoA jitter magnitude in degrees")
+    p.add_argument("--delete-prob", type=float, help="event deletion probability")
+    p.add_argument("--insert-rate", type=float, help="expected spurious events per minute")
+    p.add_argument("--sub-prob", type=float, help="class substitution probability")
+    p.add_argument("--swap-locations", action="store_true", default=None,
                    help="exchange DoAs of simultaneously active event pairs")
     p.add_argument("--config", help="JSON config file; flags override its values")
     for name in ("segment", "theta", "loc_mode", "le_mode", "jobs"):

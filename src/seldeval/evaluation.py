@@ -489,6 +489,10 @@ def evaluate_directory(
     vocab_name: str = "vocabulary.txt",
 ) -> EvaluationResult:
     """Score a directory of filename-matched reference/prediction pairs."""
+    for label, _ in config.theta_class:
+        if label not in vocabulary:
+            raise ConfigError(f"per-class threshold given for class {label!r}, "
+                              f"which is not in the vocabulary")
     pairs = discover_pairs(ref_dir, pred_dir, vocab_name)
     tasks = [(ref, pred, vocabulary, config) for _, ref, pred in pairs]
     if config.jobs > 1:

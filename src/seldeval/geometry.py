@@ -88,27 +88,35 @@ class UnitVector3:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
 
+# Beyond this |dot| the angle is within ~3e-3 deg of 0 or 180, where
+# arccos loses half its digits (errors up to ~1e-6 deg); there the angle
+# comes from the chord between the vectors instead.
+_ACOS_DOT_LIMIT = 1.0 - 1e-9
+
+
 def _angle_between_units(ua: tuple, ub: tuple) -> float:
     # Shared by angular_distance and the distance-matrix builder so both
-    # produce bitwise-identical values for the same pair. Equal vectors
-    # short-circuit to exactly 0: the self dot product of a float unit
-    # vector can land just below 1 and arccos would report ~1e-6 deg.
+    # produce bitwise-identical values for the same pair. Equal vectors,
+    # the common case for exact predictions, short-circuit to exactly 0.
     if ua == ub:
         return 0.0
     dot = ua[0] * ub[0] + ua[1] * ub[1] + ua[2] * ub[2]
-    if dot > 1.0:
-        dot = 1.0
-    elif dot < -1.0:
-        dot = -1.0
-    return math.degrees(math.acos(dot))
+    if -_ACOS_DOT_LIMIT <= dot <= _ACOS_DOT_LIMIT:
+        return math.degrees(math.acos(dot))
+    # |ua - sign * ub| = 2 sin(angle / 2) for the angle to sign * ub
+    sign = 1.0 if dot > 0 else -1.0
+    chord = math.sqrt((ua[0] - sign * ub[0]) ** 2 + (ua[1] - sign * ub[1]) ** 2
+                      + (ua[2] - sign * ub[2]) ** 2)
+    angle = math.degrees(2.0 * math.asin(min(1.0, chord / 2.0)))
+    return angle if dot > 0 else 180.0 - angle
 
 
 def angular_distance(a: Direction, b: Direction) -> float:
     """Great-circle angle between two directions, in degrees in [0, 180].
 
-    Computed as the arccosine of the dot product of the two unit vectors;
-    the dot product is clamped to [-1, 1] to guard against floating-point
-    overshoot. Symmetric in its arguments.
+    Computed as the arccosine of the dot product of the two unit vectors,
+    or from their chord within ~3e-3 deg of 0 or 180, where arccos is
+    inexact. Symmetric in its arguments.
     """
     return _angle_between_units(a.unit, b.unit)
 

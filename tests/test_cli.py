@@ -107,6 +107,33 @@ class TestEvaluate:
         run(["evaluate", "--ref", ref_dir, "--pred", pred_dir, "--format", "json", "--out", out2])
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("content", ["dog\ncat\ndog\n", "\n"], ids=["duplicate", "empty"])
+    def test_bad_vocabulary_error_json(self, corpus, tmp_path, capsys, content):
+        ref_dir, pred_dir = corpus
+        vocab = tmp_path / "labels.txt"
+        vocab.write_text(content)
+        code = run(["evaluate", "--ref", ref_dir, "--pred", pred_dir, "--vocab", vocab])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert str(vocab) in err["message"]
+
+    def test_unknown_theta_class_error_json(self, corpus, capsys):
+        ref_dir, pred_dir = corpus
+        code = run(["evaluate", "--ref", ref_dir, "--pred", pred_dir, "--theta-class", "typo=5"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "'typo'" in err["message"]
+
+    def test_bad_config_value_error_json(self, corpus, tmp_path, capsys):
+        ref_dir, pred_dir = corpus
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"frame_hop": "fast"}))
+        code = run(["evaluate", "--ref", ref_dir, "--pred", pred_dir, "--config", cfg])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
     def test_parallel_bytes_match_serial(self, corpus, tmp_path):
         ref_dir, pred_dir = corpus
         out1, out2 = tmp_path / "s.json", tmp_path / "p.json"
@@ -238,3 +265,36 @@ class TestSynthCommand:
         assert set(log["files"]) == {"scene_000.csv", "scene_001.csv"}
         types = {e["type"] for entries in log["files"].values() for e in entries["injections"]}
         assert types <= {"deletion"}
+
+    def test_config_file_values_applied(self, tmp_path):
+        ref_dir = make_corpus(tmp_path / "ref", VOCAB, 2, 6, seed=30)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"doa_jitter_deg": 20, "seed": 7}))
+        plain, configured = tmp_path / "plain", tmp_path / "configured"
+        assert run(["synth", "--ref", ref_dir, "--out", plain]) == 0
+        assert run(["synth", "--ref", ref_dir, "--out", configured, "--config", cfg]) == 0
+        log = json.loads((configured / "injection_log.json").read_text())
+        assert log["seed"] == 7
+        assert log["spec"]["doa_jitter_deg"] == 20.0
+        assert log["files"]["scene_000.csv"]["seed"] == 7
+        assert (plain / "scene_000.csv").read_bytes() != (configured / "scene_000.csv").read_bytes()
+
+    def test_flags_override_config_file(self, tmp_path):
+        ref_dir = make_corpus(tmp_path / "ref", VOCAB, 2, 6, seed=31)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"doa_jitter_deg": 20, "seed": 7, "deletion_prob": 0.5}))
+        out_dir = tmp_path / "synth"
+        assert run(["synth", "--ref", ref_dir, "--out", out_dir, "--config", cfg,
+                    "--jitter", "5", "--seed", "3"]) == 0
+        log = json.loads((out_dir / "injection_log.json").read_text())
+        assert log["seed"] == 3
+        assert log["spec"]["doa_jitter_deg"] == 5.0
+        assert log["spec"]["deletion_prob"] == 0.5
+
+    def test_bad_parameter_error_json(self, tmp_path, capsys):
+        ref_dir = make_corpus(tmp_path / "ref", VOCAB, 2, 6, seed=32)
+        code = run(["synth", "--ref", ref_dir, "--out", tmp_path / "synth", "--delete-prob", "2"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "deletion_prob" in err["message"]

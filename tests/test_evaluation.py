@@ -181,6 +181,13 @@ class TestPipeline:
         assert strict.metrics["f_theta:10"] == 0.0
 
 
+    def test_per_class_threshold_for_unknown_class(self, tmp_path):
+        ref_dir = make_corpus(tmp_path / "ref", VOCAB, 2, 8, seed=7)
+        with pytest.raises(ConfigError, match="'typo'"):
+            evaluate_directory(ref_dir, ref_dir, VOCAB,
+                               EvaluationConfig(theta_class=(("typo", 5.0),)))
+
+
 class TestJackknifeIntegration:
     def test_constant_metric_zero_width(self, tmp_path):
         ref_dir = make_corpus(tmp_path / "ref", VOCAB, 5, 6, seed=8)

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seldeval.errors import DegenerateMean
@@ -78,6 +78,7 @@ class TestAngularDistance:
         assert angular_distance(a, b) == angular_distance(b, a)
 
     @given(directions, directions, directions)
+    @example(Direction(-82, 0), Direction(0, 1e-06), Direction(1e-06, 1e-06))
     @settings(max_examples=200)
     def test_triangle_inequality(self, a, b, c):
         assert angular_distance(a, c) <= angular_distance(a, b) + angular_distance(b, c) + 1e-6
@@ -93,6 +94,13 @@ class TestAngularDistance:
         assert angular_distance(a, Direction(33.0, -12.0)) == 0.0
         # separation above the arccos resolution limit (~1e-6 deg)
         assert angular_distance(a, Direction(33.0, -12.0001)) > 0.0
+
+    @pytest.mark.parametrize("delta", [1e-4, 1e-6, 1e-8])
+    def test_tiny_and_near_antipodal_angles_exact(self, delta):
+        # below the arccos resolution limit, on both sides of the sphere
+        assert angular_distance(Direction(0, 0), Direction(0, delta)) == pytest.approx(delta, rel=1e-6)
+        assert angular_distance(Direction(0, 0), Direction(180, delta)) == pytest.approx(
+            180.0 - delta, abs=1e-12)
 
     @given(
         st.floats(min_value=-180.0, max_value=179.999999, allow_nan=False),

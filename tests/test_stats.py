@@ -1,8 +1,13 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
 from seldeval.errors import (
@@ -91,6 +96,45 @@ class TestJackknife:
         w_tight = jackknife_ci(subset_mean_evaluator(tight), [n for n, _ in tight])
         w_wide = jackknife_ci(subset_mean_evaluator(wide), [n for n, _ in wide])
         assert (w_wide.high - w_wide.low) > (w_tight.high - w_tight.low)
+
+
+class TestTQuantile:
+    """The jackknife's t quantile comes from scipy.special, imported lazily."""
+
+    CONFIDENCES = (0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.995, 0.999)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 11, 31, 101, 301])
+    def test_interval_matches_scipy_stats_t_ppf(self, n):
+        rng = random.Random(n)
+        files = [(f"f{i}", rng.uniform(0, 1)) for i in range(n)]
+        evaluator = subset_mean_evaluator(files)
+        names = [name for name, _ in files]
+        theta_all = evaluator(names)
+        pseudo = [n * theta_all - (n - 1) * evaluator(names[:i] + names[i + 1:])
+                  for i in range(n)]
+        mean = sum(pseudo) / n
+        var = sum((p - mean) ** 2 for p in pseudo) / (n - 1)
+        for confidence in self.CONFIDENCES:
+            t = float(scipy.stats.t.ppf((1.0 + confidence) / 2.0, n - 1))
+            half = t * math.sqrt(var / n)
+            est = jackknife_ci(evaluator, names, confidence)
+            assert (est.low, est.high) == (mean - half, mean + half)
+
+    def test_stdtrit_equals_t_ppf(self):
+        df = np.arange(1, 2001, dtype=float)[:, None]
+        q = (1.0 + np.array(self.CONFIDENCES)) / 2.0
+        assert np.array_equal(scipy.special.stdtrit(df, q), scipy.stats.t.ppf(q, df))
+
+    @pytest.mark.parametrize("module", ["seldeval", "seldeval.cli"])
+    def test_import_loads_no_scipy(self, module):
+        # a fresh interpreter, since this one has imported scipy already
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (f"import sys, {module}; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=path), check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestMetricRanks:
