@@ -11,23 +11,33 @@ index. Files are UTF-8, comma-separated, ``.`` decimal point, LF or CRLF.
 References are rasterized onto the frame grid (an event is active in
 frame ``l`` iff ``[l*hop, (l+1)*hop)`` intersects ``[onset, offset)``)
 so that both sides of the evaluation are frame streams.
+
+`read_prediction_columns` parses a prediction file in C (`np.loadtxt`,
+whose floats equal `float()`'s) into frame, class and unit-vector columns;
+a file it rejects or whose values fail validation (a header, a quoted or
+whitespace-only line, a bad value) goes through `parse_prediction`, which
+raises the same `ParseError`, with the same line number, as before.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .assignment import build_distance_matrix, hungarian
-from .errors import ConfigError, InvalidInterval, ParseError, UnknownClass
-from .geometry import Direction
+from .errors import ConfigError, GridOverflow, InvalidInterval, ParseError, UnknownClass
+from .geometry import Direction, unit_vectors
 
 # Snap tolerance, in frame units, for onset/offset landing on a frame
 # boundary up to float rounding.
 _GRID_EPS = 1e-9
+_PRED_COLUMNS = np.dtype([("frame", np.int64), ("cls", np.int64), ("az", float), ("el", float)])
 
 
 class Vocabulary:
@@ -187,6 +197,8 @@ def parse_prediction(path, vocabulary: Vocabulary, frame_hop: float = 0.02) -> l
                 raise ParseError(f"cannot parse frame/class index from {row!r}", path, lineno) from None
             if frame < 0:
                 raise ParseError(f"negative frame index {frame}", path, lineno)
+            if frame >= 2 ** 63:
+                raise ParseError(f"frame index {frame} exceeds int64", path, lineno)
             label = vocabulary.label(class_index)
             azimuth = _parse_float(row[2], "azimuth", path, lineno)
             elevation = _parse_float(row[3], "elevation", path, lineno)
@@ -196,6 +208,28 @@ def parse_prediction(path, vocabulary: Vocabulary, frame_hop: float = 0.02) -> l
                 raise ParseError(str(exc), path, lineno) from None
             by_frame.setdefault(frame, []).append((label, direction))
     return [FrameSnapshot(idx, by_frame[idx]) for idx in sorted(by_frame)]
+
+
+def read_prediction_columns(path, vocabulary: Vocabulary) -> tuple:
+    """Frame index, class index and unit-vector arrays, one row per
+    prediction; the rows of a frame keep their file order."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        rows = np.loadtxt(io.StringIO(text), delimiter=",", dtype=_PRED_COLUMNS,
+                          comments=None, ndmin=1) if text.strip() else None
+    except ValueError:
+        rows = None
+    if rows is not None and (
+            rows["frame"].min() >= 0 and rows["cls"].min() >= 0
+            and rows["cls"].max() < len(vocabulary)
+            and np.isfinite(rows["az"]).all() and np.isfinite(rows["el"]).all()
+            and np.abs(rows["el"]).max() <= 90.0):
+        return rows["frame"], rows["cls"], unit_vectors(rows["az"], rows["el"])
+    snaps = parse_prediction(path, vocabulary)
+    instances = [(s.index, vocabulary.index(lb), d.unit) for s in snaps for lb, d in s.instances]
+    frame, cls, unit = zip(*instances) if instances else ((), (), ())
+    return (np.array(frame, dtype=np.int64), np.array(cls, dtype=np.int64),
+            np.array(unit, dtype=float).reshape(-1, 3))
 
 
 def write_reference(path, events: Iterable[EventRecord]) -> None:
@@ -234,7 +268,7 @@ def rasterize(events: Sequence[EventRecord], frame_hop: float, total_frames: int
     for ev in events:
         first, last = frame_span(ev.onset, ev.offset, frame_hop)
         if last >= total_frames:
-            raise ValueError(
+            raise GridOverflow(
                 f"event ending at {ev.offset} s exceeds the {total_frames}-frame grid"
             )
         for idx in range(first, last + 1):
@@ -247,7 +281,7 @@ def densify(snapshots: Sequence[FrameSnapshot], total_frames: int) -> list:
     frames = [FrameSnapshot(i) for i in range(total_frames)]
     for snap in snapshots:
         if snap.index >= total_frames:
-            raise ValueError(f"frame index {snap.index} exceeds the {total_frames}-frame grid")
+            raise GridOverflow(f"frame index {snap.index} exceeds the {total_frames}-frame grid")
         frames[snap.index].instances.extend(snap.instances)
     return frames
 

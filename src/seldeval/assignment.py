@@ -12,6 +12,9 @@ cost-equal optima the pairing whose sorted (pred_index, ref_index) list
 is lexicographically smallest is returned (exact whenever the tied costs
 are exactly representable, which covers grid-valued fixtures; the result
 is a pure function of the input either way).
+
+`assign_batch` equals `hungarian` on many problems: the shapes it special-cases
+(a side of size 1, 2 x 2) get the same comparisons in numpy, the rest `_solve_padded`.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .geometry import Direction, _angle_between_units
 
@@ -137,6 +142,42 @@ def hungarian(d: DistanceMatrix) -> Assignment:
             return Assignment(pairs=((0, 0), (1, 1)))
         return Assignment(pairs=((0, 1), (1, 0)))
     return Assignment(pairs=_solve_padded(v, m, n))
+
+
+def ragged_arange(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., c - 1 for every c in `counts`, concatenated."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - counts, counts)
+
+
+def assign_batch(dist: np.ndarray, m: np.ndarray, n: np.ndarray) -> tuple:
+    """Pairs (problem, pred, ref, distance) by problem, then pred, of the
+    row-major m[g] x n[g] blocks (sides >= 1, values unchecked) in `dist`."""
+    size = m * n
+    start = np.cumsum(size) - size
+    k = np.minimum(m, n)
+    first = np.cumsum(k) - k
+    group = np.repeat(np.arange(len(m)), k)
+    i = ragged_arange(k)
+    j = np.zeros_like(i)
+    if len(m):  # a single row or column: the first index of the minimum
+        hits = np.flatnonzero(dist == np.repeat(np.minimum.reduceat(dist, start), size))
+        best = hits[np.searchsorted(hits, start)] - start
+        line = (m == 1) | (n == 1)
+        i[first[line]] = np.where(m == 1, 0, best)[line]
+        j[first[line]] = np.where(m == 1, best, 0)[line]
+    square = (m == 2) & (n == 2)
+    s = start[square]
+    swap = ~(dist[s] + dist[s + 3] <= dist[s + 1] + dist[s + 2])
+    j[first[square]] = swap
+    j[first[square] + 1] = ~swap
+    for g in np.flatnonzero((m > 1) & (n > 1) & ~square):
+        rows, cols = int(m[g]), int(n[g])
+        block = dist[start[g]:start[g] + size[g]].reshape(rows, cols).tolist()
+        pairs = np.array(_solve_padded(block, rows, cols))
+        i[first[g]:first[g] + k[g]] = pairs[:, 0]
+        j[first[g]:first[g] + k[g]] = pairs[:, 1]
+    return group, i, j, dist[start[group] + i * n[group] + j]
 
 
 def _solve_padded(v, m: int, n: int) -> tuple:

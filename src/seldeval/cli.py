@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .annotations import Vocabulary, parse_reference
-from .errors import ConfigError, SeldEvalError
+from .errors import ConfigError, GridOverflow, SeldEvalError
 from .evaluation import (
     EvaluationConfig,
     correlate_systems,
@@ -394,9 +394,12 @@ def _cmd_synth(args) -> int:
         events = parse_reference(ref_path, vocabulary)
         file_spec = dataclasses.replace(spec, seed=spec.seed + index)
         perturbed, entries = perturb(events, file_spec, vocabulary, config.duration)
-        serialize_prediction(
-            perturbed, config.frame_hop, vocabulary, out_dir / ref_path.name, total_frames
-        )
+        try:
+            serialize_prediction(
+                perturbed, config.frame_hop, vocabulary, out_dir / ref_path.name, total_frames
+            )
+        except GridOverflow as exc:
+            raise ConfigError(f"{ref_path}: {exc} (--duration {config.duration} s)") from None
         log["files"][ref_path.name] = {"seed": file_spec.seed, "injections": entries}
     (out_dir / "injection_log.json").write_text(_dump_json(log), encoding="utf-8")
     sys.stdout.write(

@@ -36,6 +36,10 @@ class ConfigError(SeldEvalError):
     """Inconsistent evaluation configuration."""
 
 
+class GridOverflow(SeldEvalError, ValueError):
+    """Content reaches past the end of a fixed-length frame grid."""
+
+
 class LengthMismatch(SeldEvalError):
     """Aligned frame sequences differ in length."""
 

@@ -298,3 +298,21 @@ class TestSynthCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert "deletion_prob" in err["message"]
+
+    def test_duration_shorter_than_references_error_json(self, tmp_path, capsys):
+        ref_dir = make_corpus(tmp_path / "ref", VOCAB, 2, 6, seed=33)
+        code = run(["synth", "--ref", ref_dir, "--out", tmp_path / "synth", "--duration", "0.5"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "scene_000.csv" in err["message"]
+        assert "exceeds the 25-frame grid" in err["message"]
+
+    def test_evaluate_duration_error_names_file(self, tmp_path, capsys):
+        ref_dir = make_corpus(tmp_path / "ref", VOCAB, 1, 6, seed=34)
+        pred_dir = make_system(ref_dir, tmp_path / "pred", PerturbationSpec(seed=0))
+        code = run(["evaluate", "--ref", ref_dir, "--pred", pred_dir, "--duration", "0.5"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "scene_000.csv" in err["message"]

@@ -1,0 +1,257 @@
+"""The columnar scoring kernel against its scalar oracle and building blocks."""
+
+import dataclasses
+import math
+import random
+import tempfile
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from seldeval.annotations import EventRecord, Vocabulary, parse_prediction, read_prediction_columns, write_reference
+from seldeval.assignment import DistanceMatrix, assign_batch, hungarian
+from seldeval.evaluation import EvaluationConfig, FileContribution, evaluate_directory, score_file
+from seldeval.geometry import Direction, angles_between, angular_distance, unit_vectors
+from scalar_oracle import score_file_oracle
+
+VOCAB = Vocabulary(["dog", "cat", "speech"])
+# Grid directions: exact duplicates give exact ties; (0, 0)/(180, 0) and the
+# two poles are antipodal.
+GRID = [(0.0, 0.0), (180.0, 0.0), (90.0, 0.0), (-90.0, 0.0), (45.0, 0.0), (0.0, 90.0),
+        (0.0, -90.0), (30.0, 30.0), (-150.0, -30.0), (10.5, 0.0), (0.0, 1e-9)]
+CONFIGS = [
+    dict(frame_hop=0.02, segment_length=0.1),
+    dict(frame_hop=0.1, segment_length=0.5),
+    dict(frame_hop=0.02, segment_length=1.0),
+]
+
+
+def assert_same(got: FileContribution, want: FileContribution) -> None:
+    for f in dataclasses.fields(FileContribution):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert isinstance(a, np.ndarray) and (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+            assert a.tobytes() == b.tobytes(), (f.name, a, b)
+        else:
+            assert type(a) is type(b), (f.name, a, b)
+            assert (a.hex() == b.hex()) if isinstance(b, float) else a == b, (f.name, a, b)
+
+
+def score_both(ref_events, pred_rows, config, header=False):
+    with tempfile.TemporaryDirectory() as tmp:
+        ref, pred = Path(tmp) / "scene.csv", Path(tmp) / "pred.csv"
+        write_reference(ref, ref_events)
+        lines = ["frame,class,azimuth,elevation"] if header else []
+        lines += [f"{f},{c},{az!r},{el!r}" for f, c, (az, el) in pred_rows]
+        pred.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        got = score_file(ref, pred, VOCAB, config)
+        assert_same(got, score_file_oracle(ref, pred, VOCAB, config))
+        return got
+
+
+def event(label, first, last, direction, hop):
+    return EventRecord(label, round(first * hop, 6), round((last + 1) * hop, 6), Direction(*direction))
+
+
+def rows(cls, first, last, direction, copies=1):
+    return [(f, cls, direction) for f in range(first, last + 1) for _ in range(copies)]
+
+
+directions = st.sampled_from(GRID)
+spans = st.tuples(st.integers(0, 60), st.integers(0, 25))
+
+
+@st.composite
+def scenes(draw):
+    hop_cfg = draw(st.sampled_from(CONFIGS))
+    hop = hop_cfg["frame_hop"]
+    ref_events = [event(VOCAB.labels[c], s, s + length, d, hop) for c, (s, length), d in draw(
+        st.lists(st.tuples(st.integers(0, 2), spans, directions), max_size=8))]
+    pred_rows = [row for c, (s, length), d, k in draw(st.lists(
+        st.tuples(st.integers(0, 2), spans, directions, st.integers(1, 2)), max_size=8))
+        for row in rows(c, s, s + length, d, k)]
+    pred_rows += draw(st.lists(st.tuples(st.integers(0, 90), st.integers(0, 2), directions),
+                               max_size=12))
+    pred_rows = draw(st.permutations(pred_rows)) if len(pred_rows) < 200 else pred_rows
+    thetas = draw(st.lists(st.sampled_from([5.0, 10.0, 30.0, 90.0, 180.0]), min_size=1,
+                           max_size=3, unique=True))
+    theta_class = draw(st.sampled_from([(), (("dog", 45.0),), (("cat", 180.0), ("speech", 1.0))]))
+    config = EvaluationConfig(thetas=tuple(thetas), theta_class=theta_class,
+                              loc_mode=draw(st.sampled_from(["frame-average", "segment-mean"])),
+                              **hop_cfg)
+    return ref_events, pred_rows, config, draw(st.booleans())
+
+
+HOP = 0.02
+CASES = {
+    # two dogs on each side in one frame stream, duplicate predicted directions
+    "same_class_multi_instance": (
+        [event("dog", 0, 40, (0, 0), HOP), event("dog", 10, 60, (90, 0), HOP)],
+        rows(0, 0, 60, (45, 0), copies=2)),
+    # 2 x 2 frames where both pairings cost exactly 180, split 0 + 180 or 90 + 90
+    "tie_2x2": (
+        [event("dog", 0, 30, (0, 0), HOP), event("cat", 0, 30, (-90, 0), HOP)],
+        rows(0, 0, 30, (0, 0)) + rows(1, 0, 30, (90, 0))),
+    # 1 x N frames with equal distances
+    "tie_1xn": (
+        [event("dog", 0, 30, (30, 30), HOP), event("dog", 0, 30, (30, 30), HOP),
+         event("cat", 0, 30, (30, 30), HOP)],
+        rows(0, 0, 30, (0, 0))),
+    "empty_frames_and_past_the_last_reference": (
+        [event("speech", 5, 9, (10.5, 0), HOP)],
+        rows(2, 7, 8, (10.5, 0)) + rows(1, 200, 230, (0, 90))),
+    # active on both sides in segment 0, never in the same frame
+    "never_co_active": (
+        [event("cat", 0, 10, (0, 0), HOP)], rows(1, 20, 30, (0, 0))),
+    "larger_than_3x3": (
+        [event(lb, 0, 80, d, HOP) for lb, d in zip(["dog", "dog", "cat", "speech", "cat"], GRID)],
+        [r for c, d in zip([0, 1, 2, 0, 1, 2], GRID[3:]) for r in rows(c, 0, 80, d)]),
+}
+
+
+class TestKernelEqualsOracle:
+    @given(scenes())
+    @settings(max_examples=150, deadline=None)
+    def test_random_scenes(self, scene):
+        score_both(*scene)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("loc_mode", ["frame-average", "segment-mean"])
+    def test_named_scenes(self, case, loc_mode):
+        ref_events, pred_rows = CASES[case]
+        config = EvaluationConfig(thetas=(10.0, 30.0, 180.0), loc_mode=loc_mode,
+                                  theta_class=(("dog", 45.0),))
+        score_both(ref_events, pred_rows, config)
+        score_both(ref_events, pred_rows[::-1], config, header=True)
+
+    def test_antipodal_pools_under_segment_mean(self):
+        ref = [event("dog", 0, 19, (0, 0), HOP), event("dog", 20, 39, (180, 0), HOP)]
+        pred = rows(0, 0, 19, (0, 90)) + rows(0, 20, 39, (0, -90))
+        got = score_both(ref, pred, EvaluationConfig(loc_mode="segment-mean"))
+        assert len(got.warnings) == 2
+        assert all("degenerate" in w for w in got.warnings)
+
+    def test_exact_tie_takes_the_identity_pairing(self):
+        # Identity 0 + 180 and swap 90 + 90 tie exactly; the lexicographically
+        # smallest pairing, the identity, wins, so one pair per frame is within 10 deg.
+        ref_events, pred_rows = CASES["tie_2x2"]
+        got = score_both(ref_events, pred_rows, EvaluationConfig(thetas=(10.0,)))
+        assert got.loc_k == 62 and got.loc_dist == 31 * 180.0
+        assert got.loc_k_t.tolist() == [31] and got.loc_dist_t.tolist() == [0.0]
+
+
+class TestSubtractionAndWarnings:
+    def _scene(self, root, antipodal):
+        ref, pred = root / "ref", root / "pred"
+        ref.mkdir(parents=True)
+        pred.mkdir()
+        (ref / "vocabulary.txt").write_text("dog\ncat\nspeech\n")
+        for i in range(3):
+            second = (180.0, 0.0) if antipodal and i < 2 else (90.0, 0.0)
+            write_reference(ref / f"f{i}.csv", [event("dog", 0, 19, (0, 0), 0.02),
+                                                event("dog", 20, 39, second, 0.02)])
+            (pred / f"f{i}.csv").write_text("".join(f"{f},0,0.0,0.0\n" for f in range(40)))
+        return ref, pred
+
+    def test_frame_average_report_has_no_segment_mean_warnings(self, tmp_path):
+        ref, pred = self._scene(tmp_path, antipodal=True)
+        plain = evaluate_directory(ref, pred, VOCAB, EvaluationConfig()).report()
+        assert plain.warnings == []
+        seg = evaluate_directory(ref, pred, VOCAB, EvaluationConfig(loc_mode="segment-mean"))
+        assert [w.split(":")[0] for w in seg.report().warnings] == ["f0.csv", "f1.csv"]
+
+    def test_subtraction_keeps_the_other_files_warnings(self, tmp_path):
+        ref, pred = self._scene(tmp_path, antipodal=True)
+        result = evaluate_directory(ref, pred, VOCAB, EvaluationConfig(loc_mode="segment-mean"))
+        rest = result.total - result.per_file["f0.csv"]
+        assert rest.warnings == result.per_file["f1.csv"].warnings
+        assert (result.total - result.per_file["f2.csv"]).warnings == result.total.warnings
+
+
+class TestLargeFrameIndex:
+    def test_memory_follows_rows_not_grid(self, tmp_path):
+        ref, pred = tmp_path / "ref.csv", tmp_path / "pred.csv"
+        write_reference(ref, [EventRecord("dog", 0.0, 1.0, Direction(10, 0))])
+        pred.write_text(f"{10 ** 7},0,10,0\n")
+        tracemalloc.start()
+        try:
+            got = score_file(ref, pred, VOCAB, EvaluationConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        frames = 10 ** 7 + 1
+        assert got.frames == frames
+        # every frame has M = N except the 50 reference frames and the last one
+        assert got.loc_eq == frames - 51
+        assert got.segments == math.ceil(frames / 50)
+        assert got.det_tp == 0 and got.det_fp == 1 and got.det_fn == 1
+        assert peak < 20 * 2 ** 20
+
+
+class TestPredictionColumns:
+    def test_fallback_equals_fast_path(self, tmp_path):
+        body = "3,1,10.5,-20\n0,0,-190,90\n3,2,359.9,0\n\n1,0,0,-0.0\n"
+        fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+        fast.write_text(body)
+        slow.write_text("frame,class,az,el\n" + body.replace("3,1", '"3",1'))
+        a, b = read_prediction_columns(fast, VOCAB), read_prediction_columns(slow, VOCAB)
+        assert a[0].tolist() == [3, 0, 3, 1] and a[1].tolist() == [1, 0, 2, 0]
+        # The line parser groups rows by frame; each frame keeps its file order.
+        a = [x[np.argsort(a[0], kind="stable")] for x in a]
+        for x, y in zip(a, b):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "0,0,0,0\n0,5,0,0\n", "0,0,nan,0\n",
+                                      "0,0,0,91\n", "1.0,0,0,0\n", f"{2 ** 63},0,0,0\n",
+                                      f"{2 ** 63 - 1},0,0,0\n"])
+    def test_rejected_files_behave_as_parse_prediction(self, tmp_path, text):
+        path = tmp_path / "p.csv"
+        path.write_text(text)
+        try:
+            expected = parse_prediction(path, VOCAB)
+        except Exception as exc:  # noqa: BLE001 - the same error must come back
+            with pytest.raises(type(exc), match=str(exc).replace("[", r"\[")):
+                read_prediction_columns(path, VOCAB)
+        else:
+            frame, _, unit = read_prediction_columns(path, VOCAB)
+            assert len(frame) == sum(len(s.instances) for s in expected) and unit.shape[1] == 3
+
+
+angles = st.floats(-720, 720, allow_nan=False) | st.sampled_from([-180.0, 180.0, 1e-300, -0.0])
+elevations = st.floats(-90, 90, allow_nan=False) | st.sampled_from([-90.0, 90.0, -0.0])
+
+
+class TestGeometryColumns:
+    @given(st.lists(st.tuples(angles, elevations), min_size=1, max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_units_and_angles_bit_equal(self, pairs):
+        az, el = np.array(pairs).T
+        units = unit_vectors(az, el)
+        dirs = [Direction(a, e) for a, e in pairs]
+        assert [tuple(u) for u in units.tolist()] == [d.unit for d in dirs]
+        # every direction against every other, itself, and its antipode
+        anti = [Direction(d.azimuth + 180.0, -d.elevation) for d in dirs]
+        for others in (dirs[::-1], dirs, anti):
+            got = angles_between(units, np.array([d.unit for d in others]))
+            want = [angular_distance(a, b) for a, b in zip(dirs, others)]
+            assert got.tolist() == want
+
+
+class TestAssignBatch:
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_hungarian(self, seed):
+        rng = random.Random(seed)
+        shapes = [(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(rng.randint(1, 12))]
+        blocks = [[[rng.choice([0.0, 10.0, 45.0, 90.0, 180.0, rng.uniform(0, 180)])
+                    for _ in range(n)] for _ in range(m)] for m, n in shapes]
+        m, n = (np.array(side) for side in zip(*shapes))
+        group, i, j, dist = assign_batch(np.array([v for b in blocks for r in b for v in r]), m, n)
+        for g, block in enumerate(blocks):
+            want = hungarian(DistanceMatrix(block)).pairs
+            mine = group == g
+            assert tuple(zip(i[mine].tolist(), j[mine].tolist())) == want
+            assert dist[mine].tolist() == [block[a][b] for a, b in want]
