@@ -13,25 +13,49 @@ is lexicographically smallest is returned (exact whenever the tied costs
 are exactly representable, which covers grid-valued fixtures; the result
 is a pure function of the input either way).
 
-`assign_batch` equals `hungarian` on many problems: the shapes it special-cases
-(a side of size 1, 2 x 2) get the same comparisons in numpy, the rest `_solve_padded`.
+`assign_batch` solves many problems at once and returns what `hungarian`
+returns for each, pair for pair. A side of size 1 and 2 x 2 get
+`hungarian`'s own comparisons in numpy. Every other problem whose larger
+side is at most ENUMERATE_MAX_SIDE joins the bucket of its shape, a x b
+with a <= b (an M > N block is read transposed). Each shape has a table
+of its b! / (b - a)! injections of rows into columns, built on first use
+and cached. The bucket's pairing totals are summed column after column
+and the smallest is taken, for every problem together, in chunks of at
+most CHUNK_TOTALS totals, so memory does not grow with the bucket.
+
+A problem whose runner-up total is within TIE_MARGIN of its best goes to
+the exact kernel `_solve_padded`, as does every problem with a side
+above ENUMERATE_MAX_SIDE. Every other problem has one optimum, ahead of
+all other pairings by far more than float rounding, so it is found by
+both the enumeration and the Hungarian kernel, whatever the order of
+enumeration: the enumeration never has to reproduce the tie-break.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .geometry import Direction, _angle_between_units
+from .geometry import Direction, _angle_between_units, sorted_unique
 
 # Thresholds are inclusive; distances travel through arccos and carry
 # ~1e-14 relative rounding, so a mathematically-on-the-boundary distance
 # (e.g. exactly 10 deg against theta = 10) must not be rejected for
 # floating-point noise. 1e-9 deg is far below any meaningful resolution.
 THRESHOLD_EPS = 1e-9
+
+# `assign_batch` enumerates every pairing of a block whose larger side is at
+# most ENUMERATE_MAX_SIDE (7 x 7: 5040 pairings), holding at most CHUNK_TOTALS
+# pairing totals at once, and hands a block to the exact kernel when its
+# runner-up pairing costs less than TIE_MARGIN more than its best.
+ENUMERATE_MAX_SIDE = 7
+CHUNK_TOTALS = 1 << 14
+TIE_MARGIN = 1e-9
 
 
 def within_threshold(distance: float, theta: float) -> bool:
@@ -171,13 +195,62 @@ def assign_batch(dist: np.ndarray, m: np.ndarray, n: np.ndarray) -> tuple:
     swap = ~(dist[s] + dist[s + 3] <= dist[s + 1] + dist[s + 2])
     j[first[square]] = swap
     j[first[square] + 1] = ~swap
-    for g in np.flatnonzero((m > 1) & (n > 1) & ~square):
+    rest = np.flatnonzero((m > 1) & (n > 1) & ~square)
+    flip = m[rest] > n[rest]
+    a, b = k[rest], np.maximum(m[rest], n[rest])
+    exact = [rest[b > ENUMERATE_MAX_SIDE]]
+    shape = a * (ENUMERATE_MAX_SIDE + 1) + b
+    for key in sorted_unique(shape[b <= ENUMERATE_MAX_SIDE])[0].tolist():
+        inside = shape == key
+        g, f = rest[inside], flip[inside]
+        pick, tied = _enumerate_bucket(dist, start[g], n[g], f, *divmod(key, ENUMERATE_MAX_SIDE + 1))
+        at = first[g][:, None] + np.arange(pick.shape[1])
+        # A transposed block picked a prediction per reference: sort by prediction.
+        order = np.argsort(pick[f], 1, kind="stable")
+        i[at[f]] = np.take_along_axis(pick[f], order, 1)
+        j[at] = pick
+        j[at[f]] = order
+        exact.append(g[tied])
+    for g in np.concatenate(exact).tolist():
         rows, cols = int(m[g]), int(n[g])
         block = dist[start[g]:start[g] + size[g]].reshape(rows, cols).tolist()
         pairs = np.array(_solve_padded(block, rows, cols))
         i[first[g]:first[g] + k[g]] = pairs[:, 0]
         j[first[g]:first[g] + k[g]] = pairs[:, 1]
     return group, i, j, dist[start[group] + i * n[group] + j]
+
+
+@functools.lru_cache(maxsize=None)
+def _injections(a: int, b: int) -> np.ndarray:
+    """Every injection of a rows into b columns, one per table row, which
+    holds the column of each of the a rows (int8: 7 x 7 takes 35 KB)."""
+    perms = itertools.chain.from_iterable(itertools.permutations(range(b), a))
+    return np.fromiter(perms, dtype=np.int8).reshape(-1, a)
+
+
+def _enumerate_bucket(dist, start, width, flip, a: int, b: int) -> tuple:
+    """Column of each row of the cheapest injection of every a x b block
+    (a <= b), and whether another injection came within TIE_MARGIN of it.
+    Block g is stored at start[g] in `dist` with rows width[g] apart, and
+    is read transposed where flip[g] is set."""
+    cols = _injections(a, b)
+    cells = cols + np.arange(a) * b  # the cell of each row; intp, so gathers need no cast
+    r, c = np.divmod(np.arange(a * b), b)
+    pick = np.empty((len(start), a), dtype=np.intp)
+    tied = np.empty(len(start), dtype=bool)
+    step = max(1, CHUNK_TOTALS // len(cols))
+    for lo in range(0, len(start), step):
+        s, w, f = (x[lo:lo + step, None] for x in (start, width, flip))
+        block = dist[s + np.where(f, c * w + r, r * w + c)]
+        totals = block[:, cells[:, 0]]
+        for q in range(1, a):
+            totals += block[:, cells[:, q]]
+        best = totals.argmin(1)
+        low = totals[np.arange(len(best)), best]
+        totals[np.arange(len(best)), best] = np.inf
+        tied[lo:lo + step] = ~(totals.min(1) - low > TIE_MARGIN)
+        pick[lo:lo + step] = cols[best]
+    return pick, tied
 
 
 def _solve_padded(v, m: int, n: int) -> tuple:

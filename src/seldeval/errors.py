@@ -40,6 +40,15 @@ class GridOverflow(SeldEvalError, ValueError):
     """Content reaches past the end of a fixed-length frame grid."""
 
 
+class ReferenceTooLong(SeldEvalError):
+    """A reference file covers more frames than the evaluator holds in memory."""
+
+
+class InvalidDirection(SeldEvalError, ValueError):
+    """Angles that are not finite or put |elevation| above 90 deg, or a
+    zero or non-finite vector given as a direction."""
+
+
 class LengthMismatch(SeldEvalError):
     """Aligned frame sequences differ in length."""
 

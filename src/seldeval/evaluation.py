@@ -11,15 +11,20 @@ byte-stable regardless of worker scheduling.
 (frame, class, unit xyz), stable-sorted by frame so that a frame's rows
 keep their file or event order. Only occupied frames are touched; empty
 frames and segments are counted arithmetically, so memory follows the
-rows, not the grid. The result equals the per-frame definition
+rows, not the grid. A reference event has one row per frame it covers,
+and a file whose events cover more than MAX_REFERENCE_ROWS frames, or
+reach frame 2**63, is refused with `ReferenceTooLong` before any row is
+built. The result equals the per-frame definition
 (`LocalizationAccumulator`, `segmentize`, `segment_class_counts`) bit
 for bit: distances come from `angles_between` (acos from `math`, as
-numpy's is 1 ulp off on ~9% of inputs); `assign_batch` solves 1 x N,
-M x 1 and 2 x 2 problems in closed form with `hungarian`'s own
-comparisons; and float sums keep their order, frame by frame and pair
-by pair, one addition after another: `np.bincount` with weights adds
-each bin's values in input order, `np.cumsum` runs left to right, while
-`np.sum` and `np.add.reduceat` add pairwise and round differently.
+numpy's is 1 ulp off on ~9% of inputs); `assign_batch` gives every frame
+and (frame, class) slice `hungarian`'s pairs: 1 x N, M x 1 and 2 x 2 in
+closed form, larger shapes up to 7 x 7 by enumerating each shape's
+pairings in numpy, near-ties and larger shapes by the exact kernel; and
+float sums keep their order, frame by frame and pair by pair, one
+addition after another: `np.bincount` with weights adds each bin's
+values in input order, `np.cumsum` runs left to right, while `np.sum`
+and `np.add.reduceat` add pairwise and round differently.
 """
 
 from __future__ import annotations
@@ -41,12 +46,16 @@ from .annotations import (
     read_prediction_columns,
 )
 from .assignment import THRESHOLD_EPS, assign_batch, ragged_arange
-from .errors import ConfigError, DegenerateRanks, MetricUndefined, MissingPair, UndefinedPartial
+from .errors import (ConfigError, DegenerateRanks, MetricUndefined, MissingPair, ReferenceTooLong,
+                     UndefinedPartial)
 from .geometry import Direction, _angle_between_units, angles_between, sorted_unique
 from .stats import JackknifeEstimate, RankTable, build_rank_table, jackknife_ci, spearman
 
 LOC_MODES = ("frame-average", "segment-mean")
 LE_MODES = ("micro", "macro")
+# A reference event becomes one row per frame it covers, about 150 bytes
+# each while a file is scored: 2**23 rows is 46 h of one source at 20 ms.
+MAX_REFERENCE_ROWS = 1 << 23
 
 
 def _fmt_deg(theta: float) -> str:
@@ -217,15 +226,22 @@ def score_file(ref_path, pred_path, vocabulary: Vocabulary, config: EvaluationCo
     c.n_files = 1
     events = parse_reference(ref_path, vocabulary)
     pf, pc, pu = read_prediction_columns(pred_path, vocabulary)
-    spans = np.array([frame_span(ev.onset, ev.offset, config.frame_hop) for ev in events],
-                     dtype=np.int64).reshape(-1, 2)
-    total = max(int(spans[:, 1].max(initial=-1)) + 1, int(pf.max(initial=-1)) + 1)
+    spans = [frame_span(ev.onset, ev.offset, config.frame_hop) for ev in events]
+    end = max([last + 1 for _, last in spans], default=0)
+    total = max(end, int(pf.max(initial=-1)) + 1)
     if config.duration is not None:
         fixed = math.ceil(config.duration / config.frame_hop - 1e-9)
         if total > fixed:
             raise ConfigError(f"{name}: file content extends past the configured duration "
                               f"{config.duration} s")
         total = fixed
+    rows = sum(max(last - first + 1, 0) for first, last in spans)
+    if rows > MAX_REFERENCE_ROWS or end > 2 ** 63:
+        raise ReferenceTooLong(
+            f"{name}: reference events cover {rows} frames, up to frame {end - 1} at a "
+            f"{config.frame_hop} s hop; a file may cover {MAX_REFERENCE_ROWS} frames, "
+            f"each below 2**63")
+    spans = np.array(spans, dtype=np.int64).reshape(-1, 2)
     if total == 0:
         return c
     # Rows, stable-sorted by frame; a reference event has one per frame it covers.

@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DegenerateMean
+from .errors import DegenerateMean, InvalidDirection
 
 # Elevation this close to +/-90 deg is treated as a pole when converting
 # back from a unit vector (azimuth is then meaningless and canonicalized).
@@ -40,9 +40,9 @@ class Direction:
         azimuth = float(azimuth)
         elevation = float(elevation)
         if not (math.isfinite(azimuth) and math.isfinite(elevation)):
-            raise ValueError(f"direction angles must be finite, got ({azimuth}, {elevation})")
+            raise InvalidDirection(f"direction angles must be finite, got ({azimuth}, {elevation})")
         if abs(elevation) > 90.0:
-            raise ValueError(f"elevation {elevation} outside [-90, 90]")
+            raise InvalidDirection(f"elevation {elevation} outside [-90, 90]")
         azimuth = ((azimuth + 180.0) % 360.0) - 180.0
         if azimuth >= 180.0:  # float wrap can land exactly on 180
             azimuth -= 360.0
@@ -58,7 +58,7 @@ class Direction:
         """Build a Direction from a (not necessarily unit) Cartesian vector."""
         norm = math.sqrt(x * x + y * y + z * z)
         if norm == 0.0 or not math.isfinite(norm):
-            raise ValueError("cannot derive a direction from a zero or non-finite vector")
+            raise InvalidDirection("cannot derive a direction from a zero or non-finite vector")
         zc = z / norm
         zc = max(-1.0, min(1.0, zc))
         elevation = math.degrees(math.asin(zc))

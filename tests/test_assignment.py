@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from seldeval.assignment import (
     Assignment,
     DistanceMatrix,
+    assign_batch,
     build_distance_matrix,
     hungarian,
     threshold_mask,
@@ -114,6 +115,31 @@ class TestHungarian:
             perm = tuple(tuple(values[i][j] for j in cols) for i in rows)
             d2 = DistanceMatrix(values=perm)
             assert hungarian(d2).cost(d2) == pytest.approx(base, abs=1e-9)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_cost_matches_scipy_past_brute_force(self, seed):
+        # 7 x 7 to 12 x 12 and rectangular shapes with a side of 7 or more,
+        # beyond test_matches_brute_force; cost only, scipy breaks ties its own way
+        from scipy.optimize import linear_sum_assignment
+
+        rng = random.Random(seed)
+        blocks = []
+        for _ in range(rng.randint(1, 4)):
+            big, other = rng.randint(7, 12), rng.choice([rng.randint(2, 12), rng.randint(7, 12)])
+            m, n = (big, other) if rng.random() < 0.5 else (other, big)
+            blocks.append(tuple(tuple(rng.choice([rng.uniform(0, 180), 10.0 * rng.randint(0, 18)])
+                                      for _ in range(n)) for _ in range(m)))
+        shapes = np.array([(len(b), len(b[0])) for b in blocks])
+        group, _, _, dist = assign_batch(np.array([v for b in blocks for r in b for v in r]),
+                                         shapes[:, 0], shapes[:, 1])
+        for g, values in enumerate(blocks):
+            arr = np.array(values)
+            rows, cols = linear_sum_assignment(arr)
+            want = float(arr[rows, cols].sum())
+            d = DistanceMatrix(values=values)
+            assert hungarian(d).cost(d) == pytest.approx(want, abs=1e-9)
+            assert float(dist[group == g].sum()) == pytest.approx(want, abs=1e-9)
 
     def test_deterministic_across_calls(self):
         rng = random.Random(3)

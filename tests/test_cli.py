@@ -316,3 +316,34 @@ class TestSynthCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert "scene_000.csv" in err["message"]
+
+
+class TestReferenceLength:
+    def _write(self, tmp_path, row):
+        ref_dir, pred_dir = tmp_path / "ref", tmp_path / "pred"
+        ref_dir.mkdir()
+        pred_dir.mkdir()
+        (ref_dir / "vocabulary.txt").write_text("dog\ncat\n")
+        (ref_dir / "long.csv").write_text(row + "\n")
+        (pred_dir / "long.csv").write_text("0,0,10,0\n")
+        return ref_dir, pred_dir
+
+    @pytest.mark.parametrize("row", [
+        "dog,0.0,1e30,10,0",                       # once an OverflowError
+        "dog,0.0,1e12,10,0",                       # once a 364 TiB allocation
+        "dog,1e18,1.0000000000000002e18,10,0",     # 8192 frames, all past int64
+    ])
+    def test_unscoreable_reference_error_json(self, tmp_path, capsys, row):
+        ref_dir, pred_dir = self._write(tmp_path, row)
+        code = run(["evaluate", "--ref", ref_dir, "--pred", pred_dir, "--format", "json"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ReferenceTooLong"
+        assert "long.csv" in err["message"]
+
+    def test_long_reference_still_scores(self, tmp_path, capsys):
+        ref_dir, pred_dir = self._write(tmp_path, "dog,0.0,3600,10,0")  # 180000 frames
+        assert run(["evaluate", "--ref", ref_dir, "--pred", pred_dir, "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["frames"] == 180_000
+        assert report["metrics"]["lr"] == pytest.approx(1 / 180_000)

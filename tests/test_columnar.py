@@ -2,7 +2,10 @@
 
 import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -12,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seldeval.annotations import EventRecord, Vocabulary, parse_prediction, read_prediction_columns, write_reference
-from seldeval.assignment import DistanceMatrix, assign_batch, hungarian
+from seldeval import assignment
+from seldeval.assignment import CHUNK_TOTALS, DistanceMatrix, assign_batch, hungarian
 from seldeval.evaluation import EvaluationConfig, FileContribution, evaluate_directory, score_file
 from seldeval.geometry import Direction, angles_between, angular_distance, unit_vectors
 from scalar_oracle import score_file_oracle
@@ -191,6 +195,24 @@ class TestLargeFrameIndex:
         assert peak < 20 * 2 ** 20
 
 
+class TestFrameTotals:
+    def test_three_pair_frame_total_is_python_sum(self):
+        # A frame with k > 2 pairs is summed by sum(), as LocalizationAccumulator
+        # does; from Python 3.12 on sum() compensates, so it differs from
+        # left-to-right addition on this frame.
+        refs = [(0.0, 0.0), (120.0, 0.0), (-120.0, 0.0)]
+        for step in range(1, 1000):
+            preds = [(az + 0.01 * step * (q + 1), el) for q, (az, el) in enumerate(refs)]
+            d = [angular_distance(Direction(*p), Direction(*r)) for p, r in zip(preds, refs)]
+            if (d[0] + d[1]) + d[2] != math.fsum(d):
+                break
+        else:
+            pytest.fail("no frame whose naive and compensated sums differ")
+        events = [event(label, 0, 0, r, 0.02) for label, r in zip(VOCAB, refs)]
+        got = score_both(events, [(0, q, p) for q, p in enumerate(preds)], EvaluationConfig())
+        assert got.loc_dist == sum(d) and got.loc_k == 3
+
+
 class TestPredictionColumns:
     def test_fallback_equals_fast_path(self, tmp_path):
         body = "3,1,10.5,-20\n0,0,-190,90\n3,2,359.9,0\n\n1,0,0,-0.0\n"
@@ -240,18 +262,93 @@ class TestGeometryColumns:
             assert got.tolist() == want
 
 
+def assert_batch_equals_hungarian(blocks) -> None:
+    """assign_batch on the row-major blocks gives hungarian's pairs and distances."""
+    m, n = (np.array(side) for side in zip(*[(len(b), len(b[0])) for b in blocks]))
+    group, i, j, dist = assign_batch(np.array([v for b in blocks for r in b for v in r]), m, n)
+    at = np.searchsorted(group, np.arange(len(blocks) + 1))
+    for g, block in enumerate(blocks):
+        want = hungarian(DistanceMatrix(block)).pairs
+        mine = slice(at[g], at[g + 1])
+        assert tuple(zip(i[mine].tolist(), j[mine].tolist())) == want, (g, block)
+        assert dist[mine].tolist() == [block[a][b] for a, b in want]
+
+
+def near(rng, v):
+    """v, or v moved by 1 ulp, or by about the enumeration's tie margin."""
+    return rng.choice([v, v, math.nextafter(v, 0.0), math.nextafter(v, 180.0),
+                       min(v + 1e-9, 180.0), min(v + 3e-9, 180.0)])
+
+
+def tie_heavy_block(rng, rows, cols):
+    block = [[near(rng, rng.choice([0.0, 10.0, 45.0, 90.0, 180.0, rng.uniform(0, 180)]))
+              for _ in range(cols)] for _ in range(rows)]
+    for _ in range(rng.randint(0, 2)):  # duplicated rows and columns tie exactly
+        if rows > 1:
+            block[rng.randrange(rows)] = list(block[rng.randrange(rows)])
+        if cols > 1:
+            a, b = rng.randrange(cols), rng.randrange(cols)
+            for row in block:
+                row[a] = row[b]
+    return block
+
+
 class TestAssignBatch:
     @given(st.integers(0, 10_000))
     @settings(max_examples=100, deadline=None)
     def test_equals_hungarian(self, seed):
+        # up to 8 x 8: past the enumeration's 7 x 7, both sides larger
         rng = random.Random(seed)
-        shapes = [(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(rng.randint(1, 12))]
-        blocks = [[[rng.choice([0.0, 10.0, 45.0, 90.0, 180.0, rng.uniform(0, 180)])
-                    for _ in range(n)] for _ in range(m)] for m, n in shapes]
-        m, n = (np.array(side) for side in zip(*shapes))
-        group, i, j, dist = assign_batch(np.array([v for b in blocks for r in b for v in r]), m, n)
-        for g, block in enumerate(blocks):
-            want = hungarian(DistanceMatrix(block)).pairs
-            mine = group == g
-            assert tuple(zip(i[mine].tolist(), j[mine].tolist())) == want
-            assert dist[mine].tolist() == [block[a][b] for a, b in want]
+        shapes = [(rng.randint(1, 8), rng.randint(1, 8)) for _ in range(rng.randint(1, 12))]
+        assert_batch_equals_hungarian([tie_heavy_block(rng, m, n) for m, n in shapes])
+
+    @pytest.mark.parametrize("chunk", [1, 50, CHUNK_TOTALS])
+    def test_buckets_span_several_chunks(self, monkeypatch, chunk):
+        monkeypatch.setattr(assignment, "CHUNK_TOTALS", chunk)
+        rng = random.Random(chunk)
+        # 3 x 3 takes 6 totals a problem, 6 x 7 and 7 x 6 share one bucket of 5040
+        shapes = [(3, 3)] * 3000 + [(2, 5), (5, 2)] * 40 + [(6, 7), (7, 6)] * 4
+        rng.shuffle(shapes)
+        blocks = [[[rng.uniform(0, 180) for _ in range(n)] for _ in range(m)] for m, n in shapes]
+        assert_batch_equals_hungarian(blocks)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 4), (4, 2), (5, 5), (6, 7), (7, 6), (7, 7), (8, 3)])
+    def test_runner_up_close_to_best(self, shape):
+        # Only the identity and one swap of it are cheap; the swap costs 1 ulp
+        # of a cell, or about the enumeration's tie margin, more or less.
+        rng = random.Random(sum(shape))
+        rows, cols = shape
+        blocks = []
+        for _ in range(40):
+            block = [[180.0] * cols for _ in range(rows)]
+            for r in range(min(shape)):
+                block[r][r] = rng.uniform(0, 90)
+            a, b = rng.sample(range(min(shape)), 2)
+            block[a][b] = block[a][a]
+            block[b][a] = rng.choice([math.nextafter(block[b][b], 0.0),
+                                      math.nextafter(block[b][b], 180.0),
+                                      block[b][b] + rng.choice([-1e-8, -2e-9, -1e-9, 1e-9, 2e-9, 1e-8])])
+            blocks.append(block)
+            blocks.append([[rng.choice([45.0, math.nextafter(45.0, 0.0), math.nextafter(45.0, 90.0)])
+                            for _ in range(cols)] for _ in range(rows)])
+        assert_batch_equals_hungarian(blocks)
+
+    def test_duplicated_rows_and_columns_tie_exactly(self):
+        rng = random.Random(5)
+        blocks = []
+        for rows, cols in [(3, 3), (3, 5), (5, 3), (4, 4), (6, 6), (7, 5), (7, 7)]:
+            for _ in range(10):
+                row = [rng.choice([10.0, 20.0, 30.0]) for _ in range(cols)]
+                blocks.append([list(row) for _ in range(rows)])
+                col = [rng.uniform(0, 180) for _ in range(rows)]
+                blocks.append([[col[r]] * cols for r in range(rows)])
+        assert_batch_equals_hungarian(blocks)
+
+    def test_no_tables_built_at_import(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = ("import seldeval.cli, seldeval.assignment as a; "
+                "print(a._injections.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=path), check=True)
+        assert out.stdout.strip() == "0"

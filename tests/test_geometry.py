@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seldeval.errors import DegenerateMean
+from seldeval.errors import DegenerateMean, InvalidDirection, SeldEvalError
 from seldeval.geometry import (
     Direction,
     UnitVector3,
@@ -38,6 +38,16 @@ class TestDirection:
             Direction(float("nan"), 0.0)
         with pytest.raises(ValueError):
             Direction(0.0, float("inf"))
+
+    @pytest.mark.parametrize("make", [
+        lambda: Direction(0.0, 91.0),
+        lambda: Direction(float("nan"), 0.0),
+        lambda: Direction.from_unit_vector(0.0, 0.0, 0.0),
+    ])
+    def test_invalid_direction_error_type(self, make):
+        with pytest.raises(InvalidDirection) as info:
+            make()
+        assert isinstance(info.value, SeldEvalError) and isinstance(info.value, ValueError)
 
     @given(directions)
     @settings(max_examples=200)
