@@ -14,19 +14,23 @@ are exactly representable, which covers grid-valued fixtures; the result
 is a pure function of the input either way).
 
 `assign_batch` solves many problems at once and returns what `hungarian`
-returns for each, pair for pair. A side of size 1 and 2 x 2 get
-`hungarian`'s own comparisons in numpy. Every other problem whose larger
-side is at most ENUMERATE_MAX_SIDE joins the bucket of its shape, a x b
-with a <= b (an M > N block is read transposed). Each shape has a table
-of its b! / (b - a)! injections of rows into columns, built on first use
-and cached. The bucket's pairing totals are summed column after column
-and the smallest is taken, for every problem together, in chunks of at
-most CHUNK_TOTALS totals, so memory does not grow with the bucket.
+returns for each, pair for pair. It groups the problems by shape, a x b
+with a <= b (an M > N block is read transposed); a 1 x 1 problem needs no
+work, and a problem with both sides above 1 and one above
+ENUMERATE_MAX_SIDE joins no group. Each shape has a table of its
+b! / (b - a)! injections of rows into columns in `itertools.permutations`
+order, built on first use and cached. A bucket's pairing totals are
+summed column after column and the first smallest is taken, for every
+problem together, in chunks of at most CHUNK_TOTALS totals, so memory
+does not grow with the bucket.
 
-A problem whose runner-up total is within TIE_MARGIN of its best goes to
-the exact kernel `_solve_padded`, as does every problem with a side
-above ENUMERATE_MAX_SIDE. Every other problem has one optimum, ahead of
-all other pairings by far more than float rounding, so it is found by
+For 1 x b and 2 x 2 the first smallest total is `hungarian`'s own
+choice: the first minimum of its line, and the identity unless the swap
+costs strictly less, the two totals added as `hungarian` adds them. Of
+the other shapes, a problem whose runner-up total is within TIE_MARGIN
+of its best goes to the exact kernel `_solve_padded`, as does every
+problem that joins no group. Every other problem has one optimum, ahead
+of all other pairings by far more than float rounding, so it is found by
 both the enumeration and the Hungarian kernel, whatever the order of
 enumeration: the enumeration never has to reproduce the tie-break.
 """
@@ -49,10 +53,11 @@ from .geometry import Direction, _angle_between_units, sorted_unique
 # floating-point noise. 1e-9 deg is far below any meaningful resolution.
 THRESHOLD_EPS = 1e-9
 
-# `assign_batch` enumerates every pairing of a block whose larger side is at
-# most ENUMERATE_MAX_SIDE (7 x 7: 5040 pairings), holding at most CHUNK_TOTALS
-# pairing totals at once, and hands a block to the exact kernel when its
-# runner-up pairing costs less than TIE_MARGIN more than its best.
+# `assign_batch` enumerates every pairing of a block with a single row or
+# column, or whose larger side is at most ENUMERATE_MAX_SIDE (7 x 7: 5040
+# pairings), holding at most CHUNK_TOTALS pairing totals at once, and hands a
+# block to the exact kernel when its runner-up pairing costs less than
+# TIE_MARGIN more than its best.
 ENUMERATE_MAX_SIDE = 7
 CHUNK_TOTALS = 1 << 14
 TIE_MARGIN = 1e-9
@@ -184,32 +189,24 @@ def assign_batch(dist: np.ndarray, m: np.ndarray, n: np.ndarray) -> tuple:
     group = np.repeat(np.arange(len(m)), k)
     i = ragged_arange(k)
     j = np.zeros_like(i)
-    if len(m):  # a single row or column: the first index of the minimum
-        hits = np.flatnonzero(dist == np.repeat(np.minimum.reduceat(dist, start), size))
-        best = hits[np.searchsorted(hits, start)] - start
-        line = (m == 1) | (n == 1)
-        i[first[line]] = np.where(m == 1, 0, best)[line]
-        j[first[line]] = np.where(m == 1, best, 0)[line]
-    square = (m == 2) & (n == 2)
-    s = start[square]
-    swap = ~(dist[s] + dist[s + 3] <= dist[s + 1] + dist[s + 2])
-    j[first[square]] = swap
-    j[first[square] + 1] = ~swap
-    rest = np.flatnonzero((m > 1) & (n > 1) & ~square)
-    flip = m[rest] > n[rest]
-    a, b = k[rest], np.maximum(m[rest], n[rest])
-    exact = [rest[b > ENUMERATE_MAX_SIDE]]
-    shape = a * (ENUMERATE_MAX_SIDE + 1) + b
-    for key in sorted_unique(shape[b <= ENUMERATE_MAX_SIDE])[0].tolist():
-        inside = shape == key
-        g, f = rest[inside], flip[inside]
-        pick, tied = _enumerate_bucket(dist, start[g], n[g], f, *divmod(key, ENUMERATE_MAX_SIDE + 1))
+    b = np.maximum(m, n)
+    small = np.flatnonzero((b > 1) & ((k == 1) | (b <= ENUMERATE_MAX_SIDE)))  # 1 x 1: (0, 0)
+    exact = [np.flatnonzero((k > 1) & (b > ENUMERATE_MAX_SIDE))]
+    width = int(b.max(initial=0)) + 1  # b < width: one key per shape
+    shapes, bucket = sorted_unique(k[small] * width + b[small])
+    members = small[np.argsort(bucket, kind="stable")]
+    count = np.bincount(bucket, minlength=len(shapes))
+    ends = np.cumsum(count)
+    for key, lo, hi in zip(shapes.tolist(), (ends - count).tolist(), ends.tolist()):
+        g = members[lo:hi]
+        f = m[g] > n[g]
+        pick, tied = _enumerate_bucket(dist, start[g], n[g], f, *divmod(key, width))
         at = first[g][:, None] + np.arange(pick.shape[1])
-        # A transposed block picked a prediction per reference: sort by prediction.
-        order = np.argsort(pick[f], 1, kind="stable")
-        i[at[f]] = np.take_along_axis(pick[f], order, 1)
         j[at] = pick
-        j[at[f]] = order
+        if f.any():  # a transposed block picked a prediction per reference: sort by it
+            order = np.argsort(pick[f], 1, kind="stable")
+            i[at[f]] = np.take_along_axis(pick[f], order, 1)
+            j[at[f]] = order
         exact.append(g[tied])
     for g in np.concatenate(exact).tolist():
         rows, cols = int(m[g]), int(n[g])
@@ -222,22 +219,25 @@ def assign_batch(dist: np.ndarray, m: np.ndarray, n: np.ndarray) -> tuple:
 
 @functools.lru_cache(maxsize=None)
 def _injections(a: int, b: int) -> np.ndarray:
-    """Every injection of a rows into b columns, one per table row, which
-    holds the column of each of the a rows (int8: 7 x 7 takes 35 KB)."""
+    """Every injection of a rows into b columns in `itertools.permutations`
+    order, one per table row, which holds the column of each of the a rows
+    (in the smallest type that holds b - 1: 7 x 7 takes 35 KB)."""
     perms = itertools.chain.from_iterable(itertools.permutations(range(b), a))
-    return np.fromiter(perms, dtype=np.int8).reshape(-1, a)
+    return np.fromiter(perms, dtype=np.min_scalar_type(b - 1)).reshape(-1, a)
 
 
 def _enumerate_bucket(dist, start, width, flip, a: int, b: int) -> tuple:
     """Column of each row of the cheapest injection of every a x b block
-    (a <= b), and whether another injection came within TIE_MARGIN of it.
-    Block g is stored at start[g] in `dist` with rows width[g] apart, and
-    is read transposed where flip[g] is set."""
+    (a <= b), and whether it must go to the exact kernel: another injection
+    came within TIE_MARGIN of it. A 1 x b or 2 x 2 block never must, as the
+    first cheapest injection is `hungarian`'s own choice. Block g is stored
+    at start[g] in `dist` with rows width[g] apart, and is read transposed
+    where flip[g] is set."""
     cols = _injections(a, b)
     cells = cols + np.arange(a) * b  # the cell of each row; intp, so gathers need no cast
     r, c = np.divmod(np.arange(a * b), b)
     pick = np.empty((len(start), a), dtype=np.intp)
-    tied = np.empty(len(start), dtype=bool)
+    tied = np.zeros(len(start), dtype=bool)
     step = max(1, CHUNK_TOTALS // len(cols))
     for lo in range(0, len(start), step):
         s, w, f = (x[lo:lo + step, None] for x in (start, width, flip))
@@ -246,10 +246,11 @@ def _enumerate_bucket(dist, start, width, flip, a: int, b: int) -> tuple:
         for q in range(1, a):
             totals += block[:, cells[:, q]]
         best = totals.argmin(1)
-        low = totals[np.arange(len(best)), best]
-        totals[np.arange(len(best)), best] = np.inf
-        tied[lo:lo + step] = ~(totals.min(1) - low > TIE_MARGIN)
         pick[lo:lo + step] = cols[best]
+        if a > 1 and b > 2:
+            low = totals[np.arange(len(best)), best]
+            totals[np.arange(len(best)), best] = np.inf
+            tied[lo:lo + step] = ~(totals.min(1) - low > TIE_MARGIN)
     return pick, tied
 
 

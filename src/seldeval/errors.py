@@ -41,7 +41,7 @@ class GridOverflow(SeldEvalError, ValueError):
 
 
 class ReferenceTooLong(SeldEvalError):
-    """A reference file covers more frames than the evaluator holds in memory."""
+    """A reference file reaches frame 2**63, or covers more frames than memory holds."""
 
 
 class InvalidDirection(SeldEvalError, ValueError):

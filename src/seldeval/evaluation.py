@@ -11,16 +11,16 @@ byte-stable regardless of worker scheduling.
 (frame, class, unit xyz), stable-sorted by frame so that a frame's rows
 keep their file or event order. Only occupied frames are touched; empty
 frames and segments are counted arithmetically, so memory follows the
-rows, not the grid. A reference event has one row per frame it covers,
-and a file whose events cover more than MAX_REFERENCE_ROWS frames, or
-reach frame 2**63, is refused with `ReferenceTooLong` before any row is
-built. The result equals the per-frame definition
+rows, not the grid. A reference event has one row per frame it covers;
+a file whose events reach frame 2**63, or whose rows numpy cannot
+allocate, is refused with `ReferenceTooLong`, and any file whose rows
+fit in memory is scored. The result equals the per-frame definition
 (`LocalizationAccumulator`, `segmentize`, `segment_class_counts`) bit
 for bit: distances come from `angles_between` (acos from `math`, as
 numpy's is 1 ulp off on ~9% of inputs); `assign_batch` gives every frame
-and (frame, class) slice `hungarian`'s pairs: 1 x N, M x 1 and 2 x 2 in
-closed form, larger shapes up to 7 x 7 by enumerating each shape's
-pairings in numpy, near-ties and larger shapes by the exact kernel; and
+and (frame, class) slice `hungarian`'s pairs, enumerating the pairings
+of each shape up to 7 x 7 (and of every 1 x N and M x 1) in numpy and
+handing near-ties and larger shapes to the exact kernel; and
 float sums keep their order, frame by frame and pair by pair, one
 addition after another: `np.bincount` with weights adds each bin's
 values in input order, `np.cumsum` runs left to right, while `np.sum`
@@ -53,9 +53,6 @@ from .stats import JackknifeEstimate, RankTable, build_rank_table, jackknife_ci,
 
 LOC_MODES = ("frame-average", "segment-mean")
 LE_MODES = ("micro", "macro")
-# A reference event becomes one row per frame it covers, about 150 bytes
-# each while a file is scored: 2**23 rows is 46 h of one source at 20 ms.
-MAX_REFERENCE_ROWS = 1 << 23
 
 
 def _fmt_deg(theta: float) -> str:
@@ -236,22 +233,24 @@ def score_file(ref_path, pred_path, vocabulary: Vocabulary, config: EvaluationCo
                               f"{config.duration} s")
         total = fixed
     rows = sum(max(last - first + 1, 0) for first, last in spans)
-    if rows > MAX_REFERENCE_ROWS or end > 2 ** 63:
-        raise ReferenceTooLong(
-            f"{name}: reference events cover {rows} frames, up to frame {end - 1} at a "
-            f"{config.frame_hop} s hop; a file may cover {MAX_REFERENCE_ROWS} frames, "
-            f"each below 2**63")
+    if end > 2 ** 63 or rows >= 2 ** 63:
+        raise ReferenceTooLong(f"{name}: reference events cover {rows} frames, up to frame "
+                               f"{end - 1} at a {config.frame_hop} s hop; both must stay below 2**63")
     spans = np.array(spans, dtype=np.int64).reshape(-1, 2)
     if total == 0:
         return c
     # Rows, stable-sorted by frame; a reference event has one per frame it covers.
-    count = np.maximum(spans[:, 1] - spans[:, 0] + 1, 0)
-    ev = np.repeat(np.arange(len(events)), count)
-    rf = spans[ev, 0] + ragged_arange(count)
-    order = np.argsort(rf, kind="stable")
-    rf, ev = rf[order], ev[order]
-    rc = np.array([vocabulary.index(e.label) for e in events], dtype=np.int64)[ev]
-    ru = np.array([e.direction.unit for e in events]).reshape(-1, 3)[ev]
+    try:
+        count = np.maximum(spans[:, 1] - spans[:, 0] + 1, 0)
+        ev = np.repeat(np.arange(len(events)), count)
+        rf = spans[ev, 0] + ragged_arange(count)
+        order = np.argsort(rf, kind="stable")
+        rf, ev = rf[order], ev[order]
+        rc = np.array([vocabulary.index(e.label) for e in events], dtype=np.int64)[ev]
+        ru = np.array([e.direction.unit for e in events]).reshape(-1, 3)[ev]
+    except MemoryError:
+        raise ReferenceTooLong(f"{name}: reference events cover {rows} frames at a "
+                               f"{config.frame_hop} s hop, more rows than memory holds") from None
     order = np.argsort(pf, kind="stable")
     pf, pc, pu = pf[order], pc[order], pu[order]
 

@@ -130,6 +130,9 @@ class TestHungarian:
             m, n = (big, other) if rng.random() < 0.5 else (other, big)
             blocks.append(tuple(tuple(rng.choice([rng.uniform(0, 180), 10.0 * rng.randint(0, 18)])
                                       for _ in range(n)) for _ in range(m)))
+            # and a small block, which assign_batch enumerates, in the same batch
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            blocks.append(tuple(tuple(rng.uniform(0, 180) for _ in range(n)) for _ in range(m)))
         shapes = np.array([(len(b), len(b[0])) for b in blocks])
         group, _, _, dist = assign_batch(np.array([v for b in blocks for r in b for v in r]),
                                          shapes[:, 0], shapes[:, 1])

@@ -110,6 +110,13 @@ CASES = {
     # active on both sides in segment 0, never in the same frame
     "never_co_active": (
         [event("cat", 0, 10, (0, 0), HOP)], rows(1, 20, 30, (0, 0))),
+    # a 3 x 3 frame, then 11 predictions against 2 references, then 1 against 5
+    "wide_frames_after_3x3": (
+        [event(lb, 0, 0, d, HOP) for lb, d in zip(VOCAB.labels, GRID)]
+        + [event(lb, 1, 1, d, HOP) for lb, d in zip(["dog", "cat"], GRID[3:])]
+        + [event(lb, 2, 2, d, HOP) for lb, d in zip(["dog", "cat", "speech", "dog", "cat"], GRID[5:])],
+        [(0, c, d) for c, d in zip([0, 1, 2], GRID[2:])]
+        + [(1, c % 3, d) for c, d in enumerate(GRID)] + [(2, 0, GRID[7])]),
     "larger_than_3x3": (
         [event(lb, 0, 80, d, HOP) for lb, d in zip(["dog", "dog", "cat", "speech", "cat"], GRID)],
         [r for c, d in zip([0, 1, 2, 0, 1, 2], GRID[3:]) for r in rows(c, 0, 80, d)]),
@@ -297,10 +304,24 @@ class TestAssignBatch:
     @given(st.integers(0, 10_000))
     @settings(max_examples=100, deadline=None)
     def test_equals_hungarian(self, seed):
-        # up to 8 x 8: past the enumeration's 7 x 7, both sides larger
+        # up to 8 x 8: past the enumeration's 7 x 7, both sides larger; and
+        # thin blocks up to 3 x 12 and 12 x 3 in the same batch
         rng = random.Random(seed)
-        shapes = [(rng.randint(1, 8), rng.randint(1, 8)) for _ in range(rng.randint(1, 12))]
+        shapes = [rng.choice([(rng.randint(1, 8), rng.randint(1, 8)),
+                              (rng.randint(1, 3), rng.randint(8, 12)),
+                              (rng.randint(8, 12), rng.randint(1, 3))])
+                  for _ in range(rng.randint(1, 12))]
         assert_batch_equals_hungarian([tie_heavy_block(rng, m, n) for m, n in shapes])
+
+    @pytest.mark.parametrize("shapes", [
+        [(3, 3), (2, 11)], [(3, 3), (2, 11), (1, 5)], [(4, 4), (12, 3)], [(2, 12), (3, 4)],
+        [(1, 1), (2, 2), (1, 10), (10, 1), (1, 300), (300, 1), (2, 9)],
+    ])
+    def test_every_shape_keeps_its_own_bucket(self, shapes):
+        rng = random.Random(len(shapes))
+        for order in (shapes, shapes[::-1]):
+            assert_batch_equals_hungarian(
+                [[[rng.uniform(0, 180) for _ in range(n)] for _ in range(m)] for m, n in order])
 
     @pytest.mark.parametrize("chunk", [1, 50, CHUNK_TOTALS])
     def test_buckets_span_several_chunks(self, monkeypatch, chunk):
