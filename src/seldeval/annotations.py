@@ -30,8 +30,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .assignment import build_distance_matrix, hungarian
-from .errors import ConfigError, GridOverflow, InvalidInterval, ParseError, UnknownClass
+from .assignment import build_distance_matrix, hungarian, ragged_arange
+from .errors import (ConfigError, GridOverflow, InvalidInterval, ParseError, ReferenceTooLong,
+                     UnknownClass)
 from .geometry import Direction, unit_vectors
 
 # Snap tolerance, in frame units, for onset/offset landing on a frame
@@ -243,14 +244,16 @@ def write_reference(path, events: Iterable[EventRecord]) -> None:
 
 def write_prediction(path, frames: Iterable[FrameSnapshot], vocabulary: Vocabulary) -> None:
     """Write frame-level rows, sorted by frame, class index, then DoA."""
-    lines = []
-    for frame in frames:
-        rows = sorted(
-            (vocabulary.index(label), d.azimuth, d.elevation) for label, d in frame.instances
-        )
-        for class_index, az, el in rows:
-            lines.append(f"{frame.index},{class_index},{az!r},{el!r}")
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    write_prediction_rows(path, [
+        (frame.index, *row) for frame in frames
+        for row in sorted((vocabulary.index(label), d.azimuth, d.elevation)
+                          for label, d in frame.instances)])
+
+
+def write_prediction_rows(path, rows: Iterable[tuple]) -> None:
+    """Write (frame, class index, azimuth, elevation) rows, in the given order."""
+    Path(path).write_text("".join(f"{f},{c},{az!r},{el!r}\n" for f, c, az, el in rows),
+                          encoding="utf-8")
 
 
 def frame_span(onset: float, offset: float, frame_hop: float):
@@ -258,6 +261,32 @@ def frame_span(onset: float, offset: float, frame_hop: float):
     first = math.floor(onset / frame_hop + _GRID_EPS)
     last = math.ceil(offset / frame_hop - _GRID_EPS) - 1
     return max(first, 0), last
+
+
+def expand_spans(spans, columns, frame_hop: float, name: str) -> tuple:
+    """The frame index of every frame that each (first, last) span covers,
+    and each array in `columns` (one entry per span) repeated to match,
+    stable-sorted by frame, so that a frame's rows keep the spans' order.
+
+    Spans that reach frame 2**63, or rows that numpy cannot allocate,
+    raise `ReferenceTooLong` naming `name`.
+    """
+    rows = sum(max(last - first + 1, 0) for first, last in spans)
+    end = max([last + 1 for _, last in spans], default=0)
+    if end > 2 ** 63 or rows >= 2 ** 63:
+        raise ReferenceTooLong(f"{name}: reference events cover {rows} frames, up to frame "
+                               f"{end - 1} at a {frame_hop} s hop; both must stay below 2**63")
+    try:
+        spans = np.array(spans, dtype=np.int64).reshape(-1, 2)
+        count = np.maximum(spans[:, 1] - spans[:, 0] + 1, 0)
+        ev = np.repeat(np.arange(len(spans)), count)
+        frame = spans[ev, 0] + ragged_arange(count)
+        order = np.argsort(frame, kind="stable")
+        ev = ev[order]
+        return (frame[order], *(col[ev] for col in columns))
+    except MemoryError:
+        raise ReferenceTooLong(f"{name}: reference events cover {rows} frames at a "
+                               f"{frame_hop} s hop, more rows than memory holds") from None
 
 
 def rasterize(events: Sequence[EventRecord], frame_hop: float, total_frames: int) -> list:

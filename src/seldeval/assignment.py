@@ -1,8 +1,8 @@
 """Minimum-cost association between predicted and reference directions.
 
 Builds the M x N angular-distance matrix, solves the rectangular
-assignment problem with a Hungarian kernel, and applies inclusive
-threshold masks. Rectangular inputs are padded to a square matrix with a
+assignment problem with a Hungarian kernel, and compares distances with
+inclusive thresholds (`within_threshold`). Rectangular inputs are padded to a square matrix with a
 sentinel cost strictly greater than 180 * max(M, N); sentinel pairs are
 dropped from the result, so exactly min(M, N) predictions end up
 associated with references.
@@ -116,18 +116,6 @@ class Assignment:
         return sum(d.values[i][j] for i, j in self.pairs)
 
 
-@dataclass(frozen=True)
-class ThresholdMask:
-    """Boolean M x N mask, entry (i, j) true iff the distance is <= theta."""
-
-    theta: float
-    passes: tuple
-
-    def count_passing(self, assignment: Assignment) -> int:
-        """Number of assigned pairs within the threshold (K_theta)."""
-        return sum(1 for i, j in assignment.pairs if self.passes[i][j])
-
-
 def build_distance_matrix(preds: Sequence[Direction], refs: Sequence[Direction]) -> DistanceMatrix:
     """Angular distances between every prediction/reference combination.
 
@@ -138,14 +126,6 @@ def build_distance_matrix(preds: Sequence[Direction], refs: Sequence[Direction])
         tuple(_angle_between_units(p.unit, r.unit) for r in refs) for p in preds
     )
     return DistanceMatrix(values, cols=len(refs))
-
-
-def threshold_mask(d: DistanceMatrix, theta: float) -> ThresholdMask:
-    """Inclusive threshold mask over a distance matrix."""
-    if theta < 0:
-        raise ValueError(f"threshold must be non-negative, got {theta}")
-    passes = tuple(tuple(within_threshold(v, theta) for v in row) for row in d.values)
-    return ThresholdMask(theta=theta, passes=passes)
 
 
 def hungarian(d: DistanceMatrix) -> Assignment:

@@ -30,7 +30,6 @@ from .evaluation import (
     rank_systems,
 )
 from .stats import JackknifeEstimate
-from .synth import PerturbationSpec, perturb, serialize_prediction
 
 REPORT_SCHEMA = "seldeval-report/1"
 RANK_SCHEMA = "seldeval-rank/1"
@@ -351,6 +350,8 @@ def _cmd_correlate(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from .synth import PerturbationSpec, perturb, serialize_prediction  # only synth needs it
+
     file_cfg = _load_config_file(args)
     config = _build_config(args, file_cfg)
     vocabulary = _load_vocabulary(args)

@@ -5,7 +5,9 @@ Every file contributes a bundle of commutative sums (FileContribution),
 so datasets merge associatively and jackknife partials are cheap
 re-merges of cached per-file contributions instead of re-parses. Files
 are always merged in sorted filename order, which keeps the output
-byte-stable regardless of worker scheduling.
+byte-stable regardless of worker scheduling. The process pool, and with
+it `multiprocessing`, is imported only when `jobs > 1`, so a `--jobs 1`
+command does not pay for loading it.
 
 `score_file` works on columns: each side of a file is a set of rows
 (frame, class, unit xyz), stable-sorted by frame so that a frame's rows
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -40,14 +41,14 @@ import numpy as np
 
 from .annotations import (
     Vocabulary,
+    expand_spans,
     frame_span,
     frames_per_segment,
     parse_reference,
     read_prediction_columns,
 )
 from .assignment import THRESHOLD_EPS, assign_batch, ragged_arange
-from .errors import (ConfigError, DegenerateRanks, MetricUndefined, MissingPair, ReferenceTooLong,
-                     UndefinedPartial)
+from .errors import ConfigError, DegenerateRanks, MetricUndefined, MissingPair, UndefinedPartial
 from .geometry import Direction, _angle_between_units, angles_between, sorted_unique
 from .stats import JackknifeEstimate, RankTable, build_rank_table, jackknife_ci, spearman
 
@@ -232,25 +233,13 @@ def score_file(ref_path, pred_path, vocabulary: Vocabulary, config: EvaluationCo
             raise ConfigError(f"{name}: file content extends past the configured duration "
                               f"{config.duration} s")
         total = fixed
-    rows = sum(max(last - first + 1, 0) for first, last in spans)
-    if end > 2 ** 63 or rows >= 2 ** 63:
-        raise ReferenceTooLong(f"{name}: reference events cover {rows} frames, up to frame "
-                               f"{end - 1} at a {config.frame_hop} s hop; both must stay below 2**63")
-    spans = np.array(spans, dtype=np.int64).reshape(-1, 2)
+    # Rows, stable-sorted by frame; a reference event has one per frame it covers.
+    rf, rc, ru = expand_spans(
+        spans, (np.array([vocabulary.index(e.label) for e in events], dtype=np.int64),
+                np.array([e.direction.unit for e in events]).reshape(-1, 3)),
+        config.frame_hop, name)
     if total == 0:
         return c
-    # Rows, stable-sorted by frame; a reference event has one per frame it covers.
-    try:
-        count = np.maximum(spans[:, 1] - spans[:, 0] + 1, 0)
-        ev = np.repeat(np.arange(len(events)), count)
-        rf = spans[ev, 0] + ragged_arange(count)
-        order = np.argsort(rf, kind="stable")
-        rf, ev = rf[order], ev[order]
-        rc = np.array([vocabulary.index(e.label) for e in events], dtype=np.int64)[ev]
-        ru = np.array([e.direction.unit for e in events]).reshape(-1, 3)[ev]
-    except MemoryError:
-        raise ReferenceTooLong(f"{name}: reference events cover {rows} frames at a "
-                               f"{config.frame_hop} s hop, more rows than memory holds") from None
     order = np.argsort(pf, kind="stable")
     pf, pc, pu = pf[order], pc[order], pu[order]
 
@@ -539,6 +528,8 @@ def evaluate_directory(
     pairs = discover_pairs(ref_dir, pred_dir, vocab_name)
     tasks = [(ref, pred, vocabulary, config) for _, ref, pred in pairs]
     if config.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             contribs = list(pool.map(_score_star, tasks))
     else:

@@ -15,7 +15,6 @@ cos, sin and acos come from `math` (`np.arccos` is 1 ulp off on ~9% of inputs).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -76,22 +75,6 @@ class Direction:
 
     def __repr__(self) -> str:
         return f"Direction({self.azimuth:g}, {self.elevation:g})"
-
-
-@dataclass(frozen=True)
-class UnitVector3:
-    """Cartesian position vector, unit-norm when built from a Direction."""
-
-    x: float
-    y: float
-    z: float
-
-    @classmethod
-    def from_direction(cls, d: Direction) -> "UnitVector3":
-        return cls(*d.unit)
-
-    def norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
 
 # Beyond this |dot| the angle is within ~3e-3 deg of 0 or 180, where
@@ -163,11 +146,6 @@ def angular_distance(a: Direction, b: Direction) -> float:
     inexact. Symmetric in its arguments.
     """
     return _angle_between_units(a.unit, b.unit)
-
-
-def cartesian_distance(a: UnitVector3, b: UnitVector3) -> float:
-    """Euclidean distance between two position vectors."""
-    return math.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2 + (a.z - b.z) ** 2)
 
 
 def spherical_mean(directions: Iterable[Direction]) -> Direction:

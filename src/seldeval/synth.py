@@ -25,7 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .annotations import EventRecord, Vocabulary, rasterize, write_prediction
+from .annotations import EventRecord, Vocabulary, expand_spans, frame_span, write_prediction_rows
+from .errors import ConfigError, GridOverflow
 from .geometry import Direction
 
 
@@ -201,14 +202,24 @@ def serialize_prediction(
     path,
     total_frames: int | None = None,
 ) -> None:
-    """Rasterize events and write them in the frame-level prediction format."""
-    if total_frames is None:
-        last = 0
-        for ev in events:
-            last = max(last, math.ceil(ev.offset / frame_hop - 1e-9))
-        total_frames = last
-    frames = rasterize(events, frame_hop, total_frames)
+    """Write the frames the events cover in the frame-level prediction
+    format, the rows of a frame sorted by class index, then DoA: the bytes
+    `write_prediction` writes for `rasterize(events, frame_hop, total_frames)`,
+    without building the frame grid. Events that reach frame 2**63, or
+    whose rows numpy cannot allocate, raise `ReferenceTooLong`."""
+    if frame_hop <= 0:
+        raise ConfigError(f"frame hop must be positive, got {frame_hop}")
+    spans = [frame_span(ev.onset, ev.offset, frame_hop) for ev in events]
+    for ev, (_, last) in zip(events, spans):
+        if total_frames is not None and last >= total_frames:
+            raise GridOverflow(
+                f"event ending at {ev.offset} s exceeds the {total_frames}-frame grid")
+    columns = (np.array([vocabulary.index(ev.label) for ev in events], dtype=np.int64),
+               np.array([ev.direction.azimuth for ev in events], dtype=float),
+               np.array([ev.direction.elevation for ev in events], dtype=float))
+    rows = expand_spans(spans, columns, frame_hop, Path(path).name)
+    order = np.lexsort(rows[::-1])  # stable: equal rows keep the events' order
     try:
-        write_prediction(path, (f for f in frames if f.instances), vocabulary)
+        write_prediction_rows(path, zip(*(col[order].tolist() for col in rows)))
     except OSError as exc:
         raise OSError(f"cannot write prediction file {path}: {exc}") from exc

@@ -12,7 +12,7 @@ from seldeval.assignment import (
     assign_batch,
     build_distance_matrix,
     hungarian,
-    threshold_mask,
+    within_threshold,
 )
 from seldeval.geometry import Direction
 
@@ -152,22 +152,23 @@ class TestHungarian:
 
 
 class TestThresholdMask:
+    """Inclusive threshold masks over a distance matrix, built with
+    `within_threshold` as the pipeline applies it."""
+
+    @staticmethod
+    def mask(d, theta):
+        return tuple(tuple(within_threshold(v, theta) for v in row) for row in d.values)
+
     def test_maximal_threshold_all_true(self):
         d = DistanceMatrix(values=((10.0, 170.0), (45.0, 180.0)))
-        mask = threshold_mask(d, 180.0)
-        assert all(all(row) for row in mask.passes)
+        assert all(all(row) for row in self.mask(d, 180.0))
 
     def test_boundary_inclusive(self):
         d = DistanceMatrix(values=((10.0, 100.0), (80.0, 10.0)))
-        mask = threshold_mask(d, 10.0)
-        assert mask.passes == ((True, False), (False, True))
+        assert self.mask(d, 10.0) == ((True, False), (False, True))
 
     def test_strictly_above_boundary_excluded(self):
-        assert threshold_mask(DistanceMatrix(values=((10.0001,),)), 10.0).passes == ((False,),)
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            threshold_mask(DistanceMatrix(values=((1.0,),)), -1.0)
+        assert self.mask(DistanceMatrix(values=((10.0001,),)), 10.0) == ((False,),)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=50)
@@ -175,16 +176,18 @@ class TestThresholdMask:
         rng = random.Random(seed)
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         d = DistanceMatrix(values=random_matrix(rng, m, n))
-        small = threshold_mask(d, rng.uniform(0, 90))
-        large = threshold_mask(d, small.theta + rng.uniform(0, 90))
+        theta = rng.uniform(0, 90)
+        small = self.mask(d, theta)
+        large = self.mask(d, theta + rng.uniform(0, 90))
         for i in range(m):
             for j in range(n):
-                assert not small.passes[i][j] or large.passes[i][j]
+                assert not small[i][j] or large[i][j]
 
     def test_k_theta_non_decreasing_for_fixed_assignment(self):
         rng = random.Random(99)
         d = DistanceMatrix(values=random_matrix(rng, 4, 4))
         a = hungarian(d)
-        counts = [threshold_mask(d, t).count_passing(a) for t in (0, 20, 60, 120, 180)]
+        counts = [sum(within_threshold(d.values[i][j], t) for i, j in a.pairs)
+                  for t in (0, 20, 60, 120, 180)]
         assert counts == sorted(counts)
         assert counts[-1] == a.k

@@ -341,6 +341,16 @@ class TestReferenceLength:
         assert err["error"] == "ReferenceTooLong"
         assert "long.csv" in err["message"]
 
+    @pytest.mark.parametrize("row", ["dog,0.0,1e30,10,0", "dog,0.0,1e12,10,0"])
+    def test_synth_unwritable_reference_error_json(self, tmp_path, capsys, row):
+        ref_dir, _ = self._write(tmp_path, row)  # once a MemoryError, or memory exhausted
+        code = run(["synth", "--ref", ref_dir, "--out", tmp_path / "synth"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ReferenceTooLong"
+        assert "long.csv" in err["message"]
+        assert not (tmp_path / "synth" / "long.csv").exists()
+
     def test_long_reference_still_scores(self, tmp_path, capsys):
         ref_dir, pred_dir = self._write(tmp_path, "dog,0.0,3600,10,0")  # 180000 frames
         assert run(["evaluate", "--ref", ref_dir, "--pred", pred_dir, "--format", "json"]) == 0

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 from seldeval.errors import DegenerateMean, InvalidDirection, SeldEvalError
 from seldeval.geometry import (
     Direction,
-    UnitVector3,
     angular_distance,
-    cartesian_distance,
     spherical_mean,
 )
 
@@ -66,7 +64,7 @@ class TestDirection:
     @given(directions)
     @settings(max_examples=100)
     def test_unit_norm_within_1e12(self, d):
-        assert abs(UnitVector3.from_direction(d).norm() - 1.0) < 1e-12
+        assert abs(math.sqrt(sum(c * c for c in d.unit)) - 1.0) < 1e-12
 
 
 class TestAngularDistance:
@@ -123,25 +121,6 @@ class TestAngularDistance:
         if diff > 180.0:
             diff = 360.0 - diff
         assert d == pytest.approx(diff, abs=1e-6)
-
-
-class TestCartesianDistance:
-    def test_identical(self):
-        v = UnitVector3(0.5, 0.5, 0.1)
-        assert cartesian_distance(v, v) == 0.0
-
-    def test_antipodal_units(self):
-        assert cartesian_distance(UnitVector3(1, 0, 0), UnitVector3(-1, 0, 0)) == 2.0
-
-    def test_orthogonal_units(self):
-        got = cartesian_distance(UnitVector3(1, 0, 0), UnitVector3(0, 1, 0))
-        assert got == pytest.approx(math.sqrt(2.0), abs=1e-12)
-
-    @given(directions, directions)
-    @settings(max_examples=100)
-    def test_symmetric(self, a, b):
-        va, vb = UnitVector3.from_direction(a), UnitVector3.from_direction(b)
-        assert cartesian_distance(va, vb) == cartesian_distance(vb, va)
 
 
 class TestSphericalMean:

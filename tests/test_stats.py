@@ -98,6 +98,14 @@ class TestJackknife:
         assert (w_wide.high - w_wide.low) > (w_tight.high - w_tight.low)
 
 
+def run_fresh(code: str, *args: str) -> str:
+    """Stdout of `python -c code args` in a fresh interpreter on this checkout's sources."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), check=True).stdout
+
+
 class TestTQuantile:
     """The jackknife's t quantile comes from scipy.special, imported lazily."""
 
@@ -128,13 +136,55 @@ class TestTQuantile:
     @pytest.mark.parametrize("module", ["seldeval", "seldeval.cli"])
     def test_import_loads_no_scipy(self, module):
         # a fresh interpreter, since this one has imported scipy already
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         code = (f"import sys, {module}; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=dict(os.environ, PYTHONPATH=path), check=True)
-        assert out.stdout.strip() == "[]"
+        assert run_fresh(code).strip() == "[]"
+
+
+class TestStartup:
+    """Every command starts with `import seldeval.cli`; it loads only the
+    modules the scoring pipeline runs."""
+
+    NOT_LOADED = ("scipy", "concurrent.futures", "multiprocessing", "seldeval.synth",
+                  "seldeval.joint", "seldeval.localization", "seldeval.detection")
+    # what `seldeval` exported when it imported every submodule eagerly
+    EXPORTED = """
+        EventRecord FrameSnapshot SegmentView Vocabulary densify parse_prediction
+        parse_reference parse_vocabulary rasterize segmentize write_prediction write_reference
+        Assignment DistanceMatrix build_distance_matrix hungarian
+        DetectionCounts detection_counts error_rate f1_score SeldEvalError
+        EvaluationConfig EvaluationResult FileContribution MetricReport compute_metrics
+        correlate_systems evaluate_directory metric_directions rank_systems score_file
+        Direction angular_distance spherical_mean
+        ClassCounts ClassSlice class_aware_localization class_slices joint_counts
+        location_aware_detection segment_class_counts LocalizationReport localization_metrics
+        JackknifeEstimate RankTable build_rank_table cumulative_rank jackknife_ci metric_ranks
+        spearman PerturbationSpec grid_directions jitter_direction perturb serialize_prediction
+    """.split()
+
+    def test_setup_probe_loads_only_the_pipeline(self, tmp_path):
+        vocab = tmp_path / "vocabulary.txt"
+        vocab.write_text("dog\ncat\n")
+        # the benchmark's set-up probe, then the modules it left loaded
+        code = ("import sys; from seldeval.cli import main; "
+                "from seldeval.annotations import Vocabulary; Vocabulary.from_file(sys.argv[1]); "
+                "print(' '.join(sorted(sys.modules)))")
+        loaded = run_fresh(code, str(vocab)).split()
+        assert [m for m in loaded if m.startswith(tuple(p + "." for p in self.NOT_LOADED))
+                or m in self.NOT_LOADED] == []
+        assert [m for m in loaded if m.split(".")[0] == "seldeval"] == [
+            "seldeval", "seldeval.annotations", "seldeval.assignment", "seldeval.cli",
+            "seldeval.errors", "seldeval.evaluation", "seldeval.geometry", "seldeval.stats"]
+
+    def test_exported_names_resolve(self):
+        import seldeval
+
+        assert sorted(self.EXPORTED) == seldeval.__all__
+        for name in self.EXPORTED:
+            value = getattr(seldeval, name)
+            assert value is getattr(sys.modules[value.__module__], name)
+        for name in ("UnitVector3", "cartesian_distance", "ThresholdMask", "threshold_mask"):
+            assert not hasattr(seldeval, name)
 
 
 class TestMetricRanks:
