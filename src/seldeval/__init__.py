@@ -1,5 +1,12 @@
 """Evaluation toolkit for sound event localization and detection outputs.
 
+Every metric is computed from one file-level counting core:
+`evaluation.score_file` sums each file's counts and
+`evaluation.compute_metrics` forms every metric from them. The
+`localization`, `detection` and `joint` modules keep only the per-frame
+and per-segment definitions that core reproduces, for the scalar test
+oracle and the benchmark tracer.
+
 The public names below are imported from their submodule on first
 access, not when the package is: every command starts with
 ``import seldeval.cli``, which then loads only the modules the scoring
@@ -14,15 +21,13 @@ _EXPORTS = {
                    "parse_reference parse_vocabulary rasterize segmentize write_prediction "
                    "write_reference",
     "assignment": "Assignment DistanceMatrix build_distance_matrix hungarian",
-    "detection": "DetectionCounts detection_counts error_rate f1_score",
+    "detection": "DetectionCounts detection_counts",
     "errors": "SeldEvalError",
     "evaluation": "EvaluationConfig EvaluationResult FileContribution MetricReport "
                   "compute_metrics correlate_systems evaluate_directory metric_directions "
                   "rank_systems score_file",
     "geometry": "Direction angular_distance spherical_mean",
-    "joint": "ClassCounts ClassSlice class_aware_localization class_slices joint_counts "
-             "location_aware_detection segment_class_counts",
-    "localization": "LocalizationReport localization_metrics",
+    "joint": "ClassCounts segment_class_counts",
     "stats": "JackknifeEstimate RankTable build_rank_table cumulative_rank jackknife_ci "
              "metric_ranks spearman",
     "synth": "PerturbationSpec grid_directions jitter_direction perturb serialize_prediction",

@@ -21,11 +21,12 @@ import math
 import sys
 from pathlib import Path
 
-from .annotations import Vocabulary, parse_reference
+from .annotations import Vocabulary, expand_spans, frame_span, parse_reference
 from .errors import ConfigError, GridOverflow, SeldEvalError
 from .evaluation import (
     EvaluationConfig,
     correlate_systems,
+    correlation_metric_keys,
     evaluate_directory,
     rank_systems,
 )
@@ -203,18 +204,9 @@ def _report_json(report, config, with_per_class: bool) -> dict:
     return obj
 
 
-_TABLE_ORDER = ("er", "f1", "le", "lr", "ecr")
-
-
-def _table_keys(report, config) -> list:
-    keys = [k for k in _TABLE_ORDER if k in report.metrics]
-    for profile in config.profiles:
-        keys += [f"le_theta:{profile.key}", f"lr_theta:{profile.key}",
-                 f"ecr_theta:{profile.key}"]
-    keys += ["le_cd", "lr_cd"]
-    for profile in config.profiles:
-        keys += [f"er_theta:{profile.key}", f"f_theta:{profile.key}"]
-    return keys
+def _table_keys(config) -> list:
+    """The correlation's metric keys, less the frame-level class means."""
+    return [k for k in correlation_metric_keys(config) if k not in ("le_cd_f", "lr_cd_f")]
 
 
 def _report_table(report, config, with_per_class: bool) -> str:
@@ -225,7 +217,7 @@ def _report_table(report, config, with_per_class: bool) -> str:
         header += f"  {int(config.confidence * 100)}% CI"
     lines.append(header)
     lines.append("-" * len(header))
-    for key in _table_keys(report, config):
+    for key in _table_keys(config):
         row = f"{_display_name(key):<12} {_fmt_value(report.metrics[key]):>12}"
         if has_ci:
             est = report.ci.get(key)
@@ -393,6 +385,11 @@ def _cmd_synth(args) -> int:
     }
     for index, ref_path in enumerate(refs):
         events = parse_reference(ref_path, vocabulary)
+        if spec.insertion_rate > 0 and config.duration is None:
+            # Insertions are drawn over the references' length: refuse a file
+            # that serialize_prediction could not write before counting them.
+            expand_spans([frame_span(ev.onset, ev.offset, config.frame_hop) for ev in events],
+                         (), config.frame_hop, ref_path.name)
         file_spec = dataclasses.replace(spec, seed=spec.seed + index)
         perturbed, entries = perturb(events, file_spec, vocabulary, config.duration)
         try:

@@ -1,17 +1,19 @@
-"""Location-agnostic, segment-based detection metrics: ER and F1.
+"""Per-segment definition of the location-agnostic detection counts.
 
-Segment-level class activity is binary here; per-class instance
-multiplicity only matters for the joint metrics. ER and F1 are both
-micro-averaged over segments and classes.
+`detection_counts` gives each segment's binary per-class TP/FP/FN and
+its S/D/I decomposition; per-class instance multiplicity only matters
+for the joint metrics. It is the definition that
+`evaluation.score_file` reproduces on columns and that the scalar test
+oracle and the benchmark tracer replay; ER and F1 are formed from the
+summed counts in `evaluation.compute_metrics`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .annotations import SegmentView
-from .errors import EmptyReference, MetricUndefined
 
 
 @dataclass
@@ -50,28 +52,3 @@ def detection_counts(segments: Sequence[SegmentView]) -> list:
         out.append(DetectionCounts.from_errors(tp, fp, fn, n_ref))
     return out
 
-
-def error_rate(counts: Iterable[DetectionCounts]) -> float:
-    """(sum S + sum D + sum I) / sum N_ref across segments; can exceed 1."""
-    s = d = i = n_ref = 0
-    for c in counts:
-        s += c.s
-        d += c.d
-        i += c.i
-        n_ref += c.n_ref
-    if n_ref == 0:
-        raise EmptyReference("error rate undefined: no reference activity in any segment")
-    return (s + d + i) / n_ref
-
-
-def f1_score(counts: Iterable[DetectionCounts]) -> float:
-    """Micro-averaged 2*TP / (2*TP + FP + FN)."""
-    tp = fp = fn = 0
-    for c in counts:
-        tp += c.tp
-        fp += c.fp
-        fn += c.fn
-    denom = 2 * tp + fp + fn
-    if denom == 0:
-        raise MetricUndefined("F1 undefined: empty reference and empty prediction")
-    return 2 * tp / denom

@@ -53,14 +53,6 @@ class LengthMismatch(SeldEvalError):
     """Aligned frame sequences differ in length."""
 
 
-class EmptyReference(SeldEvalError):
-    """Error rate requested but the reference contains no activity."""
-
-
-class MetricUndefined(SeldEvalError):
-    """Metric has no defined value for the given inputs (e.g. 0/0)."""
-
-
 class TooFewFiles(SeldEvalError):
     """Jackknife needs at least two per-file observations."""
 

@@ -2,8 +2,9 @@
 metric reports, confidence intervals, ranking, and correlation.
 
 Every file contributes a bundle of commutative sums (FileContribution),
-so datasets merge associatively and jackknife partials are cheap
-re-merges of cached per-file contributions instead of re-parses. Files
+so datasets merge associatively and each jackknife partial is the total
+minus one cached per-file contribution instead of a re-parse. Every
+metric is formed from these sums in one place, `compute_metrics`. Files
 are always merged in sorted filename order, which keeps the output
 byte-stable regardless of worker scheduling. The process pool, and with
 it `multiprocessing`, is imported only when `jobs > 1`, so a `--jobs 1`
@@ -48,7 +49,7 @@ from .annotations import (
     read_prediction_columns,
 )
 from .assignment import THRESHOLD_EPS, assign_batch, ragged_arange
-from .errors import ConfigError, DegenerateRanks, MetricUndefined, MissingPair, UndefinedPartial
+from .errors import ConfigError, DegenerateRanks, MissingPair, UndefinedPartial
 from .geometry import Direction, _angle_between_units, angles_between, sorted_unique
 from .stats import JackknifeEstimate, RankTable, build_rank_table, jackknife_ci, spearman
 
@@ -465,51 +466,30 @@ class EvaluationResult:
             warnings=list(self.total.warnings),
         )
 
-    def metric_evaluator(self, key: str):
-        """Subset evaluator for one metric, backed by cached contributions."""
-        names = sorted(self.per_file)
-
-        def evaluator(subset):
-            if len(subset) == len(names):
-                contrib = self.total
-            elif len(subset) == len(names) - 1:
-                missing = (set(names) - set(subset)).pop()
-                contrib = self.total - self.per_file[missing]
-            else:
-                contrib = FileContribution.zeros(
-                    len(self.config.profiles), len(self.vocabulary)
-                )
-                for name in subset:
-                    contrib = contrib + self.per_file[name]
-            value = compute_metrics(contrib, self.config, self.vocabulary)[0][key]
-            if value is None:
-                raise MetricUndefined(f"metric {key!r} undefined on this subset")
-            return value
-
-        return evaluator
-
     def jackknife(self, keys: Sequence[str] | None = None) -> dict:
         """Leave-one-out confidence intervals for the given metric keys.
 
+        The metrics are computed once on all files and once per
+        leave-one-out subset (the total minus one file's contribution),
+        then every key reads its values from those n + 1 metric maps.
         Returns {key: JackknifeEstimate} for metrics where the interval
         exists; undefined metrics and undefined partials map to an error
         string instead of being silently skipped.
         """
-        report_metrics = compute_metrics(self.total, self.config, self.vocabulary)[0]
-        if keys is None:
-            keys = [k for k in report_metrics]
-        names = sorted(self.per_file)
+        point = compute_metrics(self.total, self.config, self.vocabulary)[0]
+        partials = {name: compute_metrics(self.total - self.per_file[name], self.config,
+                                          self.vocabulary)[0]
+                    for name in sorted(self.per_file)}
         out: dict = {}
-        for key in keys:
-            if report_metrics.get(key) is None:
+        for key in point if keys is None else keys:
+            if point.get(key) is None:
                 out[key] = "undefined"
                 continue
             try:
-                out[key] = jackknife_ci(
-                    self.metric_evaluator(key), names, self.config.confidence
-                )
-            except (UndefinedPartial, MetricUndefined) as exc:
-                out[key] = f"{type(exc).__name__}: {exc}"
+                out[key] = jackknife_ci(point[key], {name: m[key] for name, m in partials.items()},
+                                        self.config.confidence)
+            except UndefinedPartial as exc:
+                out[key] = f"{type(exc).__name__}: {exc}: metric {key!r} undefined on this subset"
         return out
 
 
@@ -622,9 +602,7 @@ def correlate_systems(
         columns[key] = [v if directions[key] is False else -v for v in vals]
     official_vals = {k: [reports[i].metrics[k] for i in ids] for k in OFFICIAL_METRICS}
     if all(v is not None for vals in official_vals.values() for v in vals):
-        table = build_rank_table(
-            ids, official_vals, {k: metric_directions(config)[k] for k in OFFICIAL_METRICS}
-        )
+        table = build_rank_table(ids, official_vals, {k: directions[k] for k in OFFICIAL_METRICS})
         columns["official_rank"] = list(table.final_ranks)
     else:
         warnings.append("official cumulative rank undefined for some system; skipped")

@@ -1,4 +1,5 @@
-"""Joint metrics: class-aware localization and location-aware detection.
+"""Per-segment definition of the joint counts: class-aware localization
+and location-aware detection.
 
 The joint measurement slices predictions and references by class,
 associates the two sides within each class slice, and counts, per class:
@@ -6,13 +7,6 @@ associates the two sides within each class slice, and counts, per class:
     TP = K_theta                                (associations within theta)
     FP = max(0, M - N) + min(M, N) - K_theta    (extraneous + mislocalized)
     FN = max(0, N - M)                          (independent of theta)
-
-Class-aware localization (LE_c, LR_c, and their class means LE_CD,
-LR_CD) uses the non-thresholded associations. LE_c is accumulated micro
-within a class (total associated distance / total associations) and
-LE_CD/LR_CD are macro means over classes; classes with no reference and
-no prediction anywhere are excluded, as are classes whose LE_c has no
-associations to average.
 
 At segment level the instance counts M_c, N_c are the maximum
 simultaneous per-frame counts within the segment, while localization
@@ -29,40 +23,28 @@ segment-class is collapsed to the spherical mean of its pooled DoAs and
 the single representative distance is used instead; prediction-side
 event identity is undefined, so this mode is reported for comparison
 rather than as the default.
+
+`segment_class_counts` is the definition that `evaluation.score_file`
+reproduces on columns and that the scalar test oracle and the benchmark
+tracer replay. LE_c/LR_c, their class means LE_CD/LR_CD, and
+ER_theta/F_theta are formed from the summed counts in
+`evaluation.compute_metrics`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
 
-from .annotations import FrameSnapshot, SegmentView, Vocabulary
-from .assignment import build_distance_matrix, hungarian, within_threshold
-from .errors import DegenerateMean, EmptyReference, MetricUndefined
+from .annotations import SegmentView
+from .assignment import within_threshold
+from .errors import DegenerateMean
 from .geometry import angular_distance, spherical_mean
 
 
 @dataclass
-class ClassSlice:
-    """Predictions and references of a single class at one instant."""
-
-    label: str
-    pred_dirs: list
-    ref_dirs: list
-
-    @property
-    def m(self) -> int:
-        return len(self.pred_dirs)
-
-    @property
-    def n(self) -> int:
-        return len(self.ref_dirs)
-
-
-@dataclass
 class ClassCounts:
-    """Step-4 counts of one class in one measurement unit (frame or
-    segment), plus the localization evidence for the class means."""
+    """Step-4 counts of one class in one segment, plus the localization
+    evidence for the class means."""
 
     label: str
     theta: float
@@ -75,29 +57,6 @@ class ClassCounts:
     fn: int
     dist_sum: float
     pair_count: int
-
-
-@dataclass
-class ClassAwareLocalization:
-    le_cd: float | None
-    lr_cd: float | None
-    le_by_class: dict
-    lr_by_class: dict
-
-
-def class_slices(pred: FrameSnapshot, ref: FrameSnapshot, vocabulary: Vocabulary) -> list:
-    """One slice per class present on either side, in vocabulary order."""
-    preds: dict = {}
-    refs: dict = {}
-    for label, d in pred.instances:
-        preds.setdefault(label, []).append(d)
-    for label, d in ref.instances:
-        refs.setdefault(label, []).append(d)
-    slices = []
-    for label in vocabulary:
-        if label in preds or label in refs:
-            slices.append(ClassSlice(label, preds.get(label, []), refs.get(label, [])))
-    return slices
 
 
 def _step4(label: str, theta: float, m: int, n: int, k_theta: int,
@@ -115,18 +74,6 @@ def _step4(label: str, theta: float, m: int, n: int, k_theta: int,
         fn=max(0, n - m),
         dist_sum=dist_sum,
         pair_count=pair_count,
-    )
-
-
-def joint_counts(cls_slice: ClassSlice, theta: float) -> ClassCounts:
-    """Associate one class slice and count TP/FP/FN at the threshold."""
-    if theta < 0:
-        raise ValueError(f"threshold must be non-negative, got {theta}")
-    d = build_distance_matrix(cls_slice.pred_dirs, cls_slice.ref_dirs)
-    dists = [d.values[i][j] for i, j in hungarian(d).pairs]
-    k_theta = sum(1 for dist in dists if within_threshold(dist, theta))
-    return _step4(
-        cls_slice.label, theta, cls_slice.m, cls_slice.n, k_theta, sum(dists), len(dists)
     )
 
 
@@ -193,68 +140,3 @@ def _representative_distance(stats, label, segment_index, warn) -> float:
                  f"fell back to its first direction")
     return angular_distance(p, r)
 
-
-@dataclass
-class _ClassTotals:
-    dist_sum: float = 0.0
-    pairs: int = 0
-    k: int = 0
-    n: int = 0
-    m: int = 0
-
-
-def class_aware_localization(counts: Iterable[ClassCounts]) -> ClassAwareLocalization:
-    """LE_c / LR_c per class and their class means LE_CD / LR_CD."""
-    totals: dict = {}
-    for c in counts:
-        t = totals.setdefault(c.label, _ClassTotals())
-        t.dist_sum += c.dist_sum
-        t.pairs += c.pair_count
-        t.k += c.k
-        t.n += c.n
-        t.m += c.m
-    le_by_class: dict = {}
-    lr_by_class: dict = {}
-    for label, t in totals.items():
-        if t.n == 0 and t.m == 0:
-            continue  # never referenced, never predicted
-        le_by_class[label] = t.dist_sum / t.pairs if t.pairs else None
-        lr_by_class[label] = t.k / t.n if t.n else None
-    defined_le = [v for v in le_by_class.values() if v is not None]
-    defined_lr = [v for v in lr_by_class.values() if v is not None]
-    return ClassAwareLocalization(
-        le_cd=sum(defined_le) / len(defined_le) if defined_le else None,
-        lr_cd=sum(defined_lr) / len(defined_lr) if defined_lr else None,
-        le_by_class=le_by_class,
-        lr_by_class=lr_by_class,
-    )
-
-
-def location_aware_detection(counts_by_unit: Iterable[Sequence[ClassCounts]]):
-    """ER_theta and F_theta from per-unit class counts.
-
-    F is micro over classes and units; ER applies the S/D/I
-    decomposition to the class-summed FP/FN of each unit.
-    """
-    tp = fp = fn = 0
-    s = d = i = n_ref = 0
-    for unit in counts_by_unit:
-        u_fp = u_fn = 0
-        for c in unit:
-            tp += c.tp
-            fp += c.fp
-            fn += c.fn
-            u_fp += c.fp
-            u_fn += c.fn
-            n_ref += c.n
-        u_s = min(u_fn, u_fp)
-        s += u_s
-        d += u_fn - u_s
-        i += u_fp - u_s
-    if n_ref == 0:
-        raise EmptyReference("location-aware ER undefined: no reference activity")
-    er = (s + d + i) / n_ref
-    denom = 2 * tp + fp + fn
-    if denom == 0:
-        raise MetricUndefined("location-aware F undefined: no activity on either side")
-    return er, 2 * tp / denom

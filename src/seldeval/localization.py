@@ -1,11 +1,12 @@
-"""Class-agnostic localization metrics: LE, LR, ECR and thresholded variants.
+"""Per-frame definition of the class-agnostic localization sums.
 
-All three metrics ignore class labels entirely; predictions and
-references are matched per frame purely by angular distance. LE is
-accumulated micro over frames (total associated distance divided by the
-total number of associations) because a per-frame LE is undefined in
-frames without associations; a macro average over the defined frames is
-also reported for comparison.
+`LocalizationAccumulator.update` folds one frame into the sums behind
+LE, LR, ECR and their thresholded variants: predictions and references
+are matched per frame purely by angular distance, class labels ignored.
+It is the definition that `evaluation.score_file` reproduces on columns
+and that the scalar test oracle and the benchmark tracer replay; the
+metrics themselves are formed from the sums in
+`evaluation.compute_metrics`.
 """
 
 from __future__ import annotations
@@ -14,41 +15,11 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .assignment import build_distance_matrix, hungarian, within_threshold
-from .errors import LengthMismatch
-
-
-@dataclass
-class ThresholdedLocalization:
-    """LE/LR/ECR restricted to associations within one threshold."""
-
-    theta: float
-    le: float | None
-    lr: float | None
-    ecr: float | None
-
-
-@dataclass
-class LocalizationReport:
-    """Scored class-agnostic localization of one frame stream.
-
-    `le` and `lr` are None when undefined (no associations at all, or no
-    reference activity); undefined values are flagged rather than encoded
-    as sentinel numbers so they cannot silently distort rankings.
-    """
-
-    le: float | None
-    lr: float | None
-    ecr: float | None
-    le_macro: float | None
-    thresholded: list
-    frames: int
-    associations: int
 
 
 @dataclass
 class LocalizationAccumulator:
-    """Commutative per-frame accumulation; partial accumulators may be
-    computed in parallel (e.g. per file) and merged in any order."""
+    """Commutative per-frame sums, one `update` per frame."""
 
     thetas: tuple
     frames: int = 0
@@ -99,56 +70,3 @@ class LocalizationAccumulator:
             self.dist_theta[t] += st
             if kt == n:
                 self.eq_theta[t] += 1
-
-    def merge(self, other: "LocalizationAccumulator") -> None:
-        if self.thetas != other.thetas:
-            raise ValueError("cannot merge accumulators with different thresholds")
-        self.frames += other.frames
-        self.dist_sum += other.dist_sum
-        self.k_total += other.k_total
-        self.n_total += other.n_total
-        self.eq_frames += other.eq_frames
-        self.frame_le_sum += other.frame_le_sum
-        self.frame_le_count += other.frame_le_count
-        for t in range(len(self.thetas)):
-            self.dist_theta[t] += other.dist_theta[t]
-            self.k_theta[t] += other.k_theta[t]
-            self.eq_theta[t] += other.eq_theta[t]
-
-    def report(self) -> LocalizationReport:
-        le = self.dist_sum / self.k_total if self.k_total else None
-        lr = self.k_total / self.n_total if self.n_total else None
-        ecr = self.eq_frames / self.frames if self.frames else None
-        le_macro = self.frame_le_sum / self.frame_le_count if self.frame_le_count else None
-        thresholded = []
-        for t, theta in enumerate(self.thetas):
-            kt = self.k_theta[t]
-            thresholded.append(
-                ThresholdedLocalization(
-                    theta=theta,
-                    le=self.dist_theta[t] / kt if kt else None,
-                    lr=kt / self.n_total if self.n_total else None,
-                    ecr=self.eq_theta[t] / self.frames if self.frames else None,
-                )
-            )
-        return LocalizationReport(
-            le=le,
-            lr=lr,
-            ecr=ecr,
-            le_macro=le_macro,
-            thresholded=thresholded,
-            frames=self.frames,
-            associations=self.k_total,
-        )
-
-
-def localization_metrics(pred_frames, ref_frames, thetas: Sequence[float]) -> LocalizationReport:
-    """Score aligned frame streams; classes in the snapshots are ignored."""
-    if len(pred_frames) != len(ref_frames):
-        raise LengthMismatch(
-            f"prediction has {len(pred_frames)} frames, reference {len(ref_frames)}"
-        )
-    acc = LocalizationAccumulator(thetas=tuple(thetas))
-    for pred, ref in zip(pred_frames, ref_frames):
-        acc.update([d for _, d in pred.instances], [d for _, d in ref.instances])
-    return acc.report()

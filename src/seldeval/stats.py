@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import (
     DegenerateRanks,
     LengthMismatch,
-    MetricUndefined,
     TooFewFiles,
     UndefinedPartial,
     UndefinedValue,
@@ -40,42 +39,30 @@ class JackknifeEstimate:
     n: int
 
 
-def jackknife_ci(
-    evaluator: Callable[[list], float],
-    files: Sequence,
-    confidence: float = 0.95,
-) -> JackknifeEstimate:
-    """Confidence interval for `evaluator` over leave-one-out subsets.
+def jackknife_ci(point: float, partials: dict, confidence: float = 0.95) -> JackknifeEstimate:
+    """Confidence interval around `point`, the metric on all n files.
 
-    `evaluator` maps any subset of `files` to the metric value; it is
-    called once on the full list and once per leave-one-out subset.
-    Pseudo-values are phi_i = n*theta_all - (n-1)*theta_(-i) and the
-    bounds are mean(phi) +/- t_{(1+c)/2, n-1} * sd(phi) / sqrt(n).
+    `partials` maps each file to the metric on the other n - 1 files
+    (None where it is undefined there), in file order. Pseudo-values are
+    phi_i = n*point - (n-1)*partial_i and the bounds are
+    mean(phi) +/- t_{(1+c)/2, n-1} * sd(phi) / sqrt(n).
     """
-    files = list(files)
-    n = len(files)
+    n = len(partials)
     if n < 2:
         raise TooFewFiles(f"jackknife needs at least 2 files, got {n}")
     if not 0 < confidence < 1:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    theta_all = evaluator(files)
-    pseudo = []
-    for i in range(n):
-        subset = files[:i] + files[i + 1:]
-        try:
-            partial = evaluator(subset)
-        except MetricUndefined as exc:
-            raise UndefinedPartial(
-                f"metric undefined when leaving out {files[i]!r}: {exc}"
-            ) from exc
-        pseudo.append(n * theta_all - (n - 1) * partial)
+    for name, partial in partials.items():
+        if partial is None:
+            raise UndefinedPartial(f"metric undefined when leaving out {name!r}")
+    pseudo = [n * point - (n - 1) * partial for partial in partials.values()]
     mean = sum(pseudo) / n
     var = sum((p - mean) ** 2 for p in pseudo) / (n - 1)
     from scipy.special import stdtrit
 
     half = float(stdtrit(n - 1, (1.0 + confidence) / 2.0)) * math.sqrt(var / n)
     return JackknifeEstimate(
-        point=theta_all, low=mean - half, high=mean + half, confidence=confidence, n=n
+        point=point, low=mean - half, high=mean + half, confidence=confidence, n=n
     )
 
 

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from seldeval.annotations import EventRecord, Vocabulary, write_reference
+from seldeval.annotations import EventRecord, Vocabulary, write_prediction_rows, write_reference
+from seldeval.evaluation import EvaluationConfig, compute_metrics, score_file
 from seldeval.geometry import Direction
 from seldeval.synth import grid_directions
 
@@ -102,3 +104,27 @@ def make_corpus(
             events = make_nonoverlapping_events(rng, list(vocabulary), events_per_file)
         scenes[f"scene_{idx:03d}.csv"] = events
     return write_corpus(root, scenes, vocabulary)
+
+
+def score_frames(tmp_path: Path, frames, vocabulary: Vocabulary, **settings) -> tuple:
+    """Score a frame-list scene through the file pipeline.
+
+    `frames[i]` is a (predictions, references) pair of (label, Direction)
+    lists active in frame i. By default frames are 1 s apart, each is its
+    own segment, and the grid holds exactly len(frames) frames; `settings`
+    override these or set any other EvaluationConfig field. Returns
+    `score_file`'s FileContribution, `compute_metrics`' metric map and its
+    per-class map.
+    """
+    config = EvaluationConfig(**{"frame_hop": 1.0, "segment_length": 1.0,
+                                 "duration": float(len(frames)), **settings})
+    hop = config.frame_hop
+    root = Path(tempfile.mkdtemp(dir=tmp_path))
+    write_reference(root / "ref.csv", [EventRecord(label, i * hop, (i + 1) * hop, d)
+                                       for i, (_, refs) in enumerate(frames)
+                                       for label, d in refs])
+    write_prediction_rows(root / "pred.csv", [(i, vocabulary.index(label), d.azimuth, d.elevation)
+                                              for i, (preds, _) in enumerate(frames)
+                                              for label, d in preds])
+    contrib = score_file(root / "ref.csv", root / "pred.csv", vocabulary, config)
+    return (contrib, *compute_metrics(contrib, config, vocabulary))

@@ -16,7 +16,6 @@ import pytest
 
 from seldeval.annotations import (
     EventRecord,
-    FrameSnapshot,
     Vocabulary,
     parse_reference,
     rasterize,
@@ -24,15 +23,13 @@ from seldeval.annotations import (
 )
 from seldeval.assignment import DistanceMatrix, hungarian
 from seldeval.cli import main as cli_main
-from seldeval.errors import MetricUndefined
 from seldeval.evaluation import (
     EvaluationConfig,
     evaluate_directory,
     rank_systems,
+    score_file,
 )
 from seldeval.geometry import Direction
-from seldeval.joint import class_slices, joint_counts, location_aware_detection
-from seldeval.localization import localization_metrics
 from seldeval.stats import jackknife_ci, metric_ranks, spearman
 from seldeval.synth import PerturbationSpec, perturb, serialize_prediction
 from conftest import make_corpus, write_corpus
@@ -102,30 +99,7 @@ def test_criterion_02_fig4_golden(tmp_path):
     start = time.perf_counter()
     vocab = Vocabulary(["dog", "car_horn", "cat", "child"])
     d1, d2 = 5.0, 20.0
-    ref = FrameSnapshot(0, [
-        ("dog", Direction(0, 0)),
-        ("dog", Direction(120, 0)),
-        ("car_horn", Direction(-120, 0)),
-        ("child", Direction(60, 30)),
-    ])
-    pred = FrameSnapshot(0, [
-        ("dog", Direction(d1, 0)),
-        ("car_horn", Direction(-120 + d2, 0)),
-        ("cat", Direction(-60, -30)),
-    ])
-    counts10 = [joint_counts(sl, 10.0) for sl in class_slices(pred, ref, vocab)]
-    tp = sum(c.tp for c in counts10)
-    fp = sum(c.fp for c in counts10)
-    fn10 = sum(c.fn for c in counts10)
-    assert (tp, fp, fn10) == (1, 2, 2)
-    _, f10 = location_aware_detection([counts10])
-    assert f10 == pytest.approx(1 / 3, abs=1e-12)
-
-    counts30 = [joint_counts(sl, 30.0) for sl in class_slices(pred, ref, vocab)]
-    fn30 = sum(c.fn for c in counts30)
-    assert fn30 == fn10 == 2  # false negatives do not depend on the threshold
-
-    # the same scene through the file pipeline, one 1-second segment
+    # the scene as events filling one 1-second segment
     ref_events = [
         EventRecord("dog", 0.0, 1.0, Direction(0, 0)),
         EventRecord("dog", 0.0, 1.0, Direction(120, 0)),
@@ -141,9 +115,12 @@ def test_criterion_02_fig4_golden(tmp_path):
     pred_dir = tmp_path / "pred"
     pred_dir.mkdir()
     serialize_prediction(pred_events, 0.02, vocab, pred_dir / "scene_000.csv")
-    report = evaluate_directory(
-        ref_dir, pred_dir, vocab, EvaluationConfig(thetas=(10.0, 30.0))
-    ).report()
+    config = EvaluationConfig(thetas=(10.0, 30.0))
+    contrib = score_file(ref_dir / "scene_000.csv", pred_dir / "scene_000.csv", vocab, config)
+    tp, fp, fn = int(contrib.j_tp[0].sum()), int(contrib.j_fp[0].sum()), int(contrib.j_fn.sum())
+    assert (tp, fp, fn) == (1, 2, 2)  # fn is one count for every threshold
+    assert int(contrib.j_tp[1].sum()) == 2  # d2 is within 30 degrees
+    report = evaluate_directory(ref_dir, pred_dir, vocab, config).report()
     assert report.metrics["f_theta:10"] == pytest.approx(1 / 3, abs=1e-12)
 
     elapsed = time.perf_counter() - start
@@ -307,15 +284,7 @@ def test_criterion_07_jackknife_sanity(tmp_path):
         assert est.point == pytest.approx(est.low, abs=1e-9)
 
     # (b) hand-computed n=3 pseudo-value fixture reproduces to 1e-9
-    partials = {"a": 0.4, "b": 0.5, "c": 0.6}
-
-    def evaluator(subset):
-        if len(subset) == 3:
-            return 0.5
-        (left_out,) = set(partials) - set(subset)
-        return partials[left_out]
-
-    est = jackknife_ci(evaluator, ["a", "b", "c"], confidence=0.95)
+    est = jackknife_ci(0.5, {"a": 0.4, "b": 0.5, "c": 0.6}, confidence=0.95)
     assert est.point == pytest.approx(0.5, abs=1e-12)
     assert est.low == pytest.approx(0.0031724576499337857, abs=1e-9)
     assert est.high == pytest.approx(0.9968275423500662, abs=1e-9)
@@ -324,11 +293,13 @@ def test_criterion_07_jackknife_sanity(tmp_path):
     for seed in range(100):
         rng = random.Random(seed)
         values = {f"f{i}": rng.uniform(0, 1) for i in range(rng.randint(3, 25))}
+        names = sorted(values)
 
-        def mean_eval(subset, values=values):
+        def mean(subset):
             return sum(values[k] for k in subset) / len(subset)
 
-        est = jackknife_ci(mean_eval, sorted(values), confidence=0.95)
+        est = jackknife_ci(mean(names), {k: mean([n for n in names if n != k]) for k in names},
+                           confidence=0.95)
         assert est.low <= est.point <= est.high
     _ok("7 (jackknife sanity)")
 

@@ -163,6 +163,13 @@ class TestJackknifeCommand:
              "--format", "json", "--out", out])
         assert json.loads(out.read_text())["config"]["confidence"] == 0.9
 
+    def test_one_file_too_few_error_json(self, tmp_path, capsys):
+        ref_dir = make_corpus(tmp_path / "ref", VOCAB, 1, 6, seed=23)
+        pred_dir = make_system(ref_dir, tmp_path / "pred", PerturbationSpec(seed=0))
+        assert run(["jackknife", "--ref", ref_dir, "--pred", pred_dir]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "TooFewFiles", "message": "jackknife needs at least 2 files, got 1"}
+
 
 class TestRankCommand:
     def test_official_and_joint_sets(self, tmp_path):
@@ -350,6 +357,16 @@ class TestReferenceLength:
         assert err["error"] == "ReferenceTooLong"
         assert "long.csv" in err["message"]
         assert not (tmp_path / "synth" / "long.csv").exists()
+
+    @pytest.mark.parametrize("row", ["dog,0.0,1e30,10,0", "dog,0.0,1e12,10,0"])
+    def test_synth_insertions_over_unwritable_reference_error_json(self, tmp_path, capsys, row):
+        # refused before the insertion count is drawn over the reference's length
+        ref_dir, _ = self._write(tmp_path, row)
+        code = run(["synth", "--ref", ref_dir, "--out", tmp_path / "synth", "--insert-rate", "1"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ReferenceTooLong"
+        assert "long.csv" in err["message"]
 
     def test_long_reference_still_scores(self, tmp_path, capsys):
         ref_dir, pred_dir = self._write(tmp_path, "dog,0.0,3600,10,0")  # 180000 frames

@@ -96,9 +96,10 @@ bad_configs = st.one_of(
 COMMANDS = st.sampled_from(["evaluate", "jackknife", "synth"])
 
 
-def run_in_corpus(command, ref=REF_ROW, pred=PRED_ROW, config="{}"):
+def run_in_corpus(command, ref=REF_ROW, pred=PRED_ROW, config="{}", extra=()):
     """Exit code and stderr of one command on a two-file corpus; `ref`,
-    `pred` and `config` go into the second file and the config file."""
+    `pred` and `config` go into the second file and the config file, and
+    `extra` is appended to the command's arguments."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for side, valid, row in (("ref", REF_ROW, ref), ("pred", PRED_ROW, pred)):
@@ -112,6 +113,7 @@ def run_in_corpus(command, ref=REF_ROW, pred=PRED_ROW, config="{}"):
             argv += ["--out", str(root / "synth")]
         else:
             argv += ["--pred", str(root / "pred"), "--format", "json"]
+        argv += list(extra)
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)
@@ -146,3 +148,13 @@ def test_malformed_prediction(command, row):
 @settings(max_examples=100, deadline=None)
 def test_malformed_config(command, config):
     assert_error_envelope(*run_in_corpus(command, config=config))
+
+
+@given(st.floats(min_value=0.01, max_value=60.0),
+       ref_row(offset=st.floats(min_value=1e18, max_value=1e300).map(repr)))
+@settings(max_examples=50, deadline=None)
+def test_synth_insertions_over_long_reference(rate, row):
+    # insertions are drawn over the reference's length, so it is checked first
+    code, err = run_in_corpus("synth", ref=row, extra=("--insert-rate", repr(rate)))
+    assert_error_envelope(code, err)
+    assert json.loads(err)["error"] == "ReferenceTooLong"

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from seldeval.annotations import Vocabulary, parse_reference
+from seldeval import evaluation
+from seldeval.annotations import EventRecord, Vocabulary, parse_reference
 from seldeval.errors import ConfigError, MissingPair
 from seldeval.evaluation import (
     EvaluationConfig,
@@ -12,8 +13,9 @@ from seldeval.evaluation import (
     rank_systems,
     score_file,
 )
+from seldeval.geometry import Direction
 from seldeval.synth import PerturbationSpec, perturb, serialize_prediction
-from conftest import make_corpus
+from conftest import make_corpus, write_corpus
 
 VOCAB = Vocabulary(["dog", "cat", "speech"])
 
@@ -217,6 +219,35 @@ class TestJackknifeIntegration:
         result = evaluate_directory(ref_dir, pred_dir, VOCAB, EvaluationConfig())
         ci = result.jackknife(["le"])
         assert ci["le"] == "undefined"
+
+    def test_undefined_partial_names_the_file(self, tmp_path):
+        # only a.csv has a prediction: leaving it out leaves LE without associations
+        dog = [EventRecord("dog", 0.0, 1.0, Direction(0, 0))]
+        ref_dir = write_corpus(tmp_path / "ref", {"a.csv": dog, "b.csv": dog}, VOCAB)
+        pred_dir = tmp_path / "pred"
+        pred_dir.mkdir()
+        serialize_prediction(dog, 0.02, VOCAB, pred_dir / "a.csv")
+        (pred_dir / "b.csv").write_text("")
+        result = evaluate_directory(ref_dir, pred_dir, VOCAB, EvaluationConfig())
+        ci = result.jackknife(["le", "lr"])
+        assert ci["le"] == ("UndefinedPartial: metric undefined when leaving out 'a.csv': "
+                            "metric 'le' undefined on this subset")
+        assert ci["lr"].point == 0.5
+
+    def test_scores_each_subset_once(self, tmp_path, monkeypatch):
+        ref_dir = make_corpus(tmp_path / "ref", VOCAB, 4, 6, seed=12)
+        pred_dir = make_system(ref_dir, tmp_path / "pred", PerturbationSpec(doa_jitter_deg=5.0, seed=2))
+        result = evaluate_directory(ref_dir, pred_dir, VOCAB, EvaluationConfig())
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return compute_metrics(*args)
+
+        monkeypatch.setattr(evaluation, "compute_metrics", counted)
+        ci = result.jackknife()
+        assert len(calls) == 4 + 1
+        assert set(ci) == set(compute_metrics(result.total, result.config, VOCAB)[0])
 
 
 class TestRanking:

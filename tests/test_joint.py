@@ -1,236 +1,199 @@
+"""Joint metrics: the per-segment definition `segment_class_counts`, and
+the counts and metrics of `score_file` + `compute_metrics` on one-frame
+scenes (1 s frames, one frame per segment)."""
+
 import random
 
 import pytest
 
-from seldeval.annotations import FrameSnapshot, Vocabulary, rasterize, segmentize
-from seldeval.annotations import EventRecord
-from seldeval.errors import EmptyReference
-from seldeval.geometry import Direction, angular_distance
-from seldeval.joint import (
-    ClassSlice,
-    class_aware_localization,
-    class_slices,
-    joint_counts,
-    location_aware_detection,
-    segment_class_counts,
-)
+from seldeval.annotations import EventRecord, Vocabulary, rasterize, segmentize
+from seldeval.geometry import Direction
+from seldeval.joint import segment_class_counts
+from conftest import score_frames
 
 VOCAB = Vocabulary(["dog", "car_horn", "cat", "child", "speech"])
 
 
-def snapshot(idx, *pairs):
-    return FrameSnapshot(idx, list(pairs))
+def score(tmp_path, pred, ref, **settings):
+    """FileContribution, metric map and per-class map of a one-frame scene."""
+    return score_frames(tmp_path, [(list(pred), list(ref))], VOCAB, **settings)
+
+
+def slices(contrib):
+    """(M, N) of every class present on either side, in vocabulary order."""
+    return {label: (int(contrib.j_m_seg[i]), int(contrib.j_n_seg[i]))
+            for i, label in enumerate(VOCAB) if contrib.j_m_seg[i] or contrib.j_n_seg[i]}
+
+
+def counts(contrib, label, profile=0):
+    """(TP, FP, FN) of one class at the given threshold profile."""
+    i = VOCAB.index(label)
+    return (int(contrib.j_tp[profile][i]), int(contrib.j_fp[profile][i]),
+            int(contrib.j_fn[i]))
 
 
 class TestClassSlices:
-    def test_matched_class(self):
-        s = class_slices(
-            snapshot(0, ("dog", Direction(0, 0))),
-            snapshot(0, ("dog", Direction(5, 0))),
-            VOCAB,
-        )
-        assert len(s) == 1 and s[0].m == 1 and s[0].n == 1
+    def test_matched_class(self, tmp_path):
+        c, _, _ = score(tmp_path, [("dog", Direction(0, 0))], [("dog", Direction(5, 0))])
+        assert slices(c) == {"dog": (1, 1)}
 
-    def test_same_class_multiplicity(self):
-        s = class_slices(
-            snapshot(0, ("dog", Direction(0, 0)), ("dog", Direction(10, 0))),
-            snapshot(0, ("dog", Direction(5, 0))),
-            VOCAB,
-        )
-        assert s[0].m == 2 and s[0].n == 1
+    def test_same_class_multiplicity(self, tmp_path):
+        c, _, _ = score(tmp_path, [("dog", Direction(0, 0)), ("dog", Direction(10, 0))],
+                        [("dog", Direction(5, 0))])
+        assert slices(c)["dog"] == (2, 1)
 
-    def test_disjoint_classes_two_slices(self):
-        s = class_slices(
-            snapshot(0, ("cat", Direction(0, 0))),
-            snapshot(0, ("dog", Direction(5, 0))),
-            VOCAB,
-        )
-        by_label = {sl.label: (sl.m, sl.n) for sl in s}
-        assert by_label == {"cat": (1, 0), "dog": (0, 1)}
+    def test_disjoint_classes_two_slices(self, tmp_path):
+        c, _, _ = score(tmp_path, [("cat", Direction(0, 0))], [("dog", Direction(5, 0))])
+        assert slices(c) == {"cat": (1, 0), "dog": (0, 1)}
 
-    def test_vocabulary_order(self):
-        s = class_slices(
-            snapshot(0, ("speech", Direction(0, 0)), ("dog", Direction(0, 0))),
-            snapshot(0),
-            VOCAB,
-        )
-        assert [sl.label for sl in s] == ["dog", "speech"]
+    def test_vocabulary_order(self, tmp_path):
+        c, _, per_class = score(
+            tmp_path, [("speech", Direction(0, 0)), ("dog", Direction(0, 0))], [])
+        assert list(slices(c)) == ["dog", "speech"]
+        assert list(per_class) == ["dog", "speech"]
 
 
 class TestJointCounts:
-    def test_perfect_slice(self):
+    def test_perfect_slice(self, tmp_path):
+        # the smallest positive threshold: identical directions are 0 apart
         d = Direction(12, 7)
-        c = joint_counts(ClassSlice("dog", [d, d], [d, d]), theta=0.0)
-        assert (c.tp, c.fp, c.fn) == (2, 0, 0)
+        c, _, _ = score(tmp_path, [("dog", d), ("dog", d)], [("dog", d), ("dog", d)],
+                        thetas=(1e-9,))
+        assert counts(c, "dog") == (2, 0, 0)
 
-    def test_extraneous_and_failed_associations_both_count_as_fp(self):
+    def test_extraneous_and_failed_associations_both_count_as_fp(self, tmp_path):
         # M=3, N=1, all distances beyond theta
-        c = joint_counts(
-            ClassSlice(
-                "dog",
-                [Direction(0, 0), Direction(90, 0), Direction(-90, 0)],
-                [Direction(40, 0)],
-            ),
-            theta=10.0,
+        c, _, _ = score(
+            tmp_path,
+            [("dog", Direction(0, 0)), ("dog", Direction(90, 0)), ("dog", Direction(-90, 0))],
+            [("dog", Direction(40, 0))],
+            thetas=(10.0,),
         )
-        assert c.tp == 0
-        assert c.fp == 3  # max(0, 3-1) + min(3,1) - 0
-        assert c.fn == 0
+        tp, fp, fn = counts(c, "dog")
+        assert tp == 0
+        assert fp == 3  # max(0, 3-1) + min(3,1) - 0
+        assert fn == 0
 
-    def test_fn_independent_of_theta(self):
-        sl = ClassSlice("dog", [Direction(0, 0)], [Direction(30, 0), Direction(90, 0)])
-        for theta in (1.0, 10.0, 30.0, 180.0):
-            assert joint_counts(sl, theta).fn == 1
+    def test_fn_independent_of_theta(self, tmp_path):
+        thetas = (1.0, 10.0, 30.0, 180.0)
+        c, _, _ = score(tmp_path, [("dog", Direction(0, 0))],
+                        [("dog", Direction(30, 0)), ("dog", Direction(90, 0))], thetas=thetas)
+        for profile in range(len(thetas)):
+            assert counts(c, "dog", profile)[2] == 1
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_counting_identities(self, seed):
+    def test_counting_identities(self, tmp_path, seed):
         rng = random.Random(seed)
         m, n = rng.randint(0, 4), rng.randint(0, 4)
-        sl = ClassSlice(
-            "dog",
-            [Direction(rng.uniform(-180, 179), rng.uniform(-40, 40)) for _ in range(m)],
-            [Direction(rng.uniform(-180, 179), rng.uniform(-40, 40)) for _ in range(n)],
-        )
-        c = joint_counts(sl, theta=rng.uniform(0, 180))
-        assert c.tp + c.fp == c.m
-        assert c.fn == max(0, c.n - c.m)
-        assert c.tp + c.fn <= max(c.m, c.n)
-        assert c.k == min(c.m, c.n)
+        pred = [("dog", Direction(rng.uniform(-180, 179), rng.uniform(-40, 40))) for _ in range(m)]
+        ref = [("dog", Direction(rng.uniform(-180, 179), rng.uniform(-40, 40))) for _ in range(n)]
+        c, _, _ = score(tmp_path, pred, ref, thetas=(rng.uniform(0, 180),))
+        tp, fp, fn = counts(c, "dog")
+        dog = VOCAB.index("dog")
+        assert (int(c.j_m_seg[dog]), int(c.j_n_seg[dog])) == (m, n)
+        assert tp + fp == m
+        assert fn == max(0, n - m)
+        assert tp + fn <= max(m, n)
+        assert int(c.j_k_seg[dog]) == min(m, n)
 
 
 class TestFig4Scene:
     """Four references (dog, dog, car_horn, child), three predictions
     (dog, car_horn, cat); d1 within threshold, d2 beyond it."""
 
-    def build(self, d1=5.0, d2=20.0):
-        ref = snapshot(
-            0,
+    def score(self, tmp_path, thetas=(10.0, 30.0), d1=5.0, d2=20.0):
+        ref = [
             ("dog", Direction(0, 0)),
             ("dog", Direction(120, 0)),
             ("car_horn", Direction(-120, 0)),
             ("child", Direction(60, 30)),
-        )
-        pred = snapshot(
-            0,
+        ]
+        pred = [
             ("dog", Direction(d1, 0)),
             ("car_horn", Direction(-120 + d2, 0)),
             ("cat", Direction(-60, -30)),
-        )
-        return pred, ref
+        ]
+        return score(tmp_path, pred, ref, thetas=thetas)
 
-    def test_counts_at_10_degrees(self):
-        pred, ref = self.build()
-        counts = [joint_counts(sl, 10.0) for sl in class_slices(pred, ref, VOCAB)]
-        by_label = {c.label: c for c in counts}
-        assert (by_label["dog"].tp, by_label["dog"].fp, by_label["dog"].fn) == (1, 0, 1)
-        assert (by_label["car_horn"].tp, by_label["car_horn"].fp, by_label["car_horn"].fn) == (0, 1, 0)
-        assert (by_label["cat"].tp, by_label["cat"].fp, by_label["cat"].fn) == (0, 1, 0)
-        assert (by_label["child"].tp, by_label["child"].fp, by_label["child"].fn) == (0, 0, 1)
-        assert sum(c.tp for c in counts) == 1
-        assert sum(c.fp for c in counts) == 2
-        assert sum(c.fn for c in counts) == 2
+    def test_counts_at_10_degrees(self, tmp_path):
+        c, _, _ = self.score(tmp_path)
+        assert counts(c, "dog") == (1, 0, 1)
+        assert counts(c, "car_horn") == (0, 1, 0)
+        assert counts(c, "cat") == (0, 1, 0)
+        assert counts(c, "child") == (0, 0, 1)
+        assert int(c.j_tp[0].sum()) == 1
+        assert int(c.j_fp[0].sum()) == 2
+        assert int(c.j_fn.sum()) == 2
 
-    def test_f_score_one_third(self):
-        pred, ref = self.build()
-        counts = [joint_counts(sl, 10.0) for sl in class_slices(pred, ref, VOCAB)]
-        _, f = location_aware_detection([counts])
-        assert f == pytest.approx(1 / 3, abs=1e-12)
+    def test_f_score_one_third(self, tmp_path):
+        _, m, _ = self.score(tmp_path)
+        assert m["f_theta:10"] == pytest.approx(1 / 3, abs=1e-12)
 
-    def test_fn_same_at_both_thresholds(self):
-        pred, ref = self.build()
+    def test_fn_same_at_both_thresholds(self, tmp_path):
         for theta in (10.0, 30.0):
-            counts = [joint_counts(sl, theta) for sl in class_slices(pred, ref, VOCAB)]
-            assert sum(c.fn for c in counts) == 2
+            c, _, _ = self.score(tmp_path, thetas=(theta,))
+            assert int(c.j_fn.sum()) == 2
 
 
 class TestClassAwareLocalization:
-    def test_perfect(self):
+    def test_perfect(self, tmp_path):
         d = Direction(10, 10)
-        counts = [joint_counts(ClassSlice("dog", [d], [d]), 10.0)]
-        loc = class_aware_localization(counts)
-        assert loc.le_cd == 0.0 and loc.lr_cd == 1.0
+        _, m, _ = score(tmp_path, [("dog", d)], [("dog", d)])
+        assert m["le_cd"] == 0.0 and m["lr_cd"] == 1.0
 
-    def test_swapped_fixture_le_cd_160(self):
+    def test_swapped_fixture_le_cd_160(self, tmp_path):
         # two classes, each associated at the 160-degree cross distance;
         # contrast with the class-agnostic LE of 0 for the same scene
         a, b = Direction(-80, 0), Direction(80, 0)
-        counts = [
-            joint_counts(ClassSlice("speech", [b], [a]), 10.0),
-            joint_counts(ClassSlice("dog", [a], [b]), 10.0),
-        ]
-        loc = class_aware_localization(counts)
-        assert loc.le_cd == pytest.approx(160.0, abs=1e-9)
-        assert loc.lr_cd == 1.0
+        _, m, _ = score(tmp_path, [("speech", b), ("dog", a)], [("speech", a), ("dog", b)])
+        assert m["le_cd"] == pytest.approx(160.0, abs=1e-9)
+        assert m["lr_cd"] == 1.0
 
-    def test_missed_class_drags_lr_cd(self):
+    def test_missed_class_drags_lr_cd(self, tmp_path):
         d = Direction(0, 0)
-        counts = [
-            joint_counts(ClassSlice("dog", [d], [d]), 10.0),
-            joint_counts(ClassSlice("cat", [], [d]), 10.0),
-        ]
-        loc = class_aware_localization(counts)
-        assert loc.lr_by_class["cat"] == 0.0
-        assert loc.lr_cd == pytest.approx(0.5)
+        _, m, per_class = score(tmp_path, [("dog", d)], [("dog", d), ("cat", d)])
+        assert per_class["cat"]["lr_c"] == 0.0
+        assert m["lr_cd"] == pytest.approx(0.5)
 
-    def test_never_seen_class_excluded(self):
+    def test_never_seen_class_excluded(self, tmp_path):
         d = Direction(0, 0)
-        counts = [
-            joint_counts(ClassSlice("dog", [d], [d]), 10.0),
-            joint_counts(ClassSlice("cat", [], []), 10.0),
-        ]
-        loc = class_aware_localization(counts)
-        assert "cat" not in loc.lr_by_class
+        _, _, per_class = score(tmp_path, [("dog", d)], [("dog", d)])
+        assert "cat" not in per_class
 
-    def test_prediction_only_class_has_undefined_le_lr(self):
+    def test_prediction_only_class_has_undefined_le_lr(self, tmp_path):
         d = Direction(0, 0)
-        counts = [
-            joint_counts(ClassSlice("dog", [d], [d]), 10.0),
-            joint_counts(ClassSlice("cat", [d], []), 10.0),
-        ]
-        loc = class_aware_localization(counts)
-        assert loc.le_by_class["cat"] is None
-        assert loc.lr_by_class["cat"] is None
-        assert loc.le_cd == 0.0  # only dog contributes
+        _, m, per_class = score(tmp_path, [("dog", d), ("cat", d)], [("dog", d)])
+        assert per_class["cat"]["le_c"] is None
+        assert per_class["cat"]["lr_c"] is None
+        assert m["le_cd"] == 0.0  # only dog contributes
 
-    def test_single_class_le_cd_equals_le_c(self):
-        counts = [joint_counts(ClassSlice("dog", [Direction(7, 0)], [Direction(0, 0)]), 10.0)]
-        loc = class_aware_localization(counts)
-        assert loc.le_cd == pytest.approx(loc.le_by_class["dog"], abs=1e-12)
+    def test_single_class_le_cd_equals_le_c(self, tmp_path):
+        _, m, per_class = score(tmp_path, [("dog", Direction(7, 0))], [("dog", Direction(0, 0))])
+        assert m["le_cd"] == pytest.approx(per_class["dog"]["le_c"], abs=1e-12)
 
-    def test_cross_class_isolation(self):
+    def test_cross_class_isolation(self, tmp_path):
         # perturbing only class-cat events leaves LE_dog unchanged
-        base = [
-            joint_counts(ClassSlice("dog", [Direction(5, 0)], [Direction(0, 0)]), 10.0),
-            joint_counts(ClassSlice("cat", [Direction(20, 0)], [Direction(0, 0)]), 10.0),
-        ]
-        moved = [
-            base[0],
-            joint_counts(ClassSlice("cat", [Direction(90, 0)], [Direction(0, 0)]), 10.0),
-        ]
-        a = class_aware_localization(base)
-        b = class_aware_localization(moved)
-        assert a.le_by_class["dog"] == b.le_by_class["dog"]
+        ref = [("dog", Direction(0, 0)), ("cat", Direction(0, 0))]
+        _, _, base = score(tmp_path, [("dog", Direction(5, 0)), ("cat", Direction(20, 0))], ref)
+        _, _, moved = score(tmp_path, [("dog", Direction(5, 0)), ("cat", Direction(90, 0))], ref)
+        assert base["dog"]["le_c"] == moved["dog"]["le_c"]
 
 
 class TestLocationAwareDetection:
-    def test_perfect(self):
+    def test_perfect(self, tmp_path):
         d = Direction(0, 0)
-        counts = [[joint_counts(ClassSlice("dog", [d], [d]), theta)] for theta in (1.0,)]
-        er, f = location_aware_detection(counts)
-        assert er == 0.0 and f == 1.0
+        _, m, _ = score(tmp_path, [("dog", d)], [("dog", d)], thetas=(1.0,))
+        assert m["er_theta:1"] == 0.0 and m["f_theta:1"] == 1.0
 
-    def test_swapped_fixture_er_one(self):
+    def test_swapped_fixture_er_one(self, tmp_path):
         a, b = Direction(-80, 0), Direction(80, 0)
-        unit = [
-            joint_counts(ClassSlice("speech", [b], [a]), 10.0),
-            joint_counts(ClassSlice("dog", [a], [b]), 10.0),
-        ]
-        er, f = location_aware_detection([unit])
-        assert er == 1.0 and f == 0.0
+        _, m, _ = score(tmp_path, [("speech", b), ("dog", a)], [("speech", a), ("dog", b)])
+        assert m["er_theta:10"] == 1.0 and m["f_theta:10"] == 0.0
 
-    def test_empty_reference(self):
-        with pytest.raises(EmptyReference):
-            location_aware_detection([[joint_counts(ClassSlice("dog", [Direction(0, 0)], []), 10.0)]])
+    def test_empty_reference(self, tmp_path):
+        # undefined, reported as None rather than a number
+        _, m, _ = score(tmp_path, [("dog", Direction(0, 0))], [])
+        assert m["er_theta:10"] is None
 
 
 class TestSegmentCounts:
@@ -296,24 +259,16 @@ class TestSegmentCounts:
 
 class TestMonotonicity:
     @pytest.mark.parametrize("seed", range(3))
-    def test_f_and_er_monotone_in_theta(self, seed):
+    def test_f_and_er_monotone_in_theta(self, tmp_path, seed):
         rng = random.Random(seed)
-        units = []
-        for frame_idx in range(30):
-            pred = snapshot(frame_idx, *[("dog", Direction(rng.uniform(-180, 179), 0))
-                                         for _ in range(rng.randint(0, 3))])
-            ref = snapshot(frame_idx, *[("dog", Direction(rng.uniform(-180, 179), 0))
-                                        for _ in range(rng.randint(0, 3))])
-            units.append((pred, ref))
-        thetas = [1.0, 5.0, 10.0, 30.0, 90.0, 180.0]
-        f_vals, er_vals = [], []
-        for theta in thetas:
-            per_unit = [
-                [joint_counts(sl, theta) for sl in class_slices(pred, ref, VOCAB)]
-                for pred, ref in units
-            ]
-            er, f = location_aware_detection(per_unit)
-            f_vals.append(f)
-            er_vals.append(er)
+        frames = []
+        for _ in range(30):
+            pred = [("dog", Direction(rng.uniform(-180, 179), 0)) for _ in range(rng.randint(0, 3))]
+            ref = [("dog", Direction(rng.uniform(-180, 179), 0)) for _ in range(rng.randint(0, 3))]
+            frames.append((pred, ref))
+        thetas = (1.0, 5.0, 10.0, 30.0, 90.0, 180.0)
+        _, m, _ = score_frames(tmp_path, frames, VOCAB, thetas=thetas)
+        f_vals = [m[f"f_theta:{t:g}"] for t in thetas]
+        er_vals = [m[f"er_theta:{t:g}"] for t in thetas]
         assert f_vals == sorted(f_vals)
         assert er_vals == sorted(er_vals, reverse=True)

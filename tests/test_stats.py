@@ -13,7 +13,6 @@ import scipy.stats
 from seldeval.errors import (
     DegenerateRanks,
     LengthMismatch,
-    MetricUndefined,
     TooFewFiles,
     UndefinedPartial,
     UndefinedValue,
@@ -27,20 +26,20 @@ from seldeval.stats import (
 )
 
 
-def subset_mean_evaluator(values):
-    lookup = dict(values)
-
-    def evaluator(subset):
-        vals = [lookup[k] for k in subset]
+def leave_one_out_means(values):
+    """The mean of (name, value) pairs, and the mean without each name."""
+    def mean(subset):
+        vals = [v for _, v in subset]
         return sum(vals) / len(vals)
 
-    return evaluator
+    return mean(values), {name: mean(values[:i] + values[i + 1:])
+                          for i, (name, _) in enumerate(values)}
 
 
 class TestJackknife:
     def test_constant_partials_zero_width(self):
         files = [("f%d" % i, 0.5) for i in range(10)]
-        est = jackknife_ci(subset_mean_evaluator(files), [n for n, _ in files])
+        est = jackknife_ci(*leave_one_out_means(files))
         assert est.point == 0.5
         assert est.low == pytest.approx(0.5, abs=1e-12)
         assert est.high == pytest.approx(0.5, abs=1e-12)
@@ -50,51 +49,39 @@ class TestJackknife:
         # pseudo-values {0.7, 0.5, 0.3}: mean 0.5, sd 0.2. Bounds were
         # computed independently at 40-digit precision with the Student-t
         # quantile t_{0.975,2} = 4.302652729749464.
-        partials = {"a": 0.4, "b": 0.5, "c": 0.6}
-
-        def evaluator(subset):
-            if len(subset) == 3:
-                return 0.5
-            (left_out,) = set(partials) - set(subset)
-            return partials[left_out]
-
-        est = jackknife_ci(evaluator, ["a", "b", "c"], confidence=0.95)
+        est = jackknife_ci(0.5, {"a": 0.4, "b": 0.5, "c": 0.6}, confidence=0.95)
         assert est.point == 0.5
         assert est.low == pytest.approx(0.0031724576499337857, abs=1e-9)
         assert est.high == pytest.approx(0.9968275423500662, abs=1e-9)
 
     def test_two_files_wide_but_valid(self):
         files = [("a", 0.2), ("b", 0.8)]
-        est = jackknife_ci(subset_mean_evaluator(files), ["a", "b"])
+        est = jackknife_ci(*leave_one_out_means(files))
         assert est.n == 2
         assert est.low < est.point < est.high
         assert est.high - est.low > 1.0  # t with 1 dof is ~12.7
 
     def test_too_few_files(self):
+        # checked first: leaving out the only file leaves an undefined metric
         with pytest.raises(TooFewFiles):
-            jackknife_ci(lambda s: 1.0, ["only"], 0.95)
+            jackknife_ci(1.0, {"only": None}, 0.95)
 
     def test_undefined_partial_reported(self):
-        def evaluator(subset):
-            if "b" not in subset:
-                raise MetricUndefined("needs file b")
-            return 1.0
-
-        with pytest.raises(UndefinedPartial):
-            jackknife_ci(evaluator, ["a", "b", "c"])
+        with pytest.raises(UndefinedPartial, match="^metric undefined when leaving out 'b'$"):
+            jackknife_ci(1.0, {"a": 1.0, "b": None, "c": 1.0})
 
     @pytest.mark.parametrize("seed", range(20))
     def test_interval_contains_point_for_means(self, seed):
         rng = random.Random(seed)
         files = [(f"f{i}", rng.uniform(0, 1)) for i in range(rng.randint(3, 30))]
-        est = jackknife_ci(subset_mean_evaluator(files), [n for n, _ in files])
+        est = jackknife_ci(*leave_one_out_means(files))
         assert est.low <= est.point <= est.high
 
     def test_width_scales_with_dispersion(self):
         tight = [("f%d" % i, 0.5 + 0.001 * i) for i in range(10)]
         wide = [("f%d" % i, 0.1 * i) for i in range(10)]
-        w_tight = jackknife_ci(subset_mean_evaluator(tight), [n for n, _ in tight])
-        w_wide = jackknife_ci(subset_mean_evaluator(wide), [n for n, _ in wide])
+        w_tight = jackknife_ci(*leave_one_out_means(tight))
+        w_wide = jackknife_ci(*leave_one_out_means(wide))
         assert (w_wide.high - w_wide.low) > (w_tight.high - w_tight.low)
 
 
@@ -115,17 +102,14 @@ class TestTQuantile:
     def test_interval_matches_scipy_stats_t_ppf(self, n):
         rng = random.Random(n)
         files = [(f"f{i}", rng.uniform(0, 1)) for i in range(n)]
-        evaluator = subset_mean_evaluator(files)
-        names = [name for name, _ in files]
-        theta_all = evaluator(names)
-        pseudo = [n * theta_all - (n - 1) * evaluator(names[:i] + names[i + 1:])
-                  for i in range(n)]
+        theta_all, partials = leave_one_out_means(files)
+        pseudo = [n * theta_all - (n - 1) * partial for partial in partials.values()]
         mean = sum(pseudo) / n
         var = sum((p - mean) ** 2 for p in pseudo) / (n - 1)
         for confidence in self.CONFIDENCES:
             t = float(scipy.stats.t.ppf((1.0 + confidence) / 2.0, n - 1))
             half = t * math.sqrt(var / n)
-            est = jackknife_ci(evaluator, names, confidence)
+            est = jackknife_ci(theta_all, partials, confidence)
             assert (est.low, est.high) == (mean - half, mean + half)
 
     def test_stdtrit_equals_t_ppf(self):
@@ -147,17 +131,16 @@ class TestStartup:
 
     NOT_LOADED = ("scipy", "concurrent.futures", "multiprocessing", "seldeval.synth",
                   "seldeval.joint", "seldeval.localization", "seldeval.detection")
-    # what `seldeval` exported when it imported every submodule eagerly
+    # what `seldeval` exported when it imported every submodule eagerly, less
+    # the names deleted since
     EXPORTED = """
         EventRecord FrameSnapshot SegmentView Vocabulary densify parse_prediction
         parse_reference parse_vocabulary rasterize segmentize write_prediction write_reference
         Assignment DistanceMatrix build_distance_matrix hungarian
-        DetectionCounts detection_counts error_rate f1_score SeldEvalError
+        DetectionCounts detection_counts SeldEvalError
         EvaluationConfig EvaluationResult FileContribution MetricReport compute_metrics
         correlate_systems evaluate_directory metric_directions rank_systems score_file
-        Direction angular_distance spherical_mean
-        ClassCounts ClassSlice class_aware_localization class_slices joint_counts
-        location_aware_detection segment_class_counts LocalizationReport localization_metrics
+        Direction angular_distance spherical_mean ClassCounts segment_class_counts
         JackknifeEstimate RankTable build_rank_table cumulative_rank jackknife_ci metric_ranks
         spearman PerturbationSpec grid_directions jitter_direction perturb serialize_prediction
     """.split()
@@ -183,7 +166,10 @@ class TestStartup:
         for name in self.EXPORTED:
             value = getattr(seldeval, name)
             assert value is getattr(sys.modules[value.__module__], name)
-        for name in ("UnitVector3", "cartesian_distance", "ThresholdMask", "threshold_mask"):
+        for name in ("UnitVector3", "cartesian_distance", "ThresholdMask", "threshold_mask",
+                     "error_rate", "f1_score", "ClassSlice", "class_aware_localization",
+                     "class_slices", "joint_counts", "location_aware_detection",
+                     "LocalizationReport", "localization_metrics"):
             assert not hasattr(seldeval, name)
 
 
