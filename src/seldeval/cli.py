@@ -5,11 +5,17 @@ with confidence intervals), ``rank`` (cumulative ranking of several
 systems), ``correlate`` (Spearman matrix between metric rankings), and
 ``synth`` (derive perturbed prediction files from references).
 
-All configuration is accepted both as flags and as a JSON config file
-(``--config``); flags override the file. JSON output is stable: keys are
+Every setting is a field of `EvaluationConfig` (frame_hop,
+segment_length, thetas, theta_class, loc_mode, le_mode, confidence,
+duration, jobs) or, for ``synth``, of `PerturbationSpec` (doa_jitter_deg,
+deletion_prob, insertion_rate, substitution_prob, swap_locations, seed).
+Its flag stores under the field's name, and a JSON config file
+(``--config``) sets it under the same key; flags override the file, and
+the file overrides the field's default. JSON output is stable: keys are
 sorted and numbers carry 6 significant digits, so reports diff cleanly
 in CI. Exit code is 0 iff the command completed without errors;
-otherwise a machine-readable error summary goes to stderr.
+otherwise, usage errors included, a machine-readable error summary goes
+to stderr.
 """
 
 from __future__ import annotations
@@ -24,11 +30,14 @@ from pathlib import Path
 from .annotations import Vocabulary, expand_spans, frame_span, parse_reference
 from .errors import ConfigError, GridOverflow, SeldEvalError
 from .evaluation import (
+    LE_MODES,
+    LOC_MODES,
     EvaluationConfig,
     correlate_systems,
     correlation_metric_keys,
     evaluate_directory,
     rank_systems,
+    reference_files,
 )
 from .stats import JackknifeEstimate
 
@@ -48,13 +57,6 @@ def _round6(x):
 
 def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
 
 
 def _display_name(key: str) -> str:
@@ -77,25 +79,48 @@ def _fmt_value(v) -> str:
 
 
 # ---------------------------------------------------------------------------
-# configuration assembly
+# settings
 
 
-def _parse_theta_class(items) -> dict:
-    out = {}
-    for item in items or ():
-        label, sep, deg = item.partition("=")
-        if not sep or not label:
-            raise ConfigError(f"--theta-class expects CLASS=DEG, got {item!r}")
-        try:
-            out[label] = float(deg)
-        except ValueError:
-            raise ConfigError(f"bad per-class threshold {item!r}") from None
-    return out
+# The only conversions the CLI applies; any other setting reaches its field
+# as the flag or the config file gave it.
+_CASTS = {
+    "thetas": lambda v: tuple(float(t) for t in v),
+    "theta_class": lambda v: tuple(sorted((str(k), float(t)) for k, t in dict(v).items())),
+    "jobs": int,
+    **dict.fromkeys(("doa_jitter_deg", "deletion_prob", "insertion_rate", "substitution_prob"),
+                    float),
+    "swap_locations": bool,
+    "seed": int,
+}
 
 
-def _load_config_file(args) -> dict:
+def _settings(cls, args, file_cfg: dict, what: str):
+    """A `cls` whose every field comes from its flag, else from the config
+    file's key of the same name, else from the field's default."""
+    values = {}
+    for f in dataclasses.fields(cls):
+        flag = getattr(args, f.name, None)
+        values[f.name] = file_cfg.get(f.name, f.default) if flag is None else flag
+    try:
+        return cls(**{name: _CASTS.get(name, lambda v: v)(v) for name, v in values.items()})
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from None
+
+
+def _theta_class(item: str) -> tuple:
+    """One --theta-class CLASS=DEG override, as a (label, degrees) pair."""
+    label, sep, deg = item.partition("=")
+    if not sep or not label:
+        raise ConfigError(f"--theta-class expects CLASS=DEG, got {item!r}")
+    try:
+        return label, float(deg)
+    except ValueError:
+        raise ConfigError(f"bad per-class threshold {item!r}") from None
+
+
+def _load_config_file(path) -> dict:
     """The --config file's settings, or {} when none was given."""
-    path = args.config
     if not path:
         return {}
     try:
@@ -105,43 +130,6 @@ def _load_config_file(args) -> dict:
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return data
-
-
-def _build_config(args, file_cfg: dict) -> EvaluationConfig:
-    def pick(flag, key, default):
-        return flag if flag is not None else file_cfg.get(key, default)
-
-    thetas = args.theta if args.theta else file_cfg.get("thetas", [10.0, 30.0])
-    overrides = _parse_theta_class(getattr(args, "theta_class", None))
-    try:
-        if not overrides:
-            overrides = dict(file_cfg.get("theta_class", {}))
-        return EvaluationConfig(
-            frame_hop=pick(args.hop, "frame_hop", 0.02),
-            segment_length=pick(args.segment, "segment_length", 1.0),
-            thetas=tuple(float(t) for t in thetas),
-            theta_class=tuple(sorted((str(k), float(v)) for k, v in overrides.items())),
-            loc_mode=pick(args.loc_mode, "loc_mode", "frame-average"),
-            le_mode=pick(args.le_mode, "le_mode", "micro"),
-            confidence=pick(getattr(args, "confidence", None), "confidence", 0.95),
-            duration=pick(args.duration, "duration", None),
-            jobs=int(pick(getattr(args, "jobs", None), "jobs", 1)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad configuration value: {exc}") from None
-
-
-def _config_json(config: EvaluationConfig) -> dict:
-    return {
-        "frame_hop": config.frame_hop,
-        "segment_length": config.segment_length,
-        "thetas": list(config.thetas),
-        "theta_class": {k: v for k, v in config.theta_class},
-        "loc_mode": config.loc_mode,
-        "le_mode": config.le_mode,
-        "confidence": config.confidence,
-        "duration": config.duration,
-    }
 
 
 def _load_vocabulary(args) -> Vocabulary:
@@ -170,219 +158,112 @@ def _parse_systems(items) -> list:
 
 
 # ---------------------------------------------------------------------------
-# rendering
+# subcommands: each scoring command returns its JSON object and table lines
 
 
-def _report_json(report, config, with_per_class: bool) -> dict:
+def _evaluate(args, config, vocabulary) -> tuple:
+    result = evaluate_directory(args.ref, args.pred, vocabulary, config)
+    report = result.report()
+    ci = result.jackknife() if args.command == "jackknife" else {}
+    echo = {**dataclasses.asdict(config), "theta_class": dict(config.theta_class)}
+    del echo["jobs"]  # the report is the same for any number of workers
     obj = {
         "schema": REPORT_SCHEMA,
-        "config": _config_json(config),
+        "config": echo,
         "files": report.files,
         "frames": report.frames,
         "segments": report.segments,
         "metrics": {k: _round6(v) for k, v in report.metrics.items()},
         "warnings": list(report.warnings),
     }
-    if with_per_class:
-        obj["per_class"] = {
-            label: {k: _round6(v) for k, v in vals.items()}
-            for label, vals in report.per_class.items()
-        }
-    if report.ci:
-        ci = {}
-        for key, est in report.ci.items():
-            if isinstance(est, JackknifeEstimate):
-                ci[key] = {
-                    "point": _round6(est.point),
-                    "low": _round6(est.low),
-                    "high": _round6(est.high),
-                    "confidence": est.confidence,
-                }
-            else:
-                ci[key] = {"error": est}
-        obj["ci"] = ci
-    return obj
-
-
-def _table_keys(config) -> list:
-    """The correlation's metric keys, less the frame-level class means."""
-    return [k for k in correlation_metric_keys(config) if k not in ("le_cd_f", "lr_cd_f")]
-
-
-def _report_table(report, config, with_per_class: bool) -> str:
-    lines = [f"files {report.files} | frames {report.frames} | segments {report.segments}"]
-    has_ci = bool(report.ci)
     header = f"{'metric':<12} {'value':>12}"
-    if has_ci:
+    if ci:
         header += f"  {int(config.confidence * 100)}% CI"
-    lines.append(header)
-    lines.append("-" * len(header))
-    for key in _table_keys(config):
+        obj["ci"] = {key: {"point": _round6(est.point), "low": _round6(est.low),
+                           "high": _round6(est.high), "confidence": est.confidence}
+                     if isinstance(est, JackknifeEstimate) else {"error": est}
+                     for key, est in ci.items()}
+    lines = [f"files {report.files} | frames {report.frames} | segments {report.segments}",
+             header, "-" * len(header)]
+    # the correlation's metric keys, less the frame-level class means
+    for key in correlation_metric_keys(config):
+        if key in ("le_cd_f", "lr_cd_f"):
+            continue
         row = f"{_display_name(key):<12} {_fmt_value(report.metrics[key]):>12}"
-        if has_ci:
-            est = report.ci.get(key)
-            if isinstance(est, JackknifeEstimate):
-                row += f"  [{_round6(est.low):g}, {_round6(est.high):g}]"
-            elif est is not None:
-                row += f"  ({est})"
+        est = ci.get(key)
+        if isinstance(est, JackknifeEstimate):
+            row += f"  [{_round6(est.low):g}, {_round6(est.high):g}]"
+        elif est is not None:
+            row += f"  ({est})"
         lines.append(row)
-    if with_per_class and report.per_class:
-        lines.append("")
-        lines.append(f"{'class':<20} {'LE_c':>12} {'LR_c':>12}")
-        for label in sorted(report.per_class):
-            vals = report.per_class[label]
-            lines.append(
-                f"{label:<20} {_fmt_value(vals['le_c']):>12} {_fmt_value(vals['lr_c']):>12}"
-            )
-    for warning in report.warnings:
-        lines.append(f"warning: {warning}")
-    return "\n".join(lines) + "\n"
+    if args.per_class:
+        obj["per_class"] = {label: {k: _round6(v) for k, v in vals.items()}
+                            for label, vals in report.per_class.items()}
+        if report.per_class:
+            lines += ["", f"{'class':<20} {'LE_c':>12} {'LR_c':>12}"]
+            lines += [f"{label:<20} {_fmt_value(vals['le_c']):>12} {_fmt_value(vals['lr_c']):>12}"
+                      for label, vals in sorted(report.per_class.items())]
+    return obj, lines + [f"warning: {w}" for w in report.warnings]
 
 
-def _rank_json(table, metric_set: str) -> dict:
-    systems = []
-    for i, system_id in enumerate(table.systems):
-        systems.append({
-            "id": system_id,
-            "values": {k: _round6(table.values[k][i]) for k in table.values},
-            "ranks": {k: table.ranks[k][i] for k in table.ranks},
-            "rank_sum": table.rank_sums[i],
-            "final_rank": table.final_ranks[i],
-        })
-    return {
-        "schema": RANK_SCHEMA,
-        "metric_set": metric_set,
-        "metrics": list(table.values),
-        "systems": systems,
-    }
-
-
-def _rank_table_text(table) -> str:
+def _rank(args, config, vocabulary) -> tuple:
+    table = rank_systems(args.ref, _parse_systems(args.pred), vocabulary, config, args.metric_set)
     keys = list(table.values)
-    header = f"{'system':<18}"
-    for k in keys:
-        header += f" {_display_name(k):>14}"
-    header += f" {'sum':>6} {'rank':>6}"
+    obj = {
+        "schema": RANK_SCHEMA,
+        "metric_set": args.metric_set,
+        "metrics": keys,
+        "systems": [{"id": system_id,
+                     "values": {k: _round6(table.values[k][i]) for k in keys},
+                     "ranks": {k: table.ranks[k][i] for k in table.ranks},
+                     "rank_sum": table.rank_sums[i],
+                     "final_rank": table.final_ranks[i]}
+                    for i, system_id in enumerate(table.systems)],
+    }
+    header = (f"{'system':<18}" + "".join(f" {_display_name(k):>14}" for k in keys)
+              + f" {'sum':>6} {'rank':>6}")
     lines = [header, "-" * len(header)]
-    order = sorted(range(len(table.systems)), key=lambda i: (table.final_ranks[i], table.systems[i]))
-    for i in order:
-        row = f"{table.systems[i]:<18}"
-        for k in keys:
-            row += f" {_fmt_value(table.values[k][i]):>8} ({table.ranks[k][i]:g})"
-        row += f" {table.rank_sums[i]:>6g} {table.final_ranks[i]:>6g}"
-        lines.append(row)
-    return "\n".join(lines) + "\n"
+    for i in sorted(range(len(table.systems)),
+                    key=lambda i: (table.final_ranks[i], table.systems[i])):
+        lines.append(f"{table.systems[i]:<18}"
+                     + "".join(f" {_fmt_value(table.values[k][i]):>8} ({table.ranks[k][i]:g})"
+                               for k in keys)
+                     + f" {table.rank_sums[i]:>6g} {table.final_ranks[i]:>6g}")
+    return obj, lines
 
 
-def _correlation_json(result) -> dict:
-    return {
+def _correlate(args, config, vocabulary) -> tuple:
+    result = correlate_systems(args.ref, _parse_systems(args.pred), vocabulary, config)
+    obj = {
         "schema": CORRELATION_SCHEMA,
         "systems": result.systems,
         "metrics": result.metrics,
         "spearman": [[_round6(v) for v in row] for row in result.matrix],
         "warnings": result.warnings,
     }
-
-
-def _correlation_table(result) -> str:
     names = [_display_name(k) for k in result.metrics]
     width = max(len(n) for n in names) + 1
-    header = " " * width + "".join(f"{n:>{width}}" for n in names)
-    lines = [header]
+    lines = [" " * width + "".join(f"{n:>{width}}" for n in names)]
     for name, row in zip(names, result.matrix):
-        cells = "".join(
-            f"{'n/a':>{width}}" if v is None else f"{_round6(v):>{width}g}" for v in row
-        )
-        lines.append(f"{name:<{width}}" + cells)
-    for warning in result.warnings:
-        lines.append(f"warning: {warning}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"{name:<{width}}" + "".join(
+            f"{'n/a':>{width}}" if v is None else f"{_round6(v):>{width}g}" for v in row))
+    return obj, lines + [f"warning: {w}" for w in result.warnings]
 
 
-# ---------------------------------------------------------------------------
-# subcommands
-
-
-def _cmd_evaluate(args, with_ci: bool) -> int:
-    config = _build_config(args, _load_config_file(args))
-    vocabulary = _load_vocabulary(args)
-    result = evaluate_directory(args.ref, args.pred, vocabulary, config, _VOCAB_NAME)
-    report = result.report()
-    if with_ci:
-        report.ci = result.jackknife()
-    if args.format == "json":
-        _emit(_dump_json(_report_json(report, config, args.per_class)), args.out)
-    else:
-        _emit(_report_table(report, config, args.per_class), args.out)
-    return 0
-
-
-def _cmd_rank(args) -> int:
-    config = _build_config(args, _load_config_file(args))
-    vocabulary = _load_vocabulary(args)
-    systems = _parse_systems(args.pred)
-    table, _ = rank_systems(args.ref, systems, vocabulary, config, args.metric_set)
-    if args.format == "json":
-        _emit(_dump_json(_rank_json(table, args.metric_set)), args.out)
-    else:
-        _emit(_rank_table_text(table), args.out)
-    return 0
-
-
-def _cmd_correlate(args) -> int:
-    config = _build_config(args, _load_config_file(args))
-    vocabulary = _load_vocabulary(args)
-    systems = _parse_systems(args.pred)
-    result = correlate_systems(args.ref, systems, vocabulary, config)
-    if args.format == "json":
-        _emit(_dump_json(_correlation_json(result)), args.out)
-    else:
-        _emit(_correlation_table(result), args.out)
-    return 0
-
-
-def _cmd_synth(args) -> int:
+def _synth(args, config, vocabulary, file_cfg: dict) -> None:
     from .synth import PerturbationSpec, perturb, serialize_prediction  # only synth needs it
 
-    file_cfg = _load_config_file(args)
-    config = _build_config(args, file_cfg)
-    vocabulary = _load_vocabulary(args)
-
-    def pick(flag, key, default):
-        return flag if flag is not None else file_cfg.get(key, default)
-
-    try:
-        spec = PerturbationSpec(
-            doa_jitter_deg=float(pick(args.jitter, "doa_jitter_deg", 0.0)),
-            deletion_prob=float(pick(args.delete_prob, "deletion_prob", 0.0)),
-            insertion_rate=float(pick(args.insert_rate, "insertion_rate", 0.0)),
-            substitution_prob=float(pick(args.sub_prob, "substitution_prob", 0.0)),
-            swap_locations=bool(pick(args.swap_locations, "swap_locations", False)),
-            seed=int(pick(args.seed, "seed", 0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad perturbation parameter: {exc}") from None
-    ref_dir = Path(args.ref)
+    spec = _settings(PerturbationSpec, args, file_cfg, "perturbation parameter")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    refs = sorted(p for p in ref_dir.glob("*.csv") if p.name != _VOCAB_NAME)
+    refs = reference_files(args.ref)
     if not refs:
-        raise ConfigError(f"no reference files found in {ref_dir}")
+        raise ConfigError(f"no reference files found in {Path(args.ref)}")
     total_frames = None
     if config.duration is not None:
         total_frames = math.ceil(config.duration / config.frame_hop - 1e-9)
-    log = {
-        "schema": INJECTION_SCHEMA,
-        "seed": spec.seed,
-        "spec": {
-            "doa_jitter_deg": spec.doa_jitter_deg,
-            "deletion_prob": spec.deletion_prob,
-            "insertion_rate": spec.insertion_rate,
-            "substitution_prob": spec.substitution_prob,
-            "swap_locations": spec.swap_locations,
-        },
-        "files": {},
-    }
+    settings = dataclasses.asdict(spec)
+    log = {"schema": INJECTION_SCHEMA, "seed": settings.pop("seed"), "spec": settings, "files": {}}
     for index, ref_path in enumerate(refs):
         events = parse_reference(ref_path, vocabulary)
         if spec.insertion_rate > 0 and config.duration is None:
@@ -403,99 +284,120 @@ def _cmd_synth(args) -> int:
     sys.stdout.write(
         f"wrote {len(refs)} prediction file(s) and injection_log.json to {out_dir}\n"
     )
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 
 
-def _add_common(p, multi_system: bool = False) -> None:
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError, so it ends in the JSON envelope."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def _add_inputs(p, config_keys: str, duration_help: str) -> None:
+    """The flags every subcommand has."""
     p.add_argument("--ref", required=True, help="directory of reference CSV files")
+    p.add_argument("--vocab", help=f"vocabulary file (default: {_VOCAB_NAME} beside --ref)")
+    p.add_argument("--config", help=f"JSON config file keyed by field name ({config_keys}); "
+                                    "flags override its values")
+    p.add_argument("--hop", dest="frame_hop", type=float,
+                   help=f"frame hop in seconds (default {EvaluationConfig.frame_hop})")
+    p.add_argument("--duration", type=float, help=duration_help)
+
+
+def _add_scoring(p, multi_system: bool = False) -> None:
+    """The flags of the commands that score predictions."""
+    d = EvaluationConfig
+    _add_inputs(p, "EvaluationConfig: " + ", ".join(f.name for f in dataclasses.fields(d)),
+                "fixed file duration in seconds (default: derived per file)")
     if multi_system:
         p.add_argument("--pred", required=True, action="append", metavar="NAME=DIR",
                        help="system id and its prediction directory (repeatable)")
     else:
         p.add_argument("--pred", required=True, help="directory of prediction CSV files")
-    p.add_argument("--vocab", help=f"vocabulary file (default: {_VOCAB_NAME} beside --ref)")
-    p.add_argument("--hop", type=float, default=None, help="frame hop in seconds (default 0.02)")
-    p.add_argument("--segment", type=float, default=None,
-                   help="segment length in seconds (default 1.0)")
-    p.add_argument("--theta", type=float, action="append",
-                   help="angular threshold in degrees (repeatable; default 10 and 30)")
-    p.add_argument("--theta-class", action="append", metavar="CLASS=DEG",
+    p.add_argument("--segment", dest="segment_length", type=float,
+                   help=f"segment length in seconds (default {d.segment_length})")
+    p.add_argument("--theta", dest="thetas", type=float, action="append",
+                   help="angular threshold in degrees (repeatable; default "
+                        + " and ".join(f"{t:g}" for t in d.thetas) + ")")
+    p.add_argument("--theta-class", type=_theta_class, action="append", metavar="CLASS=DEG",
                    help="per-class threshold override, applied within every --theta profile")
-    p.add_argument("--loc-mode", choices=["frame-average", "segment-mean"], default=None,
-                   help="segment localization evidence (default frame-average)")
-    p.add_argument("--le-mode", choices=["micro", "macro"], default=None,
-                   help="multi-frame LE accumulation reported as LE (default micro)")
-    p.add_argument("--duration", type=float, default=None,
-                   help="fixed file duration in seconds (default: derived per file)")
-    p.add_argument("--jobs", type=int, default=None, help="parallel file workers (default 1)")
-    p.add_argument("--config", help="JSON config file; flags override its values")
+    p.add_argument("--loc-mode", choices=LOC_MODES,
+                   help=f"segment localization evidence (default {d.loc_mode})")
+    p.add_argument("--le-mode", choices=LE_MODES,
+                   help=f"multi-frame LE accumulation reported as LE (default {d.le_mode})")
+    p.add_argument("--jobs", type=int, help=f"parallel file workers (default {d.jobs})")
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.add_argument("--out", help="write output to this file instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="seldeval",
         description="Evaluate sound event localization and detection outputs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("evaluate", help="score one system against references")
-    _add_common(p)
-    p.add_argument("--per-class", action="store_true", help="include the per-class breakdown")
-    p.add_argument("--confidence", type=float, default=None, help=argparse.SUPPRESS)
-
-    p = sub.add_parser("jackknife", help="evaluate with leave-one-out confidence intervals")
-    _add_common(p)
-    p.add_argument("--per-class", action="store_true", help="include the per-class breakdown")
-    p.add_argument("--confidence", type=float, default=None,
-                   help="confidence level for the intervals (default 0.95)")
+    for name, text in (("evaluate", "score one system against references"),
+                       ("jackknife", "evaluate with leave-one-out confidence intervals")):
+        p = sub.add_parser(name, help=text)
+        _add_scoring(p)
+        p.add_argument("--per-class", action="store_true", help="include the per-class breakdown")
+        if name == "jackknife":
+            p.add_argument("--confidence", type=float,
+                           help="confidence level for the intervals "
+                                f"(default {EvaluationConfig.confidence})")
 
     p = sub.add_parser("rank", help="rank several systems by cumulative metric ranks")
-    _add_common(p, multi_system=True)
+    _add_scoring(p, multi_system=True)
     p.add_argument("--metric-set", choices=["official", "joint"], default="official")
 
     p = sub.add_parser("correlate", help="Spearman correlation between metric rankings")
-    _add_common(p, multi_system=True)
+    _add_scoring(p, multi_system=True)
 
     p = sub.add_parser("synth", help="derive perturbed prediction files from references")
-    p.add_argument("--ref", required=True, help="directory of reference CSV files")
+    _add_inputs(p, "EvaluationConfig, of which synth uses frame_hop and duration; "
+                   "PerturbationSpec: doa_jitter_deg, deletion_prob, insertion_rate, "
+                   "substitution_prob, swap_locations, seed",
+                "fixed file duration in seconds (bounds insertions)")
     p.add_argument("--out", required=True, help="output directory for prediction files")
-    p.add_argument("--vocab", help=f"vocabulary file (default: {_VOCAB_NAME} beside --ref)")
-    p.add_argument("--hop", type=float, default=None, help="frame hop in seconds (default 0.02)")
-    p.add_argument("--duration", type=float, default=None,
-                   help="fixed file duration in seconds (bounds insertions)")
     p.add_argument("--seed", type=int, help="base RNG seed (per-file: seed + index)")
-    p.add_argument("--jitter", type=float, help="DoA jitter magnitude in degrees")
-    p.add_argument("--delete-prob", type=float, help="event deletion probability")
-    p.add_argument("--insert-rate", type=float, help="expected spurious events per minute")
-    p.add_argument("--sub-prob", type=float, help="class substitution probability")
+    p.add_argument("--jitter", dest="doa_jitter_deg", type=float,
+                   help="DoA jitter magnitude in degrees")
+    p.add_argument("--delete-prob", dest="deletion_prob", type=float,
+                   help="event deletion probability")
+    p.add_argument("--insert-rate", dest="insertion_rate", type=float,
+                   help="expected spurious events per minute")
+    p.add_argument("--sub-prob", dest="substitution_prob", type=float,
+                   help="class substitution probability")
     p.add_argument("--swap-locations", action="store_true", default=None,
                    help="exchange DoAs of simultaneously active event pairs")
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    for name in ("segment", "theta", "loc_mode", "le_mode", "jobs"):
-        p.set_defaults(**{name: None})
-    p.set_defaults(theta_class=None)
-
     return parser
 
 
+_COMMANDS = {"evaluate": _evaluate, "jackknife": _evaluate, "rank": _rank,
+             "correlate": _correlate}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "evaluate": lambda a: _cmd_evaluate(a, with_ci=False),
-        "jackknife": lambda a: _cmd_evaluate(a, with_ci=True),
-        "rank": _cmd_rank,
-        "correlate": _cmd_correlate,
-        "synth": _cmd_synth,
-    }
     try:
-        return handlers[args.command](args)
+        args = build_parser().parse_args(argv)
+        file_cfg = _load_config_file(args.config)
+        config = _settings(EvaluationConfig, args, file_cfg, "configuration value")
+        vocabulary = _load_vocabulary(args)
+        if args.command == "synth":
+            _synth(args, config, vocabulary, file_cfg)
+            return 0
+        obj, lines = _COMMANDS[args.command](args, config, vocabulary)
+        text = _dump_json(obj) if args.format == "json" else "\n".join(lines) + "\n"
+        if args.out:
+            Path(args.out).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
+        return 0
     except SeldEvalError as exc:
         sys.stderr.write(_dump_json({"error": type(exc).__name__, "message": str(exc)}))
         return 1

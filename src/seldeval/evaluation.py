@@ -114,6 +114,10 @@ class EvaluationConfig:
             raise ConfigError(f"confidence must be in (0, 1), got {self.confidence}")
         if self.duration is not None and self.duration <= 0:
             raise ConfigError(f"duration must be positive, got {self.duration}")
+        # the frame grid's length, as score_file takes it, must stay below 2**63
+        if self.duration is not None and not self.duration / self.frame_hop < 2 ** 63:
+            raise ConfigError(f"duration {self.duration} s is not finite or reaches frame "
+                              f"2**63 at a {self.frame_hop} s hop")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
 
@@ -349,7 +353,6 @@ class MetricReport:
     metrics: dict
     per_class: dict
     warnings: list = field(default_factory=list)
-    ci: dict = field(default_factory=dict)
 
 
 def _ratio(num, den):
@@ -427,11 +430,16 @@ def metric_directions(config: EvaluationConfig) -> dict:
     return d
 
 
-def discover_pairs(ref_dir, pred_dir, vocab_name: str = "vocabulary.txt") -> list:
+def reference_files(ref_dir) -> list:
+    """The reference files of a directory: its *.csv files, sorted."""
+    return sorted(Path(ref_dir).glob("*.csv"))
+
+
+def discover_pairs(ref_dir, pred_dir) -> list:
     """Filename-matched (name, ref_path, pred_path) triples, sorted."""
     ref_dir = Path(ref_dir)
     pred_dir = Path(pred_dir)
-    refs = sorted(p for p in ref_dir.glob("*.csv") if p.name != vocab_name)
+    refs = reference_files(ref_dir)
     if not refs:
         raise MissingPair(f"no reference files found in {ref_dir}")
     preds = {p.name for p in pred_dir.glob("*.csv")} if pred_dir.is_dir() else set()
@@ -498,14 +506,13 @@ def evaluate_directory(
     pred_dir,
     vocabulary: Vocabulary,
     config: EvaluationConfig,
-    vocab_name: str = "vocabulary.txt",
 ) -> EvaluationResult:
     """Score a directory of filename-matched reference/prediction pairs."""
     for label, _ in config.theta_class:
         if label not in vocabulary:
             raise ConfigError(f"per-class threshold given for class {label!r}, "
                               f"which is not in the vocabulary")
-    pairs = discover_pairs(ref_dir, pred_dir, vocab_name)
+    pairs = discover_pairs(ref_dir, pred_dir)
     tasks = [(ref, pred, vocabulary, config) for _, ref, pred in pairs]
     if config.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
@@ -529,14 +536,22 @@ def joint_metric_set(config: EvaluationConfig) -> tuple:
     return ("le_cd", "lr_cd", f"er_theta:{key}", f"f_theta:{key}")
 
 
+def _system_values(ref_dir, systems: Sequence, vocabulary: Vocabulary,
+                   config: EvaluationConfig, keys) -> dict:
+    """Each metric key's values over the (id, prediction directory) systems, in order."""
+    metrics = [evaluate_directory(ref_dir, pred_dir, vocabulary, config).report().metrics
+               for _, pred_dir in systems]
+    return {k: [m[k] for m in metrics] for k in keys}
+
+
 def rank_systems(
     ref_dir,
     systems: Sequence,
     vocabulary: Vocabulary,
     config: EvaluationConfig,
     metric_set: str = "official",
-) -> tuple:
-    """Evaluate and rank systems; returns (RankTable, {system: MetricReport})."""
+) -> RankTable:
+    """Evaluate and rank systems by the cumulative rank of a metric set."""
     if len(systems) < 2:
         raise ConfigError("ranking needs at least two systems")
     if metric_set == "official":
@@ -546,12 +561,9 @@ def rank_systems(
     else:
         raise ConfigError(f"unknown metric set {metric_set!r}")
     directions = metric_directions(config)
-    reports = {system_id: evaluate_directory(ref_dir, pred_dir, vocabulary, config).report()
-               for system_id, pred_dir in systems}
-    ids = [system_id for system_id, _ in systems]
-    values = {k: [reports[i].metrics[k] for i in ids] for k in keys}
-    table = build_rank_table(ids, values, {k: directions[k] for k in keys})
-    return table, reports
+    values = _system_values(ref_dir, systems, vocabulary, config, keys)
+    return build_rank_table([system_id for system_id, _ in systems], values,
+                            {k: directions[k] for k in keys})
 
 
 def correlation_metric_keys(config: EvaluationConfig) -> list:
@@ -588,19 +600,17 @@ def correlate_systems(
     if len(systems) < 3:
         raise ConfigError("correlation needs at least three systems")
     directions = metric_directions(config)
-    reports = {system_id: evaluate_directory(ref_dir, pred_dir, vocabulary, config).report()
-               for system_id, pred_dir in systems}
+    values = _system_values(ref_dir, systems, vocabulary, config, correlation_metric_keys(config))
     ids = [system_id for system_id, _ in systems]
     warnings: list = []
 
     columns: dict = {}
-    for key in correlation_metric_keys(config):
-        vals = [reports[i].metrics[key] for i in ids]
+    for key, vals in values.items():
         if any(v is None for v in vals):
             warnings.append(f"metric {key!r} undefined for some system; skipped")
             continue
         columns[key] = [v if directions[key] is False else -v for v in vals]
-    official_vals = {k: [reports[i].metrics[k] for i in ids] for k in OFFICIAL_METRICS}
+    official_vals = {k: values[k] for k in OFFICIAL_METRICS}
     if all(v is not None for vals in official_vals.values() for v in vals):
         table = build_rank_table(ids, official_vals, {k: directions[k] for k in OFFICIAL_METRICS})
         columns["official_rank"] = list(table.final_ranks)

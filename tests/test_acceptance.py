@@ -357,8 +357,8 @@ def test_criterion_10_rank_shift_on_misassociation(tmp_path):
         systems.append((name, pred_dir))
 
     config = EvaluationConfig()
-    official, _ = rank_systems(ref_dir, systems, VOCAB11, config, "official")
-    joint, _ = rank_systems(ref_dir, systems, VOCAB11, config, "joint")
+    official = rank_systems(ref_dir, systems, VOCAB11, config, "official")
+    joint = rank_systems(ref_dir, systems, VOCAB11, config, "joint")
     idx = official.systems.index("misassoc")
     official_rank = official.final_ranks[idx]
     joint_rank = joint.final_ranks[joint.systems.index("misassoc")]

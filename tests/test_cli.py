@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -374,3 +375,119 @@ class TestReferenceLength:
         report = json.loads(capsys.readouterr().out)
         assert report["frames"] == 180_000
         assert report["metrics"]["lr"] == pytest.approx(1 / 180_000)
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("extra, needs_ref", [
+        (["--hop", "abc"], True),                 # not a float
+        (["--loc-mode", "nearest"], True),        # not a choice
+        (["--bogus"], True),                      # unknown flag
+        (["--confidence", "0.9"], True),          # jackknife only
+        ([], False),                              # --ref is required
+    ])
+    def test_usage_error_json(self, corpus, capsys, extra, needs_ref):
+        ref_dir, pred_dir = corpus
+        argv = ["evaluate", "--pred", pred_dir] + (["--ref", ref_dir] if needs_ref else [])
+        assert run(argv + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("command", ["evaluate", "jackknife", "rank", "correlate", "synth"])
+    def test_help_exits_zero_and_lists_config_keys(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        settings = PerturbationSpec if command == "synth" else EvaluationConfig
+        assert all(f.name in text for f in dataclasses.fields(settings))
+
+
+class TestDuration:
+    # each was once a traceback: OverflowError, ValueError, or numpy's `lam value too large`
+    @pytest.mark.parametrize("value", ["1e20", "1e30", "inf", "nan"])
+    def test_evaluate_unusable_duration_error_json(self, corpus, capsys, value):
+        ref_dir, pred_dir = corpus
+        assert run(["evaluate", "--ref", ref_dir, "--pred", pred_dir, "--duration", value]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "2**63" in err["message"]
+
+    @pytest.mark.parametrize("value", ["1e20", "1e30", "inf", "nan"])
+    def test_synth_unusable_duration_error_json(self, tmp_path, capsys, value):
+        ref_dir = make_corpus(tmp_path / "ref", VOCAB, 1, 4, seed=35)
+        code = run(["synth", "--ref", ref_dir, "--out", tmp_path / "synth",
+                    "--insert-rate", "1", "--duration", value])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not (tmp_path / "synth").exists()
+
+    def test_config_file_duration_past_the_grid(self, corpus, tmp_path, capsys):
+        ref_dir, pred_dir = corpus
+        cfg = tmp_path / "cfg.json"
+        for value in ("1e300", "1" + "0" * 400):
+            cfg.write_text(f'{{"duration": {value}}}')
+            assert run(["evaluate", "--ref", ref_dir, "--pred", pred_dir, "--config", cfg]) == 1
+            assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+class TestOutputBytes:
+    """The rendered outputs, byte for byte, on one seeded corpus.
+
+    The hashes were recorded before the renderers were merged into one
+    path per command; any change to a table or log byte shows here.
+    """
+
+    PINNED = {  # case: (sha256, argv)
+        "evaluate": ("9e97bab0f903b34ea3ea88cfe04bb2e139d498da1224c3458c25e36db520c01e",
+            ["evaluate", "--ref", "{ref}", "--pred", "{s0}"]),
+        "evaluate-settings": ("6721c8eab9787152786c5c070c9e20f87e4c448cafef55593e6bb0c45a6aafd2",
+            ["evaluate", "--ref", "{ref}", "--pred", "{s1}", "--per-class", "--theta", "20",
+             "--theta-class", "cat=45", "--loc-mode", "segment-mean", "--le-mode", "macro"]),
+        "evaluate-config-json": ("dfcbdb7b2c3d42b6b743304e7fe21ef41436d45521cdd01a35459553ca2bb885",
+            ["evaluate", "--ref", "{ref}", "--pred", "{s2}", "--config", "{cfg}", "--format",
+             "json"]),
+        "jackknife-per-class": ("e5107d2f2ad343ab9250744eb9b66d33172c3c12768276b79ed0952ed95798eb",
+            ["jackknife", "--ref", "{ref}", "--pred", "{s1}", "--per-class"]),
+        "rank-official": ("b95e15b23c9a3a61847e2d3b51ae2ced3a0a94739133bb2382ed0752c35885f0",
+            ["rank", "--ref", "{ref}", "--pred", "a={s0}", "--pred", "b={s1}", "--pred",
+             "c={s2}"]),
+        "rank-joint": ("11c9774d57655891a2c6cd3fec21e2fc4828079d6950e72c4e9ced1bb5b246da",
+            ["rank", "--ref", "{ref}", "--pred", "a={s0}", "--pred", "b={s1}", "--pred", "c={s2}",
+             "--metric-set", "joint"]),
+        "correlate": ("3a6a5c7fb79ef5a7362209b11cc6d2cd7d002339985945e36f08560e814c1977",
+            ["correlate", "--ref", "{ref}", "--pred", "a={s0}", "--pred", "b={s1}", "--pred",
+             "c={s2}"]),
+        "synth-log": ("51f7975b7e39d5dcb313e347e4c87ad1c91534ee6ba9e4b0fcd25bd3fcd9e8e0",
+            ["synth", "--ref", "{ref}", "--out", "{synth}", "--seed", "5", "--jitter", "7",
+             "--delete-prob", "0.2", "--insert-rate", "30", "--sub-prob", "0.3",
+             "--swap-locations", "--duration", "20"]),
+    }
+
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("pinned")
+        ref_dir = make_corpus(root / "ref", VOCAB, 3, 10, seed=41, overlapping=True)
+        paths = {"ref": ref_dir, "synth": root / "synth", "cfg": root / "cfg.json"}
+        specs = (PerturbationSpec(doa_jitter_deg=3.0, seed=1),
+                 PerturbationSpec(doa_jitter_deg=15.0, deletion_prob=0.2, insertion_rate=20.0,
+                                  seed=2),
+                 PerturbationSpec(doa_jitter_deg=40.0, substitution_prob=0.3,
+                                  swap_locations=True, seed=3))
+        for i, spec in enumerate(specs):
+            paths[f"s{i}"] = make_system(ref_dir, root / f"s{i}", spec)
+        paths["cfg"].write_text(json.dumps({"frame_hop": 0.1, "segment_length": 1,
+                                            "thetas": [20, 90], "theta_class": {"cat": 45},
+                                            "confidence": 0.9, "jobs": 1}))
+        return paths
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_sha256(self, case, paths, capsys):
+        import hashlib
+
+        expected, argv = self.PINNED[case]
+        assert run([a.format(**paths) for a in argv]) == 0
+        out = capsys.readouterr().out
+        if case == "synth-log":
+            out = (paths["synth"] / "injection_log.json").read_text(encoding="utf-8")
+        assert hashlib.sha256(out.encode()).hexdigest() == expected

@@ -10,6 +10,7 @@ taken for a header.
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -89,7 +90,9 @@ bad_configs = st.one_of(
     setting("loc_mode", st.text().filter(lambda t: t not in ("frame-average", "segment-mean"))),
     setting("le_mode", st.text().filter(lambda t: t not in ("micro", "macro"))),
     setting("confidence", st.floats(max_value=0.0) | st.floats(min_value=1.0)),
-    setting("duration", st.floats(max_value=0.0)),
+    # not positive, not finite, or a grid reaching frame 2**63 at the default 0.02 s hop
+    setting("duration", st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf])
+            | st.floats(min_value=2 ** 63 * 0.02) | st.integers(min_value=2 ** 63 // 50 + 1)),
     setting("jobs", st.integers(max_value=0) | garbage),
 )
 

@@ -258,11 +258,11 @@ class TestRanking:
             ref_dir, tmp_path / "bad",
             PerturbationSpec(doa_jitter_deg=25.0, deletion_prob=0.3, seed=2),
         )
-        table, _ = rank_systems(
+        table = rank_systems(
             ref_dir, [("good", good), ("bad", bad)], VOCAB, EvaluationConfig(), "official"
         )
         assert table.final_ranks == [1, 2]
-        joint_table, _ = rank_systems(
+        joint_table = rank_systems(
             ref_dir, [("good", good), ("bad", bad)], VOCAB, EvaluationConfig(), "joint"
         )
         assert joint_table.final_ranks == [1, 2]
@@ -271,7 +271,7 @@ class TestRanking:
         ref_dir = make_corpus(tmp_path / "ref", VOCAB, 2, 6, seed=12)
         a = make_system(ref_dir, tmp_path / "a", PerturbationSpec(doa_jitter_deg=5.0, seed=3))
         b = make_system(ref_dir, tmp_path / "b", PerturbationSpec(doa_jitter_deg=5.0, seed=3))
-        table, _ = rank_systems(
+        table = rank_systems(
             ref_dir, [("a", a), ("b", b)], VOCAB, EvaluationConfig(), "official"
         )
         assert table.final_ranks == [1.5, 1.5]
