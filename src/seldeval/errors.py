@@ -41,7 +41,8 @@ class GridOverflow(SeldEvalError, ValueError):
 
 
 class ReferenceTooLong(SeldEvalError):
-    """A reference file reaches frame 2**63, or covers more frames than memory holds."""
+    """A reference file reaches frame 2**63, or covers more frames than memory
+    holds; or the files of one evaluation cover 2**63 frames together."""
 
 
 class InvalidDirection(SeldEvalError, ValueError):

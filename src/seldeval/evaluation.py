@@ -49,7 +49,7 @@ from .annotations import (
     read_prediction_columns,
 )
 from .assignment import THRESHOLD_EPS, assign_batch, ragged_arange
-from .errors import ConfigError, DegenerateRanks, MissingPair, UndefinedPartial
+from .errors import ConfigError, DegenerateRanks, MissingPair, ReferenceTooLong, UndefinedPartial
 from .geometry import Direction, _angle_between_units, angles_between, sorted_unique
 from .stats import JackknifeEstimate, RankTable, build_rank_table, jackknife_ci, spearman
 
@@ -194,6 +194,9 @@ class FileContribution:
             a = getattr(self, f.name)
             b = getattr(other, f.name)
             setattr(out, f.name, a + b if sign > 0 else a - b)
+        if out.frames >= 2 ** 63:  # loc_eq_t counts frames in int64 and would have wrapped
+            raise ReferenceTooLong(f"the files together cover {out.frames} frames, "
+                                   "which reaches 2**63")
         out.warnings = (self.warnings + other.warnings if sign > 0
                         else tuple(w for w in self.warnings if w not in other.warnings))
         return out

@@ -161,3 +161,15 @@ def test_synth_insertions_over_long_reference(rate, row):
     code, err = run_in_corpus("synth", ref=row, extra=("--insert-rate", repr(rate)))
     assert_error_envelope(code, err)
     assert json.loads(err)["error"] == "ReferenceTooLong"
+
+
+def test_merged_frame_count_reaching_2_63_refused():
+    # Each file is accepted alone, but loc_eq_t, an int64 count of frames per
+    # threshold, wrapped in the merge: `ecr_theta:10` read -0.844674.
+    cat = REF_ROW.replace("dog", "cat")
+    code, err = run_in_corpus("evaluate", ref=cat, extra=("--duration", "1e17"))
+    assert_error_envelope(code, err)
+    assert json.loads(err)["error"] == "ReferenceTooLong"
+    # 2 x 4.6e18 frames stay below 2**63
+    for command in ("evaluate", "jackknife"):
+        assert run_in_corpus(command, ref=cat, extra=("--duration", "9.2e16")) == (0, "")

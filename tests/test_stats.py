@@ -10,6 +10,7 @@ import pytest
 import scipy.special
 import scipy.stats
 
+from seldeval._tquantile import T975
 from seldeval.errors import (
     DegenerateRanks,
     LengthMismatch,
@@ -94,7 +95,14 @@ def run_fresh(code: str, *args: str) -> str:
 
 
 class TestTQuantile:
-    """The jackknife's t quantile comes from scipy.special, imported lazily."""
+    """The jackknife's t quantile is ``scipy.special.stdtrit(n - 1, (1 + c) / 2)``.
+
+    When (1 + c) / 2 is exactly 0.975 and n - 1 <= 200 it is read from the
+    table `seldeval._tquantile.T975`, which stores those values bit for bit;
+    otherwise `jackknife_ci` imports ``stdtrit``. The table spares the default
+    jackknife the ~0.33 s import of ``scipy.special``. The n = 2..101 cases
+    below run through the table, n = 301 and every other level through scipy.
+    """
 
     CONFIDENCES = (0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.995, 0.999)
 
@@ -116,6 +124,43 @@ class TestTQuantile:
         df = np.arange(1, 2001, dtype=float)[:, None]
         q = (1.0 + np.array(self.CONFIDENCES)) / 2.0
         assert np.array_equal(scipy.special.stdtrit(df, q), scipy.stats.t.ppf(q, df))
+
+    def test_table_equals_stdtrit_bit_for_bit(self):
+        # the lookup key: the default confidence maps to exactly 0.975
+        assert (1.0 + 0.95) / 2.0 == 0.975
+        assert len(T975) >= 99  # the 100 files of the DCASE2019 evaluation set
+        for df, t in enumerate(T975, start=1):
+            assert t == float(scipy.special.stdtrit(df, 0.975)), df
+
+    # sha256 of the JSON reports on the corpus below before the table existed,
+    # when every quantile came from stdtrit
+    REPORTS = {"0.95": "e94eb2c27cf0fa1706614017ea9f7ab263bf7de9edc631e019727669da0179a1",
+               "0.9": "2df6392f3a1e4c6d4eba9d10b186c1af072b935ac04a8d842b4bbd90e7b3c00a"}
+
+    @pytest.mark.parametrize("confidence", ["0.95", "0.9"])
+    def test_jackknife_command_loads_scipy_only_off_the_table(self, tmp_path, confidence):
+        files = {"ref/a.csv": "dog,0.0,1.0,10.0,0.0\n",
+                 "ref/b.csv": "dog,0.0,1.0,10.0,0.0\ncat,0.5,1.5,-40.0,20.0\n",
+                 "ref/vocabulary.txt": "dog\ncat\n",
+                 "pred/a.csv": "0,0,12.0,0.0\n10,0,15.0,5.0\n",
+                 "pred/b.csv": "0,0,30.0,0.0\n30,1,-20.0,10.0\n60,0,0.0,0.0\n"}
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        script = ("import contextlib, hashlib, io, sys; from seldeval.cli import main\n"
+                  "out = io.StringIO()\n"
+                  "with contextlib.redirect_stdout(out):\n"
+                  "    code = main(sys.argv[1:])\n"
+                  "print(code, hashlib.sha256(out.getvalue().encode()).hexdigest(),\n"
+                  "      *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        code, digest, *scipy_modules = run_fresh(
+            script, "jackknife", "--ref", str(tmp_path / "ref"), "--pred", str(tmp_path / "pred"),
+            "--format", "json", "--confidence", confidence).split()
+        assert (code, digest) == ("0", self.REPORTS[confidence])
+        if confidence == "0.95":
+            assert scipy_modules == []
+        else:
+            assert "scipy.special" in scipy_modules
 
     @pytest.mark.parametrize("module", ["seldeval", "seldeval.cli"])
     def test_import_loads_no_scipy(self, module):
