@@ -6,7 +6,8 @@ Reference files are event-level CSV rows
 ignored). Prediction files are frame-level CSV rows
 ``frame_index,class_index,azimuth_deg,elevation_deg``. Vocabulary files
 hold one class label per line; the 0-based line number is the class
-index. Files are UTF-8, comma-separated, ``.`` decimal point, LF or CRLF.
+index. Files are UTF-8 (a leading byte-order mark is skipped),
+comma-separated, ``.`` decimal point, LF or CRLF.
 
 References are rasterized onto the frame grid (an event is active in
 frame ``l`` iff ``[l*hop, (l+1)*hop)`` intersects ``[onset, offset)``)
@@ -55,7 +56,7 @@ class Vocabulary:
 
     @classmethod
     def from_file(cls, path) -> "Vocabulary":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
         return cls([ln.strip() for ln in lines if ln.strip()])
 
     def index(self, label: str) -> int:
@@ -140,7 +141,7 @@ def parse_reference(path, vocabulary: Vocabulary) -> list:
     """Read an event-level reference file into validated EventRecords."""
     events = []
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or all(not cell.strip() for cell in row):
                 continue
@@ -179,7 +180,7 @@ def parse_prediction(path, vocabulary: Vocabulary, frame_hop: float = 0.02) -> l
         raise ConfigError(f"frame hop must be positive, got {frame_hop}")
     path = Path(path)
     by_frame: dict = {}
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or all(not cell.strip() for cell in row):
                 continue
@@ -215,7 +216,7 @@ def read_prediction_columns(path, vocabulary: Vocabulary) -> tuple:
     """Frame index, class index and unit-vector arrays, one row per
     prediction; the rows of a frame keep their file order."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
         rows = np.loadtxt(io.StringIO(text), delimiter=",", dtype=_PRED_COLUMNS,
                           comments=None, ndmin=1) if text.strip() else None
     except ValueError:

@@ -16,23 +16,24 @@ is a pure function of the input either way).
 `assign_batch` solves many problems at once and returns what `hungarian`
 returns for each, pair for pair. It groups the problems by shape, a x b
 with a <= b (an M > N block is read transposed); a 1 x 1 problem needs no
-work, and a problem with both sides above 1 and one above
-ENUMERATE_MAX_SIDE joins no group. Each shape has a table of its
-b! / (b - a)! injections of rows into columns in `itertools.permutations`
-order, built on first use and cached. A bucket's pairing totals are
-summed column after column and the first smallest is taken, for every
-problem together, in chunks of at most CHUNK_TOTALS totals, so memory
-does not grow with the bucket.
+work. Each shape with a = 1, or with at most MAX_INJECTIONS injections
+b! / (b - a)! of rows into columns, has a table of them in
+`itertools.permutations` order, built on first use and cached. Past that
+count (6 x 7, 7 x 7, 3 x 15, 2 x 51) enumeration is slower than the exact
+kernel, which solves every problem of the shape. A bucket's pairing
+totals are summed column after column and the first smallest is taken,
+for every problem together, in chunks of at most CHUNK_TOTALS totals, so
+memory does not grow with the bucket.
 
 For 1 x b and 2 x 2 the first smallest total is `hungarian`'s own
 choice: the first minimum of its line, and the identity unless the swap
 costs strictly less, the two totals added as `hungarian` adds them. Of
 the other shapes, a problem whose runner-up total is within TIE_MARGIN
-of its best goes to the exact kernel `_solve_padded`, as does every
-problem that joins no group. Every other problem has one optimum, ahead
-of all other pairings by far more than float rounding, so it is found by
-both the enumeration and the Hungarian kernel, whatever the order of
-enumeration: the enumeration never has to reproduce the tie-break.
+of its best goes to the exact kernel `_solve_padded` too. Every other
+problem has one optimum, ahead of all other pairings by far more than
+float rounding, so it is found by both the enumeration and the Hungarian
+kernel, whatever the order of enumeration: the enumeration never has to
+reproduce the tie-break.
 """
 
 from __future__ import annotations
@@ -54,11 +55,11 @@ from .geometry import Direction, _angle_between_units, sorted_unique
 THRESHOLD_EPS = 1e-9
 
 # `assign_batch` enumerates every pairing of a block with a single row or
-# column, or whose larger side is at most ENUMERATE_MAX_SIDE (7 x 7: 5040
-# pairings), holding at most CHUNK_TOTALS pairing totals at once, and hands a
-# block to the exact kernel when its runner-up pairing costs less than
-# TIE_MARGIN more than its best.
-ENUMERATE_MAX_SIDE = 7
+# column, or with at most MAX_INJECTIONS pairings (5 x 7, 4 x 8, 3 x 14),
+# holding at most CHUNK_TOTALS pairing totals at once, and hands a block to
+# the exact kernel when its runner-up pairing costs less than TIE_MARGIN
+# more than its best.
+MAX_INJECTIONS = 2520
 CHUNK_TOTALS = 1 << 14
 TIE_MARGIN = 1e-9
 
@@ -170,25 +171,29 @@ def assign_batch(dist: np.ndarray, m: np.ndarray, n: np.ndarray) -> tuple:
     i = ragged_arange(k)
     j = np.zeros_like(i)
     b = np.maximum(m, n)
-    small = np.flatnonzero((b > 1) & ((k == 1) | (b <= ENUMERATE_MAX_SIDE)))  # 1 x 1: (0, 0)
-    exact = [np.flatnonzero((k > 1) & (b > ENUMERATE_MAX_SIDE))]
+    multi = np.flatnonzero(b > 1)  # 1 x 1: (0, 0)
     width = int(b.max(initial=0)) + 1  # b < width: one key per shape
-    shapes, bucket = sorted_unique(k[small] * width + b[small])
-    members = small[np.argsort(bucket, kind="stable")]
+    shapes, bucket = sorted_unique(k[multi] * width + b[multi])
+    members = multi[np.argsort(bucket, kind="stable")]
     count = np.bincount(bucket, minlength=len(shapes))
     ends = np.cumsum(count)
+    exact = []
     for key, lo, hi in zip(shapes.tolist(), (ends - count).tolist(), ends.tolist()):
         g = members[lo:hi]
+        short, long = divmod(key, width)
+        if short > 1 and math.perm(long, short) > MAX_INJECTIONS:
+            exact += g.tolist()
+            continue
         f = m[g] > n[g]
-        pick, tied = _enumerate_bucket(dist, start[g], n[g], f, *divmod(key, width))
+        pick, tied = _enumerate_bucket(dist, start[g], n[g], f, short, long)
         at = first[g][:, None] + np.arange(pick.shape[1])
         j[at] = pick
         if f.any():  # a transposed block picked a prediction per reference: sort by it
             order = np.argsort(pick[f], 1, kind="stable")
             i[at[f]] = np.take_along_axis(pick[f], order, 1)
             j[at[f]] = order
-        exact.append(g[tied])
-    for g in np.concatenate(exact).tolist():
+        exact += g[tied].tolist()
+    for g in exact:
         rows, cols = int(m[g]), int(n[g])
         block = dist[start[g]:start[g] + size[g]].reshape(rows, cols).tolist()
         pairs = np.array(_solve_padded(block, rows, cols))
@@ -201,7 +206,7 @@ def assign_batch(dist: np.ndarray, m: np.ndarray, n: np.ndarray) -> tuple:
 def _injections(a: int, b: int) -> np.ndarray:
     """Every injection of a rows into b columns in `itertools.permutations`
     order, one per table row, which holds the column of each of the a rows
-    (in the smallest type that holds b - 1: 7 x 7 takes 35 KB)."""
+    (in the smallest type that holds b - 1: 5 x 7 takes 12.6 KB)."""
     perms = itertools.chain.from_iterable(itertools.permutations(range(b), a))
     return np.fromiter(perms, dtype=np.min_scalar_type(b - 1)).reshape(-1, a)
 

@@ -15,31 +15,47 @@ the file overrides the field's default. JSON output is stable: keys are
 sorted and numbers carry 6 significant digits, so reports diff cleanly
 in CI. Exit code is 0 iff the command completed without errors;
 otherwise, usage errors included, a machine-readable error summary goes
-to stderr.
+to stderr. Importing this module suspends automatic garbage collection
+while its imports load, then freezes every object tracked at that point
+(`gc.freeze`), which is never collected; objects created afterwards are
+collected as usual.
 """
 
 from __future__ import annotations
 
-import argparse
-import dataclasses
-import json
-import math
-import sys
-from pathlib import Path
+import gc
 
-from .annotations import Vocabulary, expand_spans, frame_span, parse_reference
-from .errors import ConfigError, GridOverflow, SeldEvalError
-from .evaluation import (
-    LE_MODES,
-    LOC_MODES,
-    EvaluationConfig,
-    correlate_systems,
-    correlation_metric_keys,
-    evaluate_directory,
-    rank_systems,
-    reference_files,
-)
-from .stats import JackknifeEstimate
+# One short command runs per process, and the objects these imports build
+# (numpy's included) live until it exits: load them without automatic
+# collection, then freeze them, so that no later collection walks them, the
+# one at exit included.
+_collecting = gc.isenabled()
+gc.disable()
+try:
+    import argparse
+    import dataclasses
+    import json
+    import math
+    import sys
+    from pathlib import Path
+
+    from .annotations import Vocabulary, expand_spans, frame_span, parse_reference
+    from .errors import ConfigError, GridOverflow, SeldEvalError
+    from .evaluation import (
+        LE_MODES,
+        LOC_MODES,
+        EvaluationConfig,
+        correlate_systems,
+        correlation_metric_keys,
+        evaluate_directory,
+        rank_systems,
+        reference_files,
+    )
+    from .stats import JackknifeEstimate
+finally:
+    gc.freeze()
+    if _collecting:
+        gc.enable()
 
 REPORT_SCHEMA = "seldeval-report/1"
 RANK_SCHEMA = "seldeval-rank/1"
@@ -124,7 +140,7 @@ def _load_config_file(path) -> dict:
     if not path:
         return {}
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):

@@ -22,8 +22,8 @@ fit in memory is scored. The result equals the per-frame definition
 for bit: distances come from `angles_between` (acos from `math`, as
 numpy's is 1 ulp off on ~9% of inputs); `assign_batch` gives every frame
 and (frame, class) slice `hungarian`'s pairs, enumerating the pairings
-of each shape up to 7 x 7 (and of every 1 x N and M x 1) in numpy and
-handing near-ties and larger shapes to the exact kernel; and
+of each shape with at most 2520 of them (and of every 1 x N and M x 1)
+in numpy and handing near-ties and larger shapes to the exact kernel; and
 float sums keep their order, frame by frame and pair by pair, one
 addition after another: `np.bincount` with weights adds each bin's
 values in input order, `np.cumsum` runs left to right, while `np.sum`

@@ -1,3 +1,4 @@
+import codecs
 import dataclasses
 import json
 
@@ -9,6 +10,7 @@ from seldeval.evaluation import EvaluationConfig
 from seldeval.synth import PerturbationSpec
 from conftest import make_corpus
 from test_evaluation import make_system
+from test_stats import run_fresh
 
 VOCAB = Vocabulary(["dog", "cat", "speech"])
 
@@ -134,6 +136,20 @@ class TestEvaluate:
         code = run(["evaluate", "--ref", ref_dir, "--pred", pred_dir, "--config", cfg])
         assert code == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("which", ["prediction", "reference", "vocabulary", "config"])
+    def test_byte_order_mark_ignored(self, corpus, tmp_path, which):
+        ref_dir, pred_dir = corpus
+        config = tmp_path / "config.json"
+        config.write_text('{"thetas": [15.0, 30.0]}', encoding="utf-8")
+        argv = ["evaluate", "--ref", ref_dir, "--pred", pred_dir, "--config", config,
+                "--format", "json", "--out"]
+        assert run(argv + [tmp_path / "plain.json"]) == 0
+        target = {"prediction": pred_dir / "scene_000.csv", "reference": ref_dir / "scene_000.csv",
+                  "vocabulary": ref_dir / "vocabulary.txt", "config": config}[which]
+        target.write_bytes(codecs.BOM_UTF8 + target.read_bytes())
+        assert run(argv + [tmp_path / "bom.json"]) == 0
+        assert (tmp_path / "bom.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
     def test_parallel_bytes_match_serial(self, corpus, tmp_path):
         ref_dir, pred_dir = corpus
@@ -491,3 +507,54 @@ class TestOutputBytes:
         if case == "synth-log":
             out = (paths["synth"] / "injection_log.json").read_text(encoding="utf-8")
         assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+class TestProcessExit:
+    """Each command as a real process in development mode, ResourceWarning an
+    error: it exits 0 with nothing on stderr and writes the bytes of the
+    in-process call, so no file is closed or flushed by the collector's pass
+    at exit, which `import seldeval.cli` spares the objects it froze."""
+
+    SCRIPT = "import sys; from seldeval.cli import main; sys.exit(main())"
+    SYSTEMS = ["--pred", "a={s0}", "--pred", "b={s1}", "--pred", "c={s2}"]
+    CASES = {
+        "evaluate": ["evaluate", "--ref", "{ref}", "--pred", "{s0}"],
+        "evaluate-out": ["evaluate", "--ref", "{ref}", "--pred", "{s1}", "--format", "json",
+                         "--out", "{out}"],
+        "jackknife": ["jackknife", "--ref", "{ref}", "--pred", "{s2}", "--format", "json"],
+        "rank": ["rank", "--ref", "{ref}", *SYSTEMS],
+        "correlate": ["correlate", "--ref", "{ref}", *SYSTEMS, "--format", "json"],
+        "synth": ["synth", "--ref", "{ref}", "--out", "{out}", "--seed", "4", "--jitter", "5",
+                  "--insert-rate", "20"],
+    }
+
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("exit")
+        paths = {"ref": make_corpus(root / "ref", VOCAB, 3, 6, seed=31)}
+        for i in range(3):
+            paths[f"s{i}"] = make_system(paths["ref"], root / f"s{i}",
+                                         PerturbationSpec(doa_jitter_deg=10.0 * i, seed=i))
+        return paths
+
+    @staticmethod
+    def _written(out):
+        if out.is_dir():
+            return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        return out.read_bytes() if out.exists() else None
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_process_writes_the_in_process_bytes(self, case, paths, tmp_path, capsys):
+        outputs = []
+        for fresh in (False, True):
+            out = tmp_path / ("fresh" if fresh else "in-process")
+            argv = [a.format(**paths, out=out) for a in self.CASES[case]]
+            if fresh:
+                stdout = run_fresh(self.SCRIPT, *argv,
+                                   options=("-X", "dev", "-W", "error::ResourceWarning"))
+            else:
+                assert run(argv) == 0
+                stdout = capsys.readouterr().out
+            outputs.append((stdout.replace(str(out), "{out}"), self._written(out)))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] or outputs[0][1]

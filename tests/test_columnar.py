@@ -327,10 +327,27 @@ class TestAssignBatch:
     def test_buckets_span_several_chunks(self, monkeypatch, chunk):
         monkeypatch.setattr(assignment, "CHUNK_TOTALS", chunk)
         rng = random.Random(chunk)
-        # 3 x 3 takes 6 totals a problem, 6 x 7 and 7 x 6 share one bucket of 5040
-        shapes = [(3, 3)] * 3000 + [(2, 5), (5, 2)] * 40 + [(6, 7), (7, 6)] * 4
+        # 3 x 3 takes 6 totals a problem, 5 x 7 and 7 x 5 share one bucket of 2520
+        shapes = [(3, 3)] * 3000 + [(2, 5), (5, 2)] * 40 + [(5, 7), (7, 5)] * 4
         rng.shuffle(shapes)
         blocks = [[[rng.uniform(0, 180) for _ in range(n)] for _ in range(m)] for m, n in shapes]
+        assert_batch_equals_hungarian(blocks)
+
+    def test_shapes_past_max_injections_go_to_the_exact_kernel(self, monkeypatch):
+        # 6 x 7 and 7 x 7 have 5040 pairings, 4 x 9 has 3024, 3 x 15 has 2730
+        # and 2 x 51 has 2550; 5 x 7, 4 x 8, 3 x 14 and 2 x 50 have at most 2520
+        rng = random.Random(9)
+        exact = [(6, 7), (7, 6), (7, 7), (4, 9), (15, 3), (2, 51)]
+        shapes = exact + [(5, 7), (7, 5), (8, 4), (3, 14), (50, 2)]
+        blocks = [[[rng.uniform(0, 180) for _ in range(n)] for _ in range(m)] for m, n in shapes]
+        solved = []
+        solve = assignment._solve_padded
+        monkeypatch.setattr(assignment, "_solve_padded",
+                            lambda v, m, n: solved.append((m, n)) or solve(v, m, n))
+        assign_batch(np.array([v for b in blocks for r in b for v in r]),
+                     *(np.array(side) for side in zip(*shapes)))
+        assert sorted(solved) == sorted(exact)
+        monkeypatch.undo()
         assert_batch_equals_hungarian(blocks)
 
     @pytest.mark.parametrize("shape", [(3, 3), (2, 4), (4, 2), (5, 5), (6, 7), (7, 6), (7, 7), (8, 3)])

@@ -86,12 +86,15 @@ class TestJackknife:
         assert (w_wide.high - w_wide.low) > (w_tight.high - w_tight.low)
 
 
-def run_fresh(code: str, *args: str) -> str:
-    """Stdout of `python -c code args` in a fresh interpreter on this checkout's sources."""
+def run_fresh(code: str, *args: str, options: tuple = ()) -> str:
+    """Stdout of `python options -c code args` in a fresh interpreter on this
+    checkout's sources, which must exit 0 with nothing on stderr."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path), check=True).stdout
+    proc = subprocess.run([sys.executable, *options, "-c", code, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return proc.stdout
 
 
 class TestTQuantile:
@@ -203,6 +206,12 @@ class TestStartup:
         assert [m for m in loaded if m.split(".")[0] == "seldeval"] == [
             "seldeval", "seldeval.annotations", "seldeval.assignment", "seldeval.cli",
             "seldeval.errors", "seldeval.evaluation", "seldeval.geometry", "seldeval.stats"]
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_import_freezes_and_restores_the_collector(self, collecting):
+        code = ("import gc; " + ("" if collecting else "gc.disable(); ")
+                + "import seldeval.cli; print(gc.isenabled(), gc.get_freeze_count() > 0)")
+        assert run_fresh(code).split() == [str(collecting), "True"]
 
     def test_exported_names_resolve(self):
         import seldeval
