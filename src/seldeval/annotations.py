@@ -6,8 +6,9 @@ Reference files are event-level CSV rows
 ignored). Prediction files are frame-level CSV rows
 ``frame_index,class_index,azimuth_deg,elevation_deg``. Vocabulary files
 hold one class label per line; the 0-based line number is the class
-index. Files are UTF-8 (a leading byte-order mark is skipped),
-comma-separated, ``.`` decimal point, LF or CRLF.
+index. Files are UTF-8 (a leading byte-order mark is skipped; any other
+byte sequence that is not UTF-8 is a `ParseError`), comma-separated,
+``.`` decimal point, LF or CRLF.
 
 References are rasterized onto the frame grid (an event is active in
 frame ``l`` iff ``[l*hop, (l+1)*hop)`` intersects ``[onset, offset)``)
@@ -22,6 +23,7 @@ raises the same `ParseError`, with the same line number, as before.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
@@ -137,11 +139,22 @@ def _parse_float(text: str, what: str, path, lineno: int) -> float:
     return value
 
 
+@contextlib.contextmanager
+def _utf8_text(path, newline: str | None = None):
+    """The file opened as UTF-8 text, past a leading byte-order mark; a byte
+    that is not UTF-8, read inside the block, raises ParseError naming it."""
+    with open(path, encoding="utf-8-sig", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"cannot decode as UTF-8 ({exc.reason})", path) from None
+
+
 def parse_reference(path, vocabulary: Vocabulary) -> list:
     """Read an event-level reference file into validated EventRecords."""
     events = []
     path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as fh:
+    with _utf8_text(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or all(not cell.strip() for cell in row):
                 continue
@@ -180,7 +193,7 @@ def parse_prediction(path, vocabulary: Vocabulary, frame_hop: float = 0.02) -> l
         raise ConfigError(f"frame hop must be positive, got {frame_hop}")
     path = Path(path)
     by_frame: dict = {}
-    with path.open(newline="", encoding="utf-8-sig") as fh:
+    with _utf8_text(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or all(not cell.strip() for cell in row):
                 continue
@@ -216,7 +229,8 @@ def read_prediction_columns(path, vocabulary: Vocabulary) -> tuple:
     """Frame index, class index and unit-vector arrays, one row per
     prediction; the rows of a frame keep their file order."""
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        with _utf8_text(path) as fh:
+            text = fh.read()
         rows = np.loadtxt(io.StringIO(text), delimiter=",", dtype=_PRED_COLUMNS,
                           comments=None, ndmin=1) if text.strip() else None
     except ValueError:

@@ -28,6 +28,23 @@ float sums keep their order, frame by frame and pair by pair, one
 addition after another: `np.bincount` with weights adds each bin's
 values in input order, `np.cumsum` runs left to right, while `np.sum`
 and `np.add.reduceat` add pairwise and round differently.
+
+Each association problem is solved once per run of repeats. A frame
+with rows on both sides repeats the previous such frame when each side
+has as many rows, and the same rows in the same order: the class index
+and the bits of the unit vector (so 0.0 and -0.0 differ), as pair
+indices and exact-tie breaks follow row order. Only the frame that
+starts a run goes through `angles_between` and `assign_batch`; every
+other frame of the run copies its min(M, N) pairs and distances, and
+its per-frame total. A (frame, class) slice of a repeating frame has the
+same rows as that class's slice of the frame starting the run, so it
+copies that slice's pairs; no second comparison is made. The result is
+bit for bit the one without reuse: `angles_between` works entry by
+entry, and `assign_batch` solves each problem on its own block alone
+(its enumeration sums, compares and picks within each block's row of
+totals, and the exact kernel takes one block at a time), so equal
+blocks give equal pairs and distances. Traffic whose directions change
+every frame pays only for the comparison.
 """
 
 from __future__ import annotations
@@ -208,21 +225,65 @@ class FileContribution:
         return self._combine(other, -1)
 
 
-def _associate(p_key, r_key, pu, ru) -> tuple:
+def _problems(p_key, r_key) -> tuple:
     """Sorted keys, row counts per key on each side, the keys present on
-    both, and the (index among those, distance) of each associated pair."""
+    both (the association problems), and each side's rows of those
+    problems, one problem after another, a problem's rows in input order."""
     p_order, r_order = np.argsort(p_key, kind="stable"), np.argsort(r_key, kind="stable")
+    p_sorted, r_sorted = p_key[p_order], r_key[r_order]
     keys = sorted_unique(np.concatenate([p_key, r_key]))[0]
-    p0, r0 = np.searchsorted(p_key[p_order], keys), np.searchsorted(r_key[r_order], keys)
-    m = np.searchsorted(p_key[p_order], keys, "right") - p0
-    n = np.searchsorted(r_key[r_order], keys, "right") - r0
-    both = np.flatnonzero((m > 0) & (n > 0))
-    bm, bn = m[both], n[both]
-    e = ragged_arange(bm * bn)
-    g = np.repeat(np.arange(len(both)), bm * bn)
-    group, _, _, d = assign_batch(angles_between(pu[p_order[p0[both][g] + e // bn[g]]],
-                                                 ru[r_order[r0[both][g] + e % bn[g]]]), bm, bn)
-    return keys, m, n, both, group, d
+    p0, r0 = np.searchsorted(p_sorted, keys), np.searchsorted(r_sorted, keys)
+    m = np.searchsorted(p_sorted, keys, "right") - p0
+    n = np.searchsorted(r_sorted, keys, "right") - r0
+    paired = (m > 0) & (n > 0)
+    # the key-sorted rows hold each key's m (or n) rows in turn
+    return (keys, m, n, np.flatnonzero(paired), p_order[np.repeat(paired, m)],
+            r_order[np.repeat(paired, n)])
+
+
+def _run_leads(p_rows, r_rows, bm, bn) -> np.ndarray:
+    """The problem that starts the run of each problem. A problem continues
+    the run of the problem before it when each side has the same rows in
+    the same order; rows are (class, unit xyz) pairs of arrays, stored one
+    problem after another, and units are compared by their bits."""
+    # A first cut that per-frame DOA estimates seldom pass: the bits of the
+    # first prediction's x.
+    x = p_rows[1][np.cumsum(bm) - bm, 0].view(np.int64)
+    same = np.zeros(len(bm), dtype=bool)
+    same[1:] = (bm[1:] == bm[:-1]) & (bn[1:] == bn[:-1]) & (x[1:] == x[:-1])
+    for (cls, unit), size in ((p_rows, bm), (r_rows, bn)):
+        # Each row of a problem still the same as the one before against the same
+        # row of that problem, which lies as many rows back as the problem has.
+        q = np.flatnonzero(same)
+        at = np.repeat(q, size[q])
+        row = np.flatnonzero(np.repeat(same, size))
+        back = row - size[at]
+        differs = cls[row] != cls[back]
+        for bits in unit.view(np.int64).T:
+            differs |= bits[row] != bits[back]
+        same[at[differs]] = False
+    return np.flatnonzero(~same)[np.cumsum(~same) - 1]
+
+
+def _pairs(pu, ru, bm, bn, lead) -> tuple:
+    """(problem, distance) of each associated pair of the problems whose
+    rows `pu` and `ru` hold one problem after another. Problem q takes the
+    pairs of problem lead[q], which has the same rows; only the problems
+    that lead themselves are solved."""
+    new = lead == np.arange(len(lead))
+    sm, sn = bm[new], bn[new]
+    g = np.repeat(np.flatnonzero(new), sm * sn)
+    e = ragged_arange(sm * sn)
+    group, _, _, d = assign_batch(angles_between(pu[(np.cumsum(bm) - bm)[g] + e // bn[g]],
+                                                 ru[(np.cumsum(bn) - bn)[g] + e % bn[g]]), sm, sn)
+    if new.all():  # no repeats: d is already in problem order
+        return group, d
+    k = np.minimum(bm, bn)
+    first = np.cumsum(k[new]) - k[new]  # in d, of each solved problem
+    # Pair r of problem q is pair r of its lead, the (cumsum(new) - 1)[lead[q]]-th
+    # problem solved: it sits in d that many places before pair r of q in the output.
+    shift = np.cumsum(k) - k - first[(np.cumsum(new) - 1)[lead]]
+    return np.repeat(np.arange(len(k)), k), d[np.arange(k.sum()) - np.repeat(shift, k)]
 
 
 def score_file(ref_path, pred_path, vocabulary: Vocabulary, config: EvaluationConfig) -> FileContribution:
@@ -252,12 +313,17 @@ def score_file(ref_path, pred_path, vocabulary: Vocabulary, config: EvaluationCo
     pf, pc, pu = pf[order], pc[order], pu[order]
 
     # Class-agnostic association (LocalizationAccumulator.update) per occupied frame.
-    occ, m, n, both, pair_frame, d = _associate(pf, rf, pu, ru)
-    bn = n[both]
-    k = np.minimum(m[both], bn)
+    occ, m, n, both, p_rows, r_rows = _problems(pf, rf)
+    bm, bn = m[both], n[both]
+    pu_rows, ru_rows = pu[p_rows], ru[r_rows]
+    lead = _run_leads((pc[p_rows], pu_rows), (rc[r_rows], ru_rows), bm, bn)
+    pair_frame, d = _pairs(pu_rows, ru_rows, bm, bn, lead)
+    k = np.minimum(bm, bn)
     totals = np.bincount(pair_frame, d, minlength=len(both))
-    for f, at in zip(np.flatnonzero(k > 2), (np.cumsum(k) - k)[k > 2]):
+    summed = (k > 2) & (lead == np.arange(len(lead)))
+    for f, at in zip(np.flatnonzero(summed), (np.cumsum(k) - k)[summed]):
         totals[f] = sum(d[at:at + k[f]].tolist())  # sum(), as the accumulator takes it
+    totals = totals[lead]  # a repeating frame takes the total of its run's first
     # np.cumsum adds left to right, frame after frame; 0.0 + x == x.
     c.loc_dist = float(np.cumsum(np.r_[0.0, totals])[-1])
     c.loc_frame_le_sum = float(np.cumsum(np.r_[0.0, totals / k])[-1])
@@ -274,7 +340,15 @@ def score_file(ref_path, pred_path, vocabulary: Vocabulary, config: EvaluationCo
     # Per-class association (segmentize) per (frame, class); sums per (segment, class).
     pk = np.searchsorted(occ, pf) * n_cls + pc
     rk = np.searchsorted(occ, rf) * n_cls + rc
-    keys, mc, nc, sl, pair_slice, d = _associate(pk, rk, pu, ru)
+    keys, mc, nc, sl, p_rows, r_rows = _problems(pk, rk)
+    # A slice leads itself unless its frame repeats: then the same class's slice of
+    # the frame that leads, which has the same rows, gives its pairs.
+    lead_frame = np.arange(len(occ))
+    lead_frame[both] = both[lead]
+    slice_keys = keys[sl]
+    slice_lead = np.searchsorted(slice_keys, lead_frame[slice_keys // n_cls] * n_cls
+                                 + slice_keys % n_cls)
+    pair_slice, d = _pairs(pu[p_rows], ru[r_rows], mc[sl], nc[sl], slice_lead)
     spf = frames_per_segment(config.segment_length, config.frame_hop)
     segs, seg_id = sorted_unique(occ[keys // n_cls] // spf)
     sc, sc_of_key = sorted_unique(seg_id * n_cls + keys % n_cls)

@@ -151,6 +151,21 @@ class TestEvaluate:
         assert run(argv + [tmp_path / "bom.json"]) == 0
         assert (tmp_path / "bom.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
+    @pytest.mark.parametrize("which, error", [("prediction", "ParseError"),
+                                              ("reference", "ParseError"),
+                                              ("config", "ConfigError")])
+    def test_bytes_that_are_not_utf8_refused(self, corpus, tmp_path, capsys, which, error):
+        ref_dir, pred_dir = corpus
+        config = tmp_path / "config.json"
+        config.write_text('{"thetas": [15.0, 30.0]}', encoding="utf-8")
+        target = {"prediction": pred_dir / "scene_000.csv", "reference": ref_dir / "scene_000.csv",
+                  "config": config}[which]
+        target.write_bytes(target.read_bytes() + b"\n1,0,10,0\xe9\n")
+        capsys.readouterr()
+        assert run(["evaluate", "--ref", ref_dir, "--pred", pred_dir, "--config", config]) == 1
+        envelope = json.loads(capsys.readouterr().err)
+        assert envelope["error"] == error and str(target) in envelope["message"]
+
     def test_parallel_bytes_match_serial(self, corpus, tmp_path):
         ref_dir, pred_dir = corpus
         out1, out2 = tmp_path / "s.json", tmp_path / "p.json"

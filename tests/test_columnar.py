@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seldeval.annotations import EventRecord, Vocabulary, parse_prediction, read_prediction_columns, write_reference
-from seldeval import assignment
+from seldeval import assignment, evaluation
 from seldeval.assignment import CHUNK_TOTALS, DistanceMatrix, assign_batch, hungarian
 from seldeval.evaluation import EvaluationConfig, FileContribution, evaluate_directory, score_file
 from seldeval.geometry import Direction, angles_between, angular_distance, unit_vectors
@@ -90,6 +90,9 @@ def scenes(draw):
 
 
 HOP = 0.02
+# Its unit vector differs from that of -90 deg (not so past +90 deg, which the
+# azimuth's wrap to [-180, 180) rounds away).
+ONE_ULP_OFF_MINUS_90 = math.nextafter(-90.0, 0.0)
 CASES = {
     # two dogs on each side in one frame stream, duplicate predicted directions
     "same_class_multi_instance": (
@@ -120,6 +123,38 @@ CASES = {
     "larger_than_3x3": (
         [event(lb, 0, 80, d, HOP) for lb, d in zip(["dog", "dog", "cat", "speech", "cat"], GRID)],
         [r for c, d in zip([0, 1, 2, 0, 1, 2], GRID[3:]) for r in rows(c, 0, 80, d)]),
+    # Runs of repeated frames, each broken by a change that must be solved afresh.
+    # The second prediction of frame 5 lies 1 ulp of azimuth off its reference.
+    "run_broken_by_one_ulp": (
+        [event("dog", 0, 11, (0, 0), HOP), event("cat", 0, 11, (-90, 0), HOP)],
+        [r for f in range(12) for r in ((f, 0, (10.0, 0.0)),
+                                        (f, 1, (ONE_ULP_OFF_MINUS_90 if f == 5 else -90.0, 0.0)))]),
+    # the tie_2x2 frame with its two predictions in one row order, then the other
+    "rows_swapped_in_the_next_frame": (
+        [event("dog", 0, 11, (0, 0), HOP), event("cat", 0, 11, (-90, 0), HOP)],
+        [r for f in range(12)
+         for r in (((f, 0, (0.0, 0.0)), (f, 1, (90.0, 0.0))) if f % 4 < 2
+                   else ((f, 1, (90.0, 0.0)), (f, 0, (0.0, 0.0))))]),
+    # the same directions, the first prediction of frame 6 of another class
+    "one_row_class_changed": (
+        [event("dog", 0, 11, (0, 0), HOP), event("cat", 0, 11, (90, 0), HOP)],
+        [r for f in range(12) for r in ((f, 1 if f == 6 else 0, (80.0, 0.0)), (f, 1, (10.0, 0.0)))]),
+    # equal as floats, not as bits
+    "zero_against_negative_zero": (
+        [event("dog", 0, 11, (10, 0), HOP), event("cat", 0, 11, (0, -0.0), HOP)],
+        [r for f in range(12) for r in ((f, 0, (0.0, -0.0) if f % 3 else (-0.0, 0.0)),
+                                        (f, 1, (0.0, 0.0) if f % 2 else (-0.0, -0.0)))]),
+    # frame 4 empty, frame 5 with predictions only, frame 6 with references only
+    "run_interrupted_by_empty_and_one_sided_frames": (
+        [event(lb, first, last, d, HOP) for lb, d in (("dog", (0, 0)), ("cat", (90, 0)))
+         for first, last in ((0, 3), (6, 12))],
+        [r for f in [0, 1, 2, 3, 5, 7, 8, 9, 10, 11, 12]
+         for r in ((f, 0, (20.0, 0.0)), (f, 1, (70.0, 0.0)))]),
+    # A, A, B, A: frame 2 has the same predictions, and its first reference moved
+    "pattern_a_a_b_a": (
+        [event("dog", 0, 1, (0, 0), HOP), event("dog", 2, 2, (30, 0), HOP),
+         event("dog", 3, 3, (0, 0), HOP), event("cat", 0, 3, (90, 0), HOP)],
+        [r for f in range(4) for r in ((f, 0, (5.0, 0.0)), (f, 1, (85.0, 0.0)))]),
 }
 
 
@@ -202,6 +237,20 @@ class TestLargeFrameIndex:
         assert peak < 20 * 2 ** 20
 
 
+class TestRunReuse:
+    def test_static_scene_solves_one_problem_per_pass(self, monkeypatch):
+        # Every frame, and every (frame, class) slice, repeats the one before.
+        solved = []
+        solve = evaluation.assign_batch
+        monkeypatch.setattr(evaluation, "assign_batch",
+                            lambda dist, m, n: solved.append(len(m)) or solve(dist, m, n))
+        ref = [event("dog", 0, 499, (0, 0), HOP), event("dog", 0, 499, (90, 0), HOP)]
+        pred = [(f, 0, d) for f in range(500) for d in ((10.0, 0.0), (80.0, 0.0))]
+        got = score_both(ref, pred, EvaluationConfig())
+        assert solved == [1, 1]
+        assert got.loc_k == 1000 and got.j_pairs_f.tolist() == [1000, 0, 0]
+
+
 class TestFrameTotals:
     def test_three_pair_frame_total_is_python_sum(self):
         # A frame with k > 2 pairs is summed by sum(), as LocalizationAccumulator
@@ -215,9 +264,11 @@ class TestFrameTotals:
                 break
         else:
             pytest.fail("no frame whose naive and compensated sums differ")
-        events = [event(label, 0, 0, r, 0.02) for label, r in zip(VOCAB, refs)]
-        got = score_both(events, [(0, q, p) for q, p in enumerate(preds)], EvaluationConfig())
-        assert got.loc_dist == sum(d) and got.loc_k == 3
+        # frame 1 repeats frame 0 and takes its total
+        events = [event(label, 0, 1, r, 0.02) for label, r in zip(VOCAB, refs)]
+        got = score_both(events, [(f, q, p) for f in (0, 1) for q, p in enumerate(preds)],
+                         EvaluationConfig())
+        assert got.loc_dist == sum(d) + sum(d) and got.loc_k == 6
 
 
 class TestPredictionColumns:

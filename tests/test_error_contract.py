@@ -1,10 +1,10 @@
 """Malformed input ends in exit 1 and a JSON error envelope on stderr.
 
 Hypothesis writes a reference, a prediction and a config file, one of
-them malformed, and runs `cli.main` on them: every command that reads the
-broken file must return 1 and print `{"error": ..., "message": ...}`,
-never raise. A broken row always follows a valid one, so it cannot be
-taken for a header.
+them malformed (bad values, or bytes that are not UTF-8), and runs
+`cli.main` on them: every command that reads the broken file must return
+1 and print `{"error": ..., "message": ...}`, never raise. A broken row
+always follows a valid one, so it cannot be taken for a header.
 """
 
 import contextlib
@@ -29,6 +29,16 @@ bad_number = garbage | non_finite
 steep = (st.floats(min_value=90.001, max_value=1e300)
          | st.floats(min_value=-1e300, max_value=-90.001))
 offsets = st.floats(min_value=0.0, max_value=100.0)
+# No UTF-8 decoder accepts these: a lone continuation byte, a lead byte without
+# its continuation, an overlong form, an encoded surrogate, a byte never used.
+not_utf8 = st.sampled_from([b"\x80", b"\xe9", b"\xc3(", b"\xc0\xaf", b"\xed\xa0\x80", b"\xff"])
+
+
+def undecodable(text):
+    """`text` as UTF-8 bytes with bytes that are not UTF-8 put in somewhere."""
+    raw = text.encode()
+    return st.tuples(st.integers(0, len(raw)), not_utf8).map(
+        lambda at: raw[:at[0]] + at[1] + raw[at[0]:])
 
 
 def wrong_width(allowed):
@@ -55,6 +65,7 @@ bad_reference_rows = st.one_of(
                                       offset=st.floats(0.0, t).map(repr))),
     # reaches past frame 2**63 at a 0.02 s hop
     ref_row(offset=st.floats(min_value=1e18, max_value=1e300).map(repr)),
+    undecodable(REF_ROW),
 )
 
 
@@ -71,6 +82,7 @@ bad_prediction_rows = st.one_of(
     pred_row(az=bad_number),
     pred_row(el=bad_number),
     pred_row(el=steep.map(repr)),
+    undecodable(PRED_ROW),
 )
 
 
@@ -94,23 +106,29 @@ bad_configs = st.one_of(
     setting("duration", st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf])
             | st.floats(min_value=2 ** 63 * 0.02) | st.integers(min_value=2 ** 63 // 50 + 1)),
     setting("jobs", st.integers(max_value=0) | garbage),
+    undecodable('{"thetas": [10.0]}'),
 )
 
 COMMANDS = st.sampled_from(["evaluate", "jackknife", "synth"])
 
 
+def _bytes(content):
+    return content if isinstance(content, bytes) else content.encode()
+
+
 def run_in_corpus(command, ref=REF_ROW, pred=PRED_ROW, config="{}", extra=()):
     """Exit code and stderr of one command on a two-file corpus; `ref`,
-    `pred` and `config` go into the second file and the config file, and
-    `extra` is appended to the command's arguments."""
+    `pred` and `config` (text, or bytes written as they are) go into the
+    second file and the config file, and `extra` is appended to the
+    command's arguments."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for side, valid, row in (("ref", REF_ROW, ref), ("pred", PRED_ROW, pred)):
             (root / side).mkdir()
             (root / side / "a.csv").write_text(f"{valid}\n", encoding="utf-8")
-            (root / side / "b.csv").write_text(f"{valid}\n{row}\n", encoding="utf-8")
+            (root / side / "b.csv").write_bytes(f"{valid}\n".encode() + _bytes(row) + b"\n")
         (root / "ref" / "vocabulary.txt").write_text("dog\ncat\n", encoding="utf-8")
-        (root / "config.json").write_text(config, encoding="utf-8")
+        (root / "config.json").write_bytes(_bytes(config))
         argv = [command, "--ref", str(root / "ref"), "--config", str(root / "config.json")]
         if command == "synth":
             argv += ["--out", str(root / "synth")]
