@@ -8,7 +8,8 @@ ignored). Prediction files are frame-level CSV rows
 hold one class label per line; the 0-based line number is the class
 index. Files are UTF-8 (a leading byte-order mark is skipped; any other
 byte sequence that is not UTF-8 is a `ParseError`), comma-separated,
-``.`` decimal point, LF or CRLF.
+``.`` decimal point, LF or CRLF; a field longer than the csv module's
+limit, 131,072 characters by default, is a `ParseError`.
 
 References are rasterized onto the frame grid (an event is active in
 frame ``l`` iff ``[l*hop, (l+1)*hop)`` intersects ``[onset, offset)``)
@@ -150,12 +151,22 @@ def _utf8_text(path, newline: str | None = None):
             raise ParseError(f"cannot decode as UTF-8 ({exc.reason})", path) from None
 
 
+def _csv_rows(fh, path):
+    """(row number, fields) of each CSV row of `fh`; a line the csv module
+    refuses (a field over its size limit, say) raises ParseError naming it."""
+    reader = csv.reader(fh)
+    try:
+        yield from enumerate(reader, start=1)
+    except csv.Error as exc:
+        raise ParseError(str(exc), path, reader.line_num) from None
+
+
 def parse_reference(path, vocabulary: Vocabulary) -> list:
     """Read an event-level reference file into validated EventRecords."""
     events = []
     path = Path(path)
     with _utf8_text(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
+        for lineno, row in _csv_rows(fh, path):
             if not row or all(not cell.strip() for cell in row):
                 continue
             row = [cell.strip() for cell in row]
@@ -194,7 +205,7 @@ def parse_prediction(path, vocabulary: Vocabulary, frame_hop: float = 0.02) -> l
     path = Path(path)
     by_frame: dict = {}
     with _utf8_text(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
+        for lineno, row in _csv_rows(fh, path):
             if not row or all(not cell.strip() for cell in row):
                 continue
             row = [cell.strip() for cell in row]

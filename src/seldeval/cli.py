@@ -19,11 +19,23 @@ to stderr. Importing this module suspends automatic garbage collection
 while its imports load, then freezes every object tracked at that point
 (`gc.freeze`), which is never collected; objects created afterwards are
 collected as usual.
+
+Importing this module also sets ``OPENBLAS_NUM_THREADS=1`` in the
+environment, unless it is already set: a value the user sets wins. The
+OpenBLAS that numpy's wheels bundle reads it once, when numpy loads, and
+otherwise starts a worker thread for each further core. Each worker
+busy-waits once started; on a 2-core host it took the CPU from the main
+thread and added up to 70 ms to ``import numpy``. No command makes a
+BLAS call, so the reports do not change. The variable stays set, so
+``--jobs`` workers, which import numpy again, inherit it. Only the CLI
+sets it: ``import seldeval`` and the library modules leave the
+environment as they find it.
 """
 
 from __future__ import annotations
 
 import gc
+import os
 
 # One short command runs per process, and the objects these imports build
 # (numpy's included) live until it exits: load them without automatic
@@ -32,6 +44,9 @@ import gc
 _collecting = gc.isenabled()
 gc.disable()
 try:
+    # before numpy loads: no command calls BLAS, so start none of its threads
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
     import argparse
     import dataclasses
     import json

@@ -166,6 +166,21 @@ class TestEvaluate:
         envelope = json.loads(capsys.readouterr().err)
         assert envelope["error"] == error and str(target) in envelope["message"]
 
+    @pytest.mark.parametrize("which", ["reference", "prediction"])
+    def test_field_over_the_csv_limit_refused(self, corpus, capsys, which):
+        # the csv module refuses a field of more than 131,072 characters
+        ref_dir, pred_dir = corpus
+        target, row = {"reference": (ref_dir, "x" * 200_000 + ",0.0,1.0,10.0,0.0"),
+                       "prediction": (pred_dir, '"' + "x" * 200_000 + '"')}[which]
+        target = target / "scene_000.csv"
+        first, *rest = target.read_text(encoding="utf-8").splitlines()
+        target.write_text("\n".join([first, row, *rest]) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["evaluate", "--ref", ref_dir, "--pred", pred_dir]) == 1
+        envelope = json.loads(capsys.readouterr().err)
+        assert envelope["error"] == "ParseError"
+        assert envelope["message"].endswith(f"(131072) [{target}:2]")
+
     def test_parallel_bytes_match_serial(self, corpus, tmp_path):
         ref_dir, pred_dir = corpus
         out1, out2 = tmp_path / "s.json", tmp_path / "p.json"

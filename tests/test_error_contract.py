@@ -1,10 +1,14 @@
 """Malformed input ends in exit 1 and a JSON error envelope on stderr.
 
 Hypothesis writes a reference, a prediction and a config file, one of
-them malformed (bad values, or bytes that are not UTF-8), and runs
-`cli.main` on them: every command that reads the broken file must return
-1 and print `{"error": ..., "message": ...}`, never raise. A broken row
-always follows a valid one, so it cannot be taken for a header.
+them malformed (bad values, a field longer than the csv module reads, or
+bytes that are not UTF-8), and runs `cli.main` on them: every command
+that reads the broken file must return 1 and print
+`{"error": ..., "message": ...}`, never raise. A broken row always
+follows a valid one, so it cannot be taken for a header. The
+multi-system commands, `rank` and `correlate`, must do the same for a
+malformed, repeated or empty system and for one broken file among good
+systems.
 """
 
 import contextlib
@@ -14,6 +18,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +37,9 @@ offsets = st.floats(min_value=0.0, max_value=100.0)
 # No UTF-8 decoder accepts these: a lone continuation byte, a lead byte without
 # its continuation, an overlong form, an encoded surrogate, a byte never used.
 not_utf8 = st.sampled_from([b"\x80", b"\xe9", b"\xc3(", b"\xc0\xaf", b"\xed\xa0\x80", b"\xff"])
+# Longer than the 131,072 characters the csv module reads in one field, bare or quoted.
+overlong = st.integers(131_073, 140_000).map(lambda n: "x" * n)
+overlong = overlong | overlong.map(lambda text: f'"{text}"')
 
 
 def undecodable(text):
@@ -65,6 +73,7 @@ bad_reference_rows = st.one_of(
                                       offset=st.floats(0.0, t).map(repr))),
     # reaches past frame 2**63 at a 0.02 s hop
     ref_row(offset=st.floats(min_value=1e18, max_value=1e300).map(repr)),
+    ref_row(label=overlong),
     undecodable(REF_ROW),
 )
 
@@ -82,6 +91,7 @@ bad_prediction_rows = st.one_of(
     pred_row(az=bad_number),
     pred_row(el=bad_number),
     pred_row(el=steep.map(repr)),
+    pred_row(az=overlong),
     undecodable(PRED_ROW),
 )
 
@@ -116,6 +126,22 @@ def _bytes(content):
     return content if isinstance(content, bytes) else content.encode()
 
 
+def write_files(directory, valid, row):
+    """`directory` with a.csv holding the row `valid`, and b.csv holding
+    `valid` then `row` (text, or bytes written as they are)."""
+    directory.mkdir()
+    (directory / "a.csv").write_text(f"{valid}\n", encoding="utf-8")
+    (directory / "b.csv").write_bytes(f"{valid}\n".encode() + _bytes(row) + b"\n")
+
+
+def run_main(argv):
+    """Exit code and stderr of `cli.main(argv)`."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
 def run_in_corpus(command, ref=REF_ROW, pred=PRED_ROW, config="{}", extra=()):
     """Exit code and stderr of one command on a two-file corpus; `ref`,
     `pred` and `config` (text, or bytes written as they are) go into the
@@ -123,10 +149,8 @@ def run_in_corpus(command, ref=REF_ROW, pred=PRED_ROW, config="{}", extra=()):
     command's arguments."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        for side, valid, row in (("ref", REF_ROW, ref), ("pred", PRED_ROW, pred)):
-            (root / side).mkdir()
-            (root / side / "a.csv").write_text(f"{valid}\n", encoding="utf-8")
-            (root / side / "b.csv").write_bytes(f"{valid}\n".encode() + _bytes(row) + b"\n")
+        write_files(root / "ref", REF_ROW, ref)
+        write_files(root / "pred", PRED_ROW, pred)
         (root / "ref" / "vocabulary.txt").write_text("dog\ncat\n", encoding="utf-8")
         (root / "config.json").write_bytes(_bytes(config))
         argv = [command, "--ref", str(root / "ref"), "--config", str(root / "config.json")]
@@ -134,11 +158,29 @@ def run_in_corpus(command, ref=REF_ROW, pred=PRED_ROW, config="{}", extra=()):
             argv += ["--out", str(root / "synth")]
         else:
             argv += ["--pred", str(root / "pred"), "--format", "json"]
-        argv += list(extra)
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(argv)
-    return code, err.getvalue()
+        return run_main(argv + list(extra))
+
+
+MULTI_SYSTEM = ["rank", "correlate"]
+GOOD_SYSTEMS = ["a={root}/good", "b={root}/good", "c={root}/good"]
+
+
+def run_systems(command, systems, bad_row=PRED_ROW):
+    """Exit code and stderr of a multi-system command on the two-file corpus
+    with one --pred per entry of `systems`, where ``{root}`` names a
+    directory holding ``good`` (valid predictions), ``bad`` (`bad_row` as
+    the second row of b.csv) and ``empty`` (no files)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        write_files(root / "ref", REF_ROW, REF_ROW.replace("dog", "cat"))
+        (root / "ref" / "vocabulary.txt").write_text("dog\ncat\n", encoding="utf-8")
+        write_files(root / "good", PRED_ROW, PRED_ROW)
+        write_files(root / "bad", PRED_ROW, bad_row)
+        (root / "empty").mkdir()
+        argv = [command, "--ref", str(root / "ref"), "--format", "json"]
+        for system in systems:
+            argv += ["--pred", system.format(root=root)]
+        return run_main(argv)
 
 
 def assert_error_envelope(code, err):
@@ -151,6 +193,8 @@ def assert_error_envelope(code, err):
 def test_well_formed_corpus_succeeds():
     for command in ("evaluate", "jackknife", "synth"):
         assert run_in_corpus(command, ref=REF_ROW.replace("dog", "cat")) == (0, "")
+    for command in MULTI_SYSTEM:
+        assert run_systems(command, GOOD_SYSTEMS) == (0, "")
 
 
 @given(COMMANDS, bad_reference_rows)
@@ -191,3 +235,34 @@ def test_merged_frame_count_reaching_2_63_refused():
     # 2 x 4.6e18 frames stay below 2**63
     for command in ("evaluate", "jackknife"):
         assert run_in_corpus(command, ref=cat, extra=("--duration", "9.2e16")) == (0, "")
+
+
+@pytest.mark.parametrize("command", MULTI_SYSTEM)
+@pytest.mark.parametrize("system", ["{root}/good", "={root}/good", "d=", "d", "=", ""])
+def test_malformed_system_refused(command, system):
+    code, err = run_systems(command, GOOD_SYSTEMS + [system])
+    assert_error_envelope(code, err)
+    envelope = json.loads(err)
+    assert envelope["error"] == "ConfigError" and "NAME=DIR" in envelope["message"]
+
+
+@pytest.mark.parametrize("command", MULTI_SYSTEM)
+def test_duplicate_system_names_refused(command):
+    code, err = run_systems(command, GOOD_SYSTEMS + ["b={root}/good"])
+    assert_error_envelope(code, err)
+    assert json.loads(err) == {"error": "ConfigError", "message": "duplicate system names in --pred"}
+
+
+@pytest.mark.parametrize("command", MULTI_SYSTEM)
+@pytest.mark.parametrize("directory", ["missing", "empty"])
+def test_system_without_predictions_refused(command, directory):
+    code, err = run_systems(command, GOOD_SYSTEMS + ["d={root}/" + directory])
+    assert_error_envelope(code, err)
+    assert json.loads(err)["error"] == "MissingPair"
+
+
+@given(st.sampled_from(MULTI_SYSTEM), st.integers(0, 3), bad_prediction_rows)
+@settings(max_examples=100, deadline=None)
+def test_malformed_file_among_good_systems(command, position, row):
+    systems = GOOD_SYSTEMS[:position] + ["d={root}/bad"] + GOOD_SYSTEMS[position:]
+    assert_error_envelope(*run_systems(command, systems, bad_row=row))

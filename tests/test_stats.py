@@ -86,13 +86,15 @@ class TestJackknife:
         assert (w_wide.high - w_wide.low) > (w_tight.high - w_tight.low)
 
 
-def run_fresh(code: str, *args: str, options: tuple = ()) -> str:
+def run_fresh(code: str, *args: str, options: tuple = (), env: dict | None = None) -> str:
     """Stdout of `python options -c code args` in a fresh interpreter on this
-    checkout's sources, which must exit 0 with nothing on stderr."""
+    checkout's sources, which must exit 0 with nothing on stderr. `env`
+    overrides this process's environment; a variable it maps to None is unset."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    environ = {**os.environ, "PYTHONPATH": path, **(env or {})}
     proc = subprocess.run([sys.executable, *options, "-c", code, *args], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path))
+                          text=True, env={k: v for k, v in environ.items() if v is not None})
     assert (proc.returncode, proc.stderr) == (0, "")
     return proc.stdout
 
@@ -173,9 +175,15 @@ class TestTQuantile:
         assert run_fresh(code).strip() == "[]"
 
 
+def numpy_blas() -> str:
+    """The name of the BLAS numpy was built with, or "" where numpy does not say."""
+    return getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get(
+        "blas", {}).get("name", "")
+
+
 class TestStartup:
     """Every command starts with `import seldeval.cli`; it loads only the
-    modules the scoring pipeline runs."""
+    modules the scoring pipeline runs, and no BLAS worker threads."""
 
     NOT_LOADED = ("scipy", "concurrent.futures", "multiprocessing", "seldeval.synth",
                   "seldeval.joint", "seldeval.localization", "seldeval.detection")
@@ -212,6 +220,28 @@ class TestStartup:
         code = ("import gc; " + ("" if collecting else "gc.disable(); ")
                 + "import seldeval.cli; print(gc.isenabled(), gc.get_freeze_count() > 0)")
         assert run_fresh(code).split() == [str(collecting), "True"]
+
+    # the variable as a fresh interpreter sees it once `imports` have run
+    BLAS_SETTING = "import os; {imports}; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+
+    def test_cli_limits_openblas_to_one_thread(self):
+        code = self.BLAS_SETTING.format(imports="import seldeval.cli")
+        assert run_fresh(code, env={"OPENBLAS_NUM_THREADS": None}).split() == ["1"]
+
+    @pytest.mark.skipif(sys.platform != "linux" or "openblas" not in numpy_blas(),
+                        reason="counts OpenBLAS's threads in /proc/self/task")
+    def test_cli_starts_no_openblas_worker_thread(self):
+        # numpy's OpenBLAS otherwise starts a worker for each core beyond the first
+        code = "import os, seldeval.cli; print(len(os.listdir('/proc/self/task')))"
+        assert run_fresh(code, env={"OPENBLAS_NUM_THREADS": None}).split() == ["1"]
+
+    def test_openblas_setting_of_the_user_kept(self):
+        code = self.BLAS_SETTING.format(imports="import seldeval.cli")
+        assert run_fresh(code, env={"OPENBLAS_NUM_THREADS": "2"}).split() == ["2"]
+
+    def test_library_leaves_openblas_setting_alone(self):
+        code = self.BLAS_SETTING.format(imports="import seldeval, seldeval.evaluation")
+        assert run_fresh(code, env={"OPENBLAS_NUM_THREADS": None}).split() == ["None"]
 
     def test_exported_names_resolve(self):
         import seldeval
