@@ -90,18 +90,21 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+# A metric key's base name (before any ":θ") as tables show it.
+_DISPLAY_NAMES = {
+    "er": "ER", "f1": "F1", "le": "LE", "le_micro": "LE(micro)",
+    "le_macro": "LE(macro)", "lr": "LR", "ecr": "ECR",
+    "le_cd": "LE_CD", "lr_cd": "LR_CD",
+    "le_cd_f": "LE_CD(f)", "lr_cd_f": "LR_CD(f)",
+    "le_theta": "LE", "lr_theta": "LR", "ecr_theta": "ECR",
+    "er_theta": "ER", "f_theta": "F",
+    "official_rank": "official rank",
+}
+
+
 def _display_name(key: str) -> str:
     base, _, theta = key.partition(":")
-    names = {
-        "er": "ER", "f1": "F1", "le": "LE", "le_micro": "LE(micro)",
-        "le_macro": "LE(macro)", "lr": "LR", "ecr": "ECR",
-        "le_cd": "LE_CD", "lr_cd": "LR_CD",
-        "le_cd_f": "LE_CD(f)", "lr_cd_f": "LR_CD(f)",
-        "le_theta": "LE", "lr_theta": "LR", "ecr_theta": "ECR",
-        "er_theta": "ER", "f_theta": "F",
-        "official_rank": "official rank",
-    }
-    label = names.get(base, base)
+    label = _DISPLAY_NAMES.get(base, base)
     return f"{label}_{theta}" if theta else label
 
 
@@ -303,13 +306,15 @@ def _synth(args, config, vocabulary, file_cfg: dict) -> None:
             expand_spans([frame_span(ev.onset, ev.offset, config.frame_hop) for ev in events],
                          (), config.frame_hop, ref_path.name)
         file_spec = dataclasses.replace(spec, seed=spec.seed + index)
-        perturbed, entries = perturb(events, file_spec, vocabulary, config.duration)
         try:
+            perturbed, entries = perturb(events, file_spec, vocabulary, config.duration)
             serialize_prediction(
                 perturbed, config.frame_hop, vocabulary, out_dir / ref_path.name, total_frames
             )
         except GridOverflow as exc:
             raise ConfigError(f"{ref_path}: {exc} (--duration {config.duration} s)") from None
+        except ConfigError as exc:  # too many insertions expected
+            raise ConfigError(f"{ref_path}: {exc}") from None
         log["files"][ref_path.name] = {"seed": file_spec.seed, "injections": entries}
     (out_dir / "injection_log.json").write_text(_dump_json(log), encoding="utf-8")
     sys.stdout.write(
@@ -401,7 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delete-prob", dest="deletion_prob", type=float,
                    help="event deletion probability")
     p.add_argument("--insert-rate", dest="insertion_rate", type=float,
-                   help="expected spurious events per minute")
+                   help="expected spurious events per minute; a file may expect at most "
+                        "1,000,000 (synth.MAX_INSERTIONS)")
     p.add_argument("--sub-prob", dest="substitution_prob", type=float,
                    help="class substitution probability")
     p.add_argument("--swap-locations", action="store_true", default=None,

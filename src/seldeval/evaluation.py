@@ -4,7 +4,9 @@ metric reports, confidence intervals, ranking, and correlation.
 Every file contributes a bundle of commutative sums (FileContribution),
 so datasets merge associatively and each jackknife partial is the total
 minus one cached per-file contribution instead of a re-parse. Every
-metric is formed from these sums in one place, `compute_metrics`. Files
+metric is formed from these sums in one place, `compute_metrics`, under
+the keys that `metric_keys` lists, and every per-threshold count reads
+its thresholds from `class_thresholds`. Files
 are always merged in sorted filename order, which keeps the output
 byte-stable regardless of worker scheduling. The process pool, and with
 it `multiprocessing`, is imported only when `jobs > 1`, so a `--jobs 1`
@@ -79,30 +81,11 @@ def _fmt_deg(theta: float) -> str:
 
 
 @dataclass(frozen=True)
-class ThresholdProfile:
-    """One configured angular threshold, with optional per-class overrides
-    that replace the global value for those classes."""
-
-    theta: float
-    per_class: tuple = ()  # ((label, theta), ...) sorted
-
-    @property
-    def key(self) -> str:
-        return _fmt_deg(self.theta)
-
-    def theta_for(self, label: str) -> float:
-        for lb, th in self.per_class:
-            if lb == label:
-                return th
-        return self.theta
-
-
-@dataclass(frozen=True)
 class EvaluationConfig:
     frame_hop: float = 0.02
     segment_length: float = 1.0
     thetas: tuple = (10.0, 30.0)
-    theta_class: tuple = ()  # ((label, theta), ...)
+    theta_class: tuple = ()  # ((label, theta), ...), each label at most once
     loc_mode: str = "frame-average"
     le_mode: str = "micro"
     confidence: float = 0.95
@@ -123,6 +106,11 @@ class EvaluationConfig:
         for _, t in self.theta_class:
             if not 0.0 < t <= 180.0:
                 raise ConfigError(f"per-class threshold {t} outside (0, 180]")
+        labels = [label for label, _ in self.theta_class]
+        twice = sorted({label for label in labels if labels.count(label) > 1})
+        if twice:
+            raise ConfigError("per-class threshold given more than once for class(es): "
+                              + ", ".join(map(repr, twice)))
         if self.loc_mode not in LOC_MODES:
             raise ConfigError(f"localization mode must be one of {LOC_MODES}")
         if self.le_mode not in LE_MODES:
@@ -138,14 +126,31 @@ class EvaluationConfig:
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
 
-    @property
-    def profiles(self) -> tuple:
-        overrides = tuple(sorted(self.theta_class))
-        return tuple(ThresholdProfile(t, overrides) for t in self.thetas)
+
+def class_thresholds(config: EvaluationConfig, vocabulary: Vocabulary) -> np.ndarray:
+    """The (threshold x class) angular thresholds: row t holds config.thetas[t]
+    for every class, less the classes `config.theta_class` gives their own."""
+    table = np.repeat(np.array(config.thetas, dtype=float)[:, None], len(vocabulary), axis=1)
+    for label, theta in config.theta_class:
+        if label not in vocabulary:
+            raise ConfigError(f"per-class threshold given for class {label!r}, "
+                              f"which is not in the vocabulary")
+        table[:, vocabulary.index(label)] = theta
+    return table
+
+
+def metric_keys(thetas: Sequence[float]) -> list:
+    """Every metric key the report emits for these thresholds, in the order
+    `compute_metrics` emits them."""
+    degs = [_fmt_deg(t) for t in thetas]
+    return (["er", "f1", "le", "le_micro", "le_macro", "lr", "ecr"]
+            + [f"{base}:{deg}" for deg in degs for base in ("le_theta", "lr_theta", "ecr_theta")]
+            + ["le_cd", "lr_cd", "le_cd_f", "lr_cd_f"]
+            + [f"{base}:{deg}" for deg in degs for base in ("er_theta", "f_theta")])
 
 
 def _array(shape: str, dtype=np.int64):
-    # A FileContribution array: per profile ("p"), per class ("c") or both ("pc").
+    # A FileContribution array: per threshold ("t"), per class ("c") or both ("tc").
     return field(default=None, metadata={"shape": shape, "dtype": dtype})
 
 
@@ -167,9 +172,9 @@ class FileContribution:
     loc_eq: int = 0
     loc_frame_le_sum: float = 0.0
     loc_frame_le_count: int = 0
-    loc_dist_t: np.ndarray = _array("p", float)
-    loc_k_t: np.ndarray = _array("p")
-    loc_eq_t: np.ndarray = _array("p")
+    loc_dist_t: np.ndarray = _array("t", float)
+    loc_k_t: np.ndarray = _array("t")
+    loc_eq_t: np.ndarray = _array("t")
     # location-agnostic detection, segment level, binary activity
     det_tp: int = 0
     det_fp: int = 0
@@ -190,16 +195,16 @@ class FileContribution:
     # segment-level evidence in the configured loc_mode
     j_dist: np.ndarray = _array("c", float)   # LE_c distance sums
     j_pairs: np.ndarray = _array("c")     # LE_c pair counts
-    j_tp: np.ndarray = _array("pc")
-    j_fp: np.ndarray = _array("pc")
-    j_s: np.ndarray = _array("p")
-    j_d: np.ndarray = _array("p")
-    j_i: np.ndarray = _array("p")
+    j_tp: np.ndarray = _array("tc")
+    j_fp: np.ndarray = _array("tc")
+    j_s: np.ndarray = _array("t")
+    j_d: np.ndarray = _array("t")
+    j_i: np.ndarray = _array("t")
     warnings: tuple = ()
 
     @classmethod
-    def zeros(cls, n_profiles: int, n_classes: int) -> "FileContribution":
-        shapes = {"p": n_profiles, "c": n_classes, "pc": (n_profiles, n_classes)}
+    def zeros(cls, n_thetas: int, n_classes: int) -> "FileContribution":
+        shapes = {"t": n_thetas, "c": n_classes, "tc": (n_thetas, n_classes)}
         return cls(**{f.name: np.zeros(shapes[f.metadata["shape"]], f.metadata["dtype"])
                       for f in dataclasses.fields(cls) if f.metadata})
 
@@ -288,8 +293,8 @@ def _pairs(pu, ru, bm, bn, lead) -> tuple:
 
 def score_file(ref_path, pred_path, vocabulary: Vocabulary, config: EvaluationConfig) -> FileContribution:
     """Parse one file pair and accumulate every metric on its columns."""
-    profiles, n_cls, name = config.profiles, len(vocabulary), Path(ref_path).name
-    c = FileContribution.zeros(len(profiles), n_cls)
+    n_cls, name = len(vocabulary), Path(ref_path).name
+    c = FileContribution.zeros(len(config.thetas), n_cls)
     c.n_files = 1
     events = parse_reference(ref_path, vocabulary)
     pf, pc, pu = read_prediction_columns(pred_path, vocabulary)
@@ -329,8 +334,8 @@ def score_file(ref_path, pred_path, vocabulary: Vocabulary, config: EvaluationCo
     c.loc_frame_le_sum = float(np.cumsum(np.r_[0.0, totals / k])[-1])
     c.frames, c.loc_k, c.loc_n, c.loc_frame_le_count = total, int(k.sum()), len(rf), len(both)
     c.loc_eq = total - len(occ) + int(np.count_nonzero(m == n))
-    for t, profile in enumerate(profiles):
-        hit = d <= profile.theta + THRESHOLD_EPS
+    for t, theta in enumerate(config.thetas):
+        hit = d <= theta + THRESHOLD_EPS
         c.loc_k_t[t] = int(hit.sum())
         within = np.bincount(pair_frame[hit], d[hit], minlength=len(both))
         c.loc_dist_t[t] = np.cumsum(np.r_[0.0, within])[-1]
@@ -407,8 +412,7 @@ def score_file(ref_path, pred_path, vocabulary: Vocabulary, config: EvaluationCo
         evidence = n_pairs > 0
         rep = pair_sum / np.maximum(n_pairs, 1)
         c.j_dist, c.j_pairs = c.j_dist_f, c.j_pairs_f
-    thetas = np.array([[p.theta_for(label) for label in vocabulary] for p in profiles])
-    for t, theta in enumerate(thetas[:, sc_cls]):
+    for t, theta in enumerate(class_thresholds(config, vocabulary)[:, sc_cls]):
         k_theta = np.where((theta >= 180.0) | (evidence & (rep <= theta + THRESHOLD_EPS)), kk, 0)
         fp = np.maximum(pmax - rmax, 0) + kk - k_theta
         c.j_tp[t], c.j_fp[t] = per_class(k_theta), per_class(fp)
@@ -438,73 +442,50 @@ def _ratio(num, den):
 
 def compute_metrics(contrib: FileContribution, config: EvaluationConfig,
                     vocabulary: Vocabulary) -> tuple:
-    """All metric values plus the per-class breakdown for a contribution."""
-    m: dict = {}
-    m["er"] = _ratio(contrib.det_s + contrib.det_d + contrib.det_i, contrib.det_nref)
-    m["f1"] = _ratio(2 * contrib.det_tp, 2 * contrib.det_tp + contrib.det_fp + contrib.det_fn)
+    """All metric values, keyed by `metric_keys`, plus the per-class breakdown
+    for a contribution."""
     le_micro = _ratio(contrib.loc_dist, contrib.loc_k)
     le_macro = _ratio(contrib.loc_frame_le_sum, contrib.loc_frame_le_count)
-    m["le"] = le_macro if config.le_mode == "macro" else le_micro
-    m["le_micro"] = le_micro
-    m["le_macro"] = le_macro
-    m["lr"] = _ratio(contrib.loc_k, contrib.loc_n)
-    m["ecr"] = _ratio(contrib.loc_eq, contrib.frames)
-    for idx, profile in enumerate(config.profiles):
-        key = profile.key
-        kt = int(contrib.loc_k_t[idx])
-        m[f"le_theta:{key}"] = _ratio(float(contrib.loc_dist_t[idx]), kt)
-        m[f"lr_theta:{key}"] = _ratio(kt, contrib.loc_n)
-        m[f"ecr_theta:{key}"] = _ratio(int(contrib.loc_eq_t[idx]), contrib.frames)
+    values = [
+        _ratio(contrib.det_s + contrib.det_d + contrib.det_i, contrib.det_nref),
+        _ratio(2 * contrib.det_tp, 2 * contrib.det_tp + contrib.det_fp + contrib.det_fn),
+        le_macro if config.le_mode == "macro" else le_micro, le_micro, le_macro,
+        _ratio(contrib.loc_k, contrib.loc_n),
+        _ratio(contrib.loc_eq, contrib.frames),
+    ]
+    for t in range(len(config.thetas)):
+        kt = int(contrib.loc_k_t[t])
+        values += [_ratio(float(contrib.loc_dist_t[t]), kt), _ratio(kt, contrib.loc_n),
+                   _ratio(int(contrib.loc_eq_t[t]), contrib.frames)]
 
     per_class: dict = {}
-    le_cs, lr_cs, le_fs, lr_fs = [], [], [], []
+    rows = []  # each present class's LE_c and LR_c, segment level, then frame level
     for ci, label in enumerate(vocabulary):
         if contrib.j_n_seg[ci] == 0 and contrib.j_m_seg[ci] == 0:
             continue  # class absent from references and predictions alike
         le_c = _ratio(float(contrib.j_dist[ci]), int(contrib.j_pairs[ci]))
         lr_c = _ratio(int(contrib.j_k_seg[ci]), int(contrib.j_n_seg[ci]))
-        le_c_f = _ratio(float(contrib.j_dist_f[ci]), int(contrib.j_pairs_f[ci]))
-        lr_c_f = _ratio(int(contrib.j_pairs_f[ci]), int(contrib.j_n_f[ci]))
         per_class[label] = {"le_c": le_c, "lr_c": lr_c}
-        if le_c is not None:
-            le_cs.append(le_c)
-        if lr_c is not None:
-            lr_cs.append(lr_c)
-        if le_c_f is not None:
-            le_fs.append(le_c_f)
-        if lr_c_f is not None:
-            lr_fs.append(lr_c_f)
-    m["le_cd"] = sum(le_cs) / len(le_cs) if le_cs else None
-    m["lr_cd"] = sum(lr_cs) / len(lr_cs) if lr_cs else None
-    m["le_cd_f"] = sum(le_fs) / len(le_fs) if le_fs else None
-    m["lr_cd_f"] = sum(lr_fs) / len(lr_fs) if lr_fs else None
+        rows.append((le_c, lr_c, _ratio(float(contrib.j_dist_f[ci]), int(contrib.j_pairs_f[ci])),
+                     _ratio(int(contrib.j_pairs_f[ci]), int(contrib.j_n_f[ci]))))
+    # LE_CD, LR_CD, LE_CD(f), LR_CD(f): each the mean over the classes where it is defined
+    for col in range(4):
+        defined = [row[col] for row in rows if row[col] is not None]
+        values.append(sum(defined) / len(defined) if defined else None)
 
     fn_total = int(contrib.j_fn.sum())
-    for idx, profile in enumerate(config.profiles):
-        key = profile.key
-        tp = int(contrib.j_tp[idx].sum())
-        fp = int(contrib.j_fp[idx].sum())
-        errors = int(contrib.j_s[idx]) + int(contrib.j_d[idx]) + int(contrib.j_i[idx])
-        m[f"er_theta:{key}"] = _ratio(errors, contrib.j_nref_seg)
-        m[f"f_theta:{key}"] = _ratio(2 * tp, 2 * tp + fp + fn_total)
-    return m, per_class
+    for t in range(len(config.thetas)):
+        tp = int(contrib.j_tp[t].sum())
+        fp = int(contrib.j_fp[t].sum())
+        errors = int(contrib.j_s[t]) + int(contrib.j_d[t]) + int(contrib.j_i[t])
+        values += [_ratio(errors, contrib.j_nref_seg), _ratio(2 * tp, 2 * tp + fp + fn_total)]
+    return dict(zip(metric_keys(config.thetas), values, strict=True)), per_class
 
 
 def metric_directions(config: EvaluationConfig) -> dict:
-    """True = higher is better, for every metric key the report emits."""
-    d = {
-        "er": False, "f1": True, "le": False, "le_micro": False, "le_macro": False,
-        "lr": True, "ecr": True,
-        "le_cd": False, "lr_cd": True, "le_cd_f": False, "lr_cd_f": True,
-    }
-    for profile in config.profiles:
-        key = profile.key
-        d[f"le_theta:{key}"] = False
-        d[f"lr_theta:{key}"] = True
-        d[f"ecr_theta:{key}"] = True
-        d[f"er_theta:{key}"] = False
-        d[f"f_theta:{key}"] = True
-    return d
+    """True = higher is better, for every metric key the report emits: ER and
+    LE in all their forms are errors, every other metric a success rate."""
+    return {key: not key.startswith(("er", "le")) for key in metric_keys(config.thetas)}
 
 
 def reference_files(ref_dir) -> list:
@@ -519,13 +500,17 @@ def discover_pairs(ref_dir, pred_dir) -> list:
     refs = reference_files(ref_dir)
     if not refs:
         raise MissingPair(f"no reference files found in {ref_dir}")
-    preds = {p.name for p in pred_dir.glob("*.csv")} if pred_dir.is_dir() else set()
+    if not pred_dir.is_dir():
+        raise MissingPair(f"prediction directory not found: {pred_dir}")
+    preds = {p.name for p in pred_dir.glob("*.csv")}
     missing = [p.name for p in refs if p.name not in preds]
     if missing:
-        raise MissingPair(f"no prediction for reference file(s): {', '.join(missing)}")
+        raise MissingPair(f"no prediction in {pred_dir} for reference file(s): "
+                          f"{', '.join(missing)}")
     extra = sorted(preds - {p.name for p in refs})
     if extra:
-        raise MissingPair(f"prediction file(s) without a reference: {', '.join(extra)}")
+        raise MissingPair(f"prediction file(s) in {pred_dir} without a reference: "
+                          f"{', '.join(extra)}")
     return [(p.name, p, pred_dir / p.name) for p in refs]
 
 
@@ -585,10 +570,7 @@ def evaluate_directory(
     config: EvaluationConfig,
 ) -> EvaluationResult:
     """Score a directory of filename-matched reference/prediction pairs."""
-    for label, _ in config.theta_class:
-        if label not in vocabulary:
-            raise ConfigError(f"per-class threshold given for class {label!r}, "
-                              f"which is not in the vocabulary")
+    class_thresholds(config, vocabulary)  # refuses a per-class threshold for an unknown class
     pairs = discover_pairs(ref_dir, pred_dir)
     tasks = [(ref, pred, vocabulary, config) for _, ref, pred in pairs]
     if config.jobs > 1:
@@ -599,7 +581,7 @@ def evaluate_directory(
     else:
         contribs = [_score_star(t) for t in tasks]
     per_file = {name: c for (name, _, _), c in zip(pairs, contribs)}
-    total = FileContribution.zeros(len(config.profiles), len(vocabulary))
+    total = FileContribution.zeros(len(config.thetas), len(vocabulary))
     for name in sorted(per_file):
         total = total + per_file[name]
     return EvaluationResult(config=config, vocabulary=vocabulary, per_file=per_file, total=total)
@@ -609,15 +591,20 @@ OFFICIAL_METRICS = ("er", "f1", "le", "ecr")
 
 
 def joint_metric_set(config: EvaluationConfig) -> tuple:
-    key = config.profiles[0].key
-    return ("le_cd", "lr_cd", f"er_theta:{key}", f"f_theta:{key}")
+    # LE_CD, LR_CD, and the first threshold's ER and F: the last two keys of its report
+    return ("le_cd", "lr_cd", *metric_keys(config.thetas[:1])[-2:])
 
 
 def _system_values(ref_dir, systems: Sequence, vocabulary: Vocabulary,
                    config: EvaluationConfig, keys) -> dict:
     """Each metric key's values over the (id, prediction directory) systems, in order."""
-    metrics = [evaluate_directory(ref_dir, pred_dir, vocabulary, config).report().metrics
-               for _, pred_dir in systems]
+    metrics = []
+    for system_id, pred_dir in systems:
+        try:
+            result = evaluate_directory(ref_dir, pred_dir, vocabulary, config)
+        except MissingPair as exc:
+            raise MissingPair(f"system {system_id!r}: {exc}") from None
+        metrics.append(result.report().metrics)
     return {k: [m[k] for m in metrics] for k in keys}
 
 
@@ -644,14 +631,8 @@ def rank_systems(
 
 
 def correlation_metric_keys(config: EvaluationConfig) -> list:
-    keys = ["er", "f1", "le", "lr", "ecr"]
-    for profile in config.profiles:
-        keys += [f"le_theta:{profile.key}", f"lr_theta:{profile.key}",
-                 f"ecr_theta:{profile.key}"]
-    keys += ["le_cd", "lr_cd", "le_cd_f", "lr_cd_f"]
-    for profile in config.profiles:
-        keys += [f"er_theta:{profile.key}", f"f_theta:{profile.key}"]
-    return keys
+    """The report's metric keys less LE's micro and macro forms, one of which LE is."""
+    return [k for k in metric_keys(config.thetas) if k not in ("le_micro", "le_macro")]
 
 
 @dataclass

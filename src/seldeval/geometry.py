@@ -111,10 +111,11 @@ def sorted_unique(x: np.ndarray) -> tuple:
     return ordered[new], inverse
 
 
-def _math_map(fn, x: np.ndarray) -> np.ndarray:
-    # Evaluated once per distinct bit pattern, so -0.0 keeps its sign.
+def _math_map(x: np.ndarray, *fns) -> list:
+    # Each fn once per distinct bit pattern of x (so -0.0 keeps its sign), sorted once.
     keys, inverse = sorted_unique(np.ascontiguousarray(x, dtype=float).view(np.int64))
-    return np.array(list(map(fn, keys.view(float).tolist())), dtype=float)[inverse]
+    keys = keys.view(float).tolist()
+    return [np.array(list(map(fn, keys)), dtype=float)[inverse] for fn in fns]
 
 
 def unit_vectors(azimuth: np.ndarray, elevation: np.ndarray) -> np.ndarray:
@@ -122,15 +123,15 @@ def unit_vectors(azimuth: np.ndarray, elevation: np.ndarray) -> np.ndarray:
     az = np.mod(azimuth + 180.0, 360.0) - 180.0
     az = np.where(az >= 180.0, az - 360.0, az) * (math.pi / 180.0)  # math.radians
     el = elevation * (math.pi / 180.0)
-    cos_el = _math_map(math.cos, el)
-    return np.stack([cos_el * _math_map(math.cos, az), cos_el * _math_map(math.sin, az),
-                     _math_map(math.sin, el)], axis=1)
+    cos_az, sin_az = _math_map(az, math.cos, math.sin)
+    cos_el, sin_el = _math_map(el, math.cos, math.sin)
+    return np.stack([cos_el * cos_az, cos_el * sin_az, sin_el], axis=1)
 
 
 def angles_between(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """`angular_distance` between the unit vectors of rows u[k] and v[k]."""
     dot = u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1] + u[:, 2] * v[:, 2]
-    out = _math_map(math.acos, np.clip(dot, -1.0, 1.0)) * (180.0 / math.pi)  # math.degrees
+    out = _math_map(np.clip(dot, -1.0, 1.0), math.acos)[0] * (180.0 / math.pi)  # math.degrees
     equal = (u == v).all(axis=1)
     out[equal] = 0.0
     for k in np.flatnonzero(~equal & (np.abs(dot) > _ACOS_DOT_LIMIT)):

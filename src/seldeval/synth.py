@@ -14,7 +14,9 @@ fixed (events, spec, seed) triple always produces identical output on
 any platform. Draws are made per event in input order: deletion first,
 then substitution, then jitter; the swap pass and insertions follow.
 Every injected error is logged so tests can compute expected metric
-deltas from the log.
+deltas from the log. A file may expect at most `MAX_INSERTIONS`
+insertions (rate x duration / 60); a larger expectation is refused
+before the Poisson draw, whatever the host's memory.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ import numpy as np
 from .annotations import EventRecord, Vocabulary, expand_spans, frame_span, write_prediction_rows
 from .errors import ConfigError, GridOverflow
 from .geometry import Direction
+
+# The most insertions one file may expect; each one is drawn and logged in turn.
+MAX_INSERTIONS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -119,7 +124,8 @@ def perturb(
     Returns (perturbed events, injection log); the log is a list of dicts
     with a "type" key and enough detail to reconstruct the expected
     metric impact. `duration` bounds where insertions may be placed and
-    defaults to the last reference offset.
+    defaults to the last reference offset. An expected insertion count
+    above `MAX_INSERTIONS` raises ConfigError before any draw.
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     log = []
@@ -178,7 +184,11 @@ def perturb(
     if spec.insertion_rate > 0:
         if duration is None:
             duration = max((ev.offset for ev in events), default=0.0)
-        count = int(rng.poisson(spec.insertion_rate * duration / 60.0)) if duration > 0 else 0
+        expected = spec.insertion_rate * duration / 60.0 if duration > 0 else 0.0
+        if not expected <= MAX_INSERTIONS:
+            raise ConfigError(f"insertion rate {spec.insertion_rate} per minute over {duration} s "
+                              f"expects {expected:g} insertions, above {MAX_INSERTIONS} per file")
+        count = int(rng.poisson(expected))
         grid = grid_directions()
         for _ in range(count):
             label = vocabulary.label(int(rng.integers(len(vocabulary))))

@@ -25,7 +25,7 @@ from seldeval.annotations import (
 )
 from seldeval.detection import detection_counts
 from seldeval.errors import ConfigError
-from seldeval.evaluation import FileContribution
+from seldeval.evaluation import FileContribution, class_thresholds
 from seldeval.localization import LocalizationAccumulator
 
 
@@ -44,8 +44,8 @@ def _grid_length(events, sparse_pred, config) -> int:
 
 
 def score_file_oracle(ref_path, pred_path, vocabulary, config) -> FileContribution:
-    profiles = config.profiles
-    contrib = FileContribution.zeros(len(profiles), len(vocabulary))
+    thresholds = class_thresholds(config, vocabulary)
+    contrib = FileContribution.zeros(len(config.thetas), len(vocabulary))
     contrib.n_files = 1
 
     events = parse_reference(ref_path, vocabulary)
@@ -56,7 +56,7 @@ def score_file_oracle(ref_path, pred_path, vocabulary, config) -> FileContributi
     ref_frames = rasterize(events, config.frame_hop, total_frames)
     pred_frames = densify(sparse, total_frames)
 
-    loc = LocalizationAccumulator(thetas=tuple(p.theta for p in profiles))
+    loc = LocalizationAccumulator(thetas=tuple(config.thetas))
     for pred, ref in zip(pred_frames, ref_frames):
         loc.update([d for _, d in pred.instances], [d for _, d in ref.instances])
     contrib.frames = loc.frames
@@ -94,25 +94,25 @@ def score_file_oracle(ref_path, pred_path, vocabulary, config) -> FileContributi
             contrib.j_m_seg[ci] += stats.pred_max
             contrib.j_fn[ci] += max(0, stats.ref_max - stats.pred_max)
             contrib.j_nref_seg += stats.ref_max
-        for p_idx, profile in enumerate(profiles):
+        for t, row in enumerate(thresholds):
             unit = joint.segment_class_counts(
-                view, profile.theta_for, config.loc_mode,
-                warn=warnings.append if p_idx == 0 else None,
+                view, lambda label: float(row[vocabulary.index(label)]), config.loc_mode,
+                warn=warnings.append if t == 0 else None,
             )
             u_fp = u_fn = 0
             for c in unit:
                 ci = vocabulary.index(c.label)
-                contrib.j_tp[p_idx, ci] += c.tp
-                contrib.j_fp[p_idx, ci] += c.fp
+                contrib.j_tp[t, ci] += c.tp
+                contrib.j_fp[t, ci] += c.fp
                 u_fp += c.fp
                 u_fn += c.fn
-                if p_idx == 0 and seg_mean:
+                if t == 0 and seg_mean:
                     contrib.j_dist[ci] += c.dist_sum
                     contrib.j_pairs[ci] += c.pair_count
             u_s = min(u_fn, u_fp)
-            contrib.j_s[p_idx] += u_s
-            contrib.j_d[p_idx] += u_fn - u_s
-            contrib.j_i[p_idx] += u_fp - u_s
+            contrib.j_s[t] += u_s
+            contrib.j_d[t] += u_fn - u_s
+            contrib.j_i[t] += u_fp - u_s
     if not seg_mean:
         contrib.j_dist, contrib.j_pairs = contrib.j_dist_f, contrib.j_pairs_f
     if warnings:

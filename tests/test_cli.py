@@ -447,6 +447,10 @@ class TestUsageErrors:
         text = capsys.readouterr().out
         settings = PerturbationSpec if command == "synth" else EvaluationConfig
         assert all(f.name in text for f in dataclasses.fields(settings))
+        if command == "synth":  # --insert-rate names the per-file cap
+            from seldeval.synth import MAX_INSERTIONS
+
+            assert f"{MAX_INSERTIONS:,}" in " ".join(text.split())
 
 
 class TestDuration:

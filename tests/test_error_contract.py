@@ -8,13 +8,19 @@ that reads the broken file must return 1 and print
 follows a valid one, so it cannot be taken for a header. The
 multi-system commands, `rank` and `correlate`, must do the same for a
 malformed, repeated or empty system and for one broken file among good
-systems.
+systems. A missing or empty prediction directory is named in the message,
+after the system's id where there are several; `synth` refuses at once a
+file expecting more than `synth.MAX_INSERTIONS` insertions.
 """
 
 import contextlib
 import io
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -23,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seldeval.cli import main
+from seldeval.synth import MAX_INSERTIONS
 
 REF_ROW = "dog,0.0,1.0,10.0,0.0"
 PRED_ROW = "0,0,10.0,0.0"
@@ -166,7 +173,7 @@ GOOD_SYSTEMS = ["a={root}/good", "b={root}/good", "c={root}/good"]
 
 
 def run_systems(command, systems, bad_row=PRED_ROW):
-    """Exit code and stderr of a multi-system command on the two-file corpus
+    """Exit code and stderr of a scoring command on the two-file corpus
     with one --pred per entry of `systems`, where ``{root}`` names a
     directory holding ``good`` (valid predictions), ``bad`` (`bad_row` as
     the second row of b.csv) and ``empty`` (no files)."""
@@ -253,12 +260,52 @@ def test_duplicate_system_names_refused(command):
     assert json.loads(err) == {"error": "ConfigError", "message": "duplicate system names in --pred"}
 
 
-@pytest.mark.parametrize("command", MULTI_SYSTEM)
-@pytest.mark.parametrize("directory", ["missing", "empty"])
-def test_system_without_predictions_refused(command, directory):
-    code, err = run_systems(command, GOOD_SYSTEMS + ["d={root}/" + directory])
+NO_PREDICTIONS = {  # directory: its message, where d is the directory's path
+    "missing": r"prediction directory not found: (?P<d>.+)",
+    "empty": r"no prediction in (?P<d>.+) for reference file\(s\): a\.csv, b\.csv",
+}
+
+
+def assert_no_predictions(code, err, directory, system=None):
     assert_error_envelope(code, err)
-    assert json.loads(err)["error"] == "MissingPair"
+    envelope = json.loads(err)
+    assert envelope["error"] == "MissingPair"
+    prefix = "" if system is None else f"system {system!r}: "
+    match = re.fullmatch(re.escape(prefix) + NO_PREDICTIONS[directory], envelope["message"])
+    assert match and Path(match["d"]).name == directory, envelope["message"]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "jackknife"])
+@pytest.mark.parametrize("directory", sorted(NO_PREDICTIONS))
+def test_directory_without_predictions_named(command, directory):
+    assert_no_predictions(*run_systems(command, ["{root}/" + directory]), directory)
+
+
+@pytest.mark.parametrize("command", MULTI_SYSTEM)
+@pytest.mark.parametrize("directory", sorted(NO_PREDICTIONS))
+def test_system_without_predictions_refused(command, directory):
+    # among good systems, so the message must name the one at fault
+    systems = GOOD_SYSTEMS[:1] + ["d={root}/" + directory] + GOOD_SYSTEMS[1:]
+    assert_no_predictions(*run_systems(command, systems), directory, system="d")
+
+
+def test_synth_expecting_too_many_insertions_returns_at_once(tmp_path):
+    # 1 insertion per minute over 1e12 s expects 1.7e10 of them, each drawn in turn;
+    # in a process of its own, so that a loop fails the test instead of hanging it
+    write_files(tmp_path / "ref", REF_ROW, REF_ROW)
+    (tmp_path / "ref" / "vocabulary.txt").write_text("dog\n", encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from seldeval.cli import main; sys.exit(main())",
+         "synth", "--ref", str(tmp_path / "ref"), "--out", str(tmp_path / "out"),
+         "--insert-rate", "1", "--duration", "1e12"],
+        capture_output=True, text=True, timeout=30, env={**os.environ, "PYTHONPATH": path})
+    code, err = proc.returncode, proc.stderr
+    assert_error_envelope(code, err)
+    envelope = json.loads(err)
+    assert envelope["error"] == "ConfigError"
+    assert f"above {MAX_INSERTIONS} per file" in envelope["message"]
 
 
 @given(st.sampled_from(MULTI_SYSTEM), st.integers(0, 3), bad_prediction_rows)

@@ -7,9 +7,11 @@ from seldeval.errors import ConfigError, MissingPair
 from seldeval.evaluation import (
     EvaluationConfig,
     FileContribution,
+    class_thresholds,
     compute_metrics,
     evaluate_directory,
     metric_directions,
+    metric_keys,
     rank_systems,
     score_file,
 )
@@ -38,7 +40,8 @@ class TestConfig:
         assert cfg.frame_hop == 0.02
         assert cfg.segment_length == 1.0
         assert cfg.thetas == (10.0, 30.0)
-        assert [p.key for p in cfg.profiles] == ["10", "30"]
+        assert [k.partition(":")[2] for k in metric_keys(cfg.thetas)
+                if k.startswith("f_theta:")] == ["10", "30"]
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -56,9 +59,18 @@ class TestConfig:
 
     def test_per_class_override(self):
         cfg = EvaluationConfig(theta_class=(("dog", 5.0),))
-        profile = cfg.profiles[0]
-        assert profile.theta_for("dog") == 5.0
-        assert profile.theta_for("cat") == 10.0
+        thresholds = class_thresholds(cfg, VOCAB)
+        assert thresholds.shape == (2, 3)
+        assert thresholds[0, VOCAB.index("dog")] == 5.0
+        assert thresholds[0, VOCAB.index("cat")] == 10.0
+        assert thresholds[1].tolist() == [5.0, 30.0, 30.0]
+
+    def test_per_class_threshold_given_twice_refused(self):
+        # the first would score while the report's config echo showed the last
+        with pytest.raises(ConfigError, match="'cough'"):
+            EvaluationConfig(theta_class=(("cough", 5.0), ("cough", 170.0)))
+        with pytest.raises(ConfigError, match="'dog'"):
+            EvaluationConfig(theta_class=(("dog", 5.0), ("cat", 7.0), ("dog", 5.0)))
 
 
 class TestPipeline:
@@ -99,11 +111,11 @@ class TestPipeline:
         names = sorted(result.per_file)
         half_a = sum(
             (result.per_file[n] for n in names[:2]),
-            FileContribution.zeros(len(config.profiles), len(VOCAB)),
+            FileContribution.zeros(len(config.thetas), len(VOCAB)),
         )
         half_b = sum(
             (result.per_file[n] for n in names[2:]),
-            FileContribution.zeros(len(config.profiles), len(VOCAB)),
+            FileContribution.zeros(len(config.thetas), len(VOCAB)),
         )
         merged, _ = compute_metrics(half_a + half_b, config, VOCAB)
         full, _ = compute_metrics(result.total, config, VOCAB)
@@ -125,7 +137,7 @@ class TestPipeline:
         by_sub = result.total - result.per_file[left_out]
         by_sum = sum(
             (result.per_file[n] for n in names if n != left_out),
-            FileContribution.zeros(len(config.profiles), len(VOCAB)),
+            FileContribution.zeros(len(config.thetas), len(VOCAB)),
         )
         m_sub, _ = compute_metrics(by_sub, config, VOCAB)
         m_sum, _ = compute_metrics(by_sum, config, VOCAB)
@@ -291,3 +303,51 @@ class TestMetricDirections:
         report = evaluate_directory(ref_dir, pred_dir, VOCAB, config).report()
         directions = metric_directions(config)
         assert set(report.metrics) == set(directions)
+
+
+class TestMetricKeys:
+    """`metric_keys` is the one declaration of the report's keys."""
+
+    @pytest.fixture(scope="class")
+    def system(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("keys")
+        ref_dir = make_corpus(root / "ref", VOCAB, 2, 6, seed=15)
+        return ref_dir, make_system(ref_dir, root / "pred", PerturbationSpec(doa_jitter_deg=8.0,
+                                                                             seed=3))
+
+    @pytest.mark.parametrize("thetas", [(20.0,), (10.0, 30.0), (1.5, 45.0, 180.0)])
+    @pytest.mark.parametrize("theta_class", [(), (("dog", 5.0), ("speech", 90.0))])
+    def test_compute_metrics_emits_the_keys_in_order(self, system, thetas, theta_class):
+        config = EvaluationConfig(thetas=thetas, theta_class=theta_class)
+        report = evaluate_directory(*system, VOCAB, config).report()
+        keys = metric_keys(thetas)
+        assert list(report.metrics) == keys
+        assert len(keys) == 11 + 5 * len(thetas)
+        assert list(metric_directions(config)) == keys
+        assert evaluation.correlation_metric_keys(config) == [
+            k for k in keys if k not in ("le_micro", "le_macro")]
+
+    def test_directions_by_base_name(self):
+        directions = metric_directions(EvaluationConfig(thetas=(10.0, 30.0)))
+        assert list(directions) == [
+            "er", "f1", "le", "le_micro", "le_macro", "lr", "ecr",
+            "le_theta:10", "lr_theta:10", "ecr_theta:10", "le_theta:30", "lr_theta:30",
+            "ecr_theta:30", "le_cd", "lr_cd", "le_cd_f", "lr_cd_f",
+            "er_theta:10", "f_theta:10", "er_theta:30", "f_theta:30"]
+        lower = {k for k, higher in directions.items() if not higher}
+        assert lower == {"er", "le", "le_micro", "le_macro", "le_theta:10", "le_theta:30",
+                         "le_cd", "le_cd_f", "er_theta:10", "er_theta:30"}
+
+    def test_joint_metric_set_uses_the_first_threshold(self):
+        assert evaluation.joint_metric_set(EvaluationConfig(thetas=(20.0, 2.5))) == (
+            "le_cd", "lr_cd", "er_theta:20", "f_theta:20")
+
+    @pytest.mark.parametrize("thetas", [(20.0,), (10.0, 30.0), (1.5, 45.0, 180.0)])
+    def test_every_shown_key_has_a_display_name(self, thetas):
+        from seldeval import cli
+
+        config = EvaluationConfig(thetas=thetas)
+        shown = (evaluation.correlation_metric_keys(config) + ["official_rank"]
+                 + list(evaluation.OFFICIAL_METRICS) + list(evaluation.joint_metric_set(config)))
+        for key in shown:
+            assert key.partition(":")[0] in cli._DISPLAY_NAMES, key

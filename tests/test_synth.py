@@ -9,9 +9,11 @@ from seldeval.annotations import (
     parse_prediction,
     rasterize,
 )
+from seldeval.errors import ConfigError
 from seldeval.evaluation import EvaluationConfig, evaluate_directory
 from seldeval.geometry import Direction, angular_distance
 from seldeval.synth import (
+    MAX_INSERTIONS,
     PerturbationSpec,
     grid_directions,
     jitter_direction,
@@ -130,6 +132,13 @@ class TestPerturb:
         for entry in inserted:
             assert (entry["azimuth"], entry["elevation"]) in grid
             assert -40 <= entry["elevation"] <= 40
+
+    @pytest.mark.parametrize("rate, duration", [(1.0, 1e12), (float("inf"), 60.0),
+                                                (MAX_INSERTIONS + 1.0, 60.0)])
+    def test_insertions_above_the_cap_refused_before_drawing(self, rate, duration):
+        spec = PerturbationSpec(insertion_rate=rate, seed=11)
+        with pytest.raises(ConfigError, match=f"above {MAX_INSERTIONS} per file"):
+            perturb(BASE_EVENTS, spec, VOCAB, duration=duration)
 
 
 class TestSerializePrediction:
