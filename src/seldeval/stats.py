@@ -132,15 +132,24 @@ def spearman(values_a: Sequence[float], values_b: Sequence[float]) -> float:
     n = len(values_a)
     if n < 2:
         raise ValueError(f"need at least 2 observations, got {n}")
-    ra = _average_ranks(list(values_a))
-    rb = _average_ranks(list(values_b))
-    mean_a = sum(ra) / n
-    mean_b = sum(rb) / n
-    var_a = sum((x - mean_a) ** 2 for x in ra)
-    var_b = sum((x - mean_b) ** 2 for x in rb)
+    return rank_correlation(rank_moments(values_a), rank_moments(values_b))
+
+
+def rank_moments(values: Sequence[float]) -> tuple:
+    """The tie-averaged ranks of `values` less their mean, and the sum of
+    their squares: what `rank_correlation` needs of one side."""
+    ranks = _average_ranks(list(values))
+    mean = sum(ranks) / len(ranks)
+    return [x - mean for x in ranks], sum((x - mean) ** 2 for x in ranks)
+
+
+def rank_correlation(a: tuple, b: tuple) -> float:
+    """Pearson correlation of two equally long `rank_moments`; a side whose
+    ranks are all equal raises DegenerateRanks."""
+    (dev_a, var_a), (dev_b, var_b) = a, b
     if var_a == 0 or var_b == 0:
         raise DegenerateRanks("rank vector is constant; correlation undefined")
-    cov = sum((x - mean_a) * (y - mean_b) for x, y in zip(ra, rb))
+    cov = sum(x * y for x, y in zip(dev_a, dev_b))
     return cov / math.sqrt(var_a * var_b)
 
 

@@ -61,7 +61,7 @@ class PerturbationSpec:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
         if not 0.0 <= self.doa_jitter_deg <= 180.0:
             raise ValueError(f"doa_jitter_deg must be in [0, 180], got {self.doa_jitter_deg}")
-        if self.insertion_rate < 0:
+        if not self.insertion_rate >= 0:  # NaN too
             raise ValueError(f"insertion_rate must be non-negative, got {self.insertion_rate}")
 
 

@@ -9,6 +9,7 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -68,10 +69,8 @@ directions = st.sampled_from(GRID)
 spans = st.tuples(st.integers(0, 60), st.integers(0, 25))
 
 
-@st.composite
-def scenes(draw):
-    hop_cfg = draw(st.sampled_from(CONFIGS))
-    hop = hop_cfg["frame_hop"]
+def draw_scene(draw, hop):
+    """Reference events and prediction rows of one file, frames 0 to 90 at most."""
     ref_events = [event(VOCAB.labels[c], s, s + length, d, hop) for c, (s, length), d in draw(
         st.lists(st.tuples(st.integers(0, 2), spans, directions), max_size=8))]
     pred_rows = [row for c, (s, length), d, k in draw(st.lists(
@@ -80,13 +79,23 @@ def scenes(draw):
     pred_rows += draw(st.lists(st.tuples(st.integers(0, 90), st.integers(0, 2), directions),
                                max_size=12))
     pred_rows = draw(st.permutations(pred_rows)) if len(pred_rows) < 200 else pred_rows
+    return ref_events, pred_rows
+
+
+def draw_config(draw, hop_cfg, duration=None):
     thetas = draw(st.lists(st.sampled_from([5.0, 10.0, 30.0, 90.0, 180.0]), min_size=1,
                            max_size=3, unique=True))
     theta_class = draw(st.sampled_from([(), (("dog", 45.0),), (("cat", 180.0), ("speech", 1.0))]))
-    config = EvaluationConfig(thetas=tuple(thetas), theta_class=theta_class,
-                              loc_mode=draw(st.sampled_from(["frame-average", "segment-mean"])),
-                              **hop_cfg)
-    return ref_events, pred_rows, config, draw(st.booleans())
+    return EvaluationConfig(thetas=tuple(thetas), theta_class=theta_class,
+                            loc_mode=draw(st.sampled_from(["frame-average", "segment-mean"])),
+                            duration=duration, **hop_cfg)
+
+
+@st.composite
+def scenes(draw):
+    hop_cfg = draw(st.sampled_from(CONFIGS))
+    ref_events, pred_rows = draw_scene(draw, hop_cfg["frame_hop"])
+    return ref_events, pred_rows, draw_config(draw, hop_cfg), draw(st.booleans())
 
 
 HOP = 0.02
@@ -189,6 +198,124 @@ class TestKernelEqualsOracle:
         assert got.loc_k_t.tolist() == [31] and got.loc_dist_t.tolist() == [0.0]
 
 
+def write_scenes(root, scenes):
+    """Each (reference events, prediction rows) scene as ref/f{i}.csv and
+    pred/f{i}.csv under `root`; the (reference, prediction) path pairs."""
+    (root / "ref").mkdir()
+    (root / "pred").mkdir()
+    paths = []
+    for i, (ref_events, pred_rows) in enumerate(scenes):
+        ref, pred = root / "ref" / f"f{i}.csv", root / "pred" / f"f{i}.csv"
+        write_reference(ref, ref_events)
+        pred.write_text("".join(f"{f},{c},{az!r},{el!r}\n" for f, c, (az, el) in pred_rows))
+        paths.append((ref, pred))
+    return paths
+
+
+def assert_batch_equals_one_pair_at_a_time(scenes, config, cap=evaluation.MAX_BATCH_ROWS):
+    """Every scene scored in one batch, and in batches of at most `cap`
+    rows, gives score_file's FileContribution; returns those."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_scenes(Path(tmp), scenes)
+        want = [score_file(ref, pred, VOCAB, config) for ref, pred in paths]
+        one = evaluation.score_batch([evaluation.read_pair(ref, pred, VOCAB, config)
+                                      for ref, pred in paths], VOCAB, config)
+        with mock.patch.object(evaluation, "MAX_BATCH_ROWS", cap):
+            capped = evaluation._score_pairs(paths, VOCAB, config)
+    for got in (one, capped):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert_same(a, b)
+    return want
+
+
+@st.composite
+def batches(draw):
+    hop_cfg = draw(st.sampled_from(CONFIGS))
+    hop = hop_cfg["frame_hop"]
+    scenes = [draw_scene(draw, hop) for _ in range(draw(st.integers(1, 4)))]
+    # the scenes reach frame 90; 137 frames is no whole number of segments
+    frames = draw(st.sampled_from([None, 100, 137]))
+    config = draw_config(draw, hop_cfg, None if frames is None else round(frames * hop, 6))
+    return scenes, config, draw(st.sampled_from([1, 60, 400, evaluation.MAX_BATCH_ROWS]))
+
+
+STATIC = ([event("dog", 0, 99, (0, 0), HOP), event("dog", 0, 99, (90, 0), HOP)],
+          [(f, 0, d) for f in range(100) for d in ((10.0, 0.0), (80.0, 0.0))])
+ANTIPODAL = ([event("dog", 0, 19, (0, 0), HOP), event("dog", 20, 39, (180, 0), HOP)],
+             rows(0, 0, 19, (0, 90)) + rows(0, 20, 39, (0, -90)))
+
+
+class TestBatchEqualsOnePairAtATime:
+    @given(batches())
+    @settings(max_examples=100, deadline=None)
+    def test_random_batches(self, batch):
+        assert_batch_equals_one_pair_at_a_time(*batch)
+
+    @pytest.mark.parametrize("duration", [None, 3.0])
+    @pytest.mark.parametrize("loc_mode", ["frame-average", "segment-mean"])
+    def test_empty_prediction_and_reference_without_events(self, duration, loc_mode):
+        ref_events, pred_rows = CASES["same_class_multi_instance"]
+        config = EvaluationConfig(duration=duration, loc_mode=loc_mode,
+                                  theta_class=(("dog", 45.0), ("cat", 5.0)))
+        got = assert_batch_equals_one_pair_at_a_time(
+            [(ref_events, []), ([], pred_rows), ([], []), (ref_events, pred_rows)], config)
+        assert got[2].frames == (0 if duration is None else 150)
+
+    @pytest.mark.parametrize("duration", [None, 1.01])
+    def test_degenerate_pool_in_the_second_file(self, duration):
+        config = EvaluationConfig(loc_mode="segment-mean", duration=duration)
+        got = assert_batch_equals_one_pair_at_a_time(
+            [CASES["tie_2x2"], ANTIPODAL, CASES["tie_2x2"]], config)
+        assert [len(c.warnings) for c in got] == [0, 2, 0]
+        # the segment index is the file's own
+        assert got[1].warnings[0].startswith("f1.csv: ") and "in segment 0;" in got[1].warnings[0]
+
+    def test_repeated_frames_run_across_the_file_boundary(self, monkeypatch):
+        # Both files repeat one frame; the second copies the first file's pairs.
+        solved = []
+        solve = evaluation.assign_batch
+        monkeypatch.setattr(evaluation, "assign_batch",
+                            lambda dist, m, n: solved.append(len(m)) or solve(dist, m, n))
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = write_scenes(Path(tmp), [STATIC, STATIC])
+            got = evaluation._score_pairs(paths, VOCAB, EvaluationConfig())
+        assert solved == [2]  # one frame problem and one slice problem
+        monkeypatch.undo()
+        assert_batch_equals_one_pair_at_a_time([STATIC, STATIC], EvaluationConfig())
+        assert [c.loc_k for c in got] == [200, 200]
+
+    @pytest.mark.parametrize("cap, sizes", [(1, [1, 1, 1, 1]), (401, [1, 1, 1, 1]), (800, [2, 2]),
+                                            (1000, [2, 2]), (1200, [3, 1]), (10 ** 6, [4])])
+    def test_row_cap_splits_the_batch(self, monkeypatch, cap, sizes):
+        # STATIC has 400 rows, 200 on each side; a batch that reaches the cap is full
+        monkeypatch.setattr(evaluation, "MAX_BATCH_ROWS", cap)
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = write_scenes(Path(tmp), [STATIC] * 4)
+            assert [len(b) for b in evaluation._batches(paths, VOCAB, EvaluationConfig(), None)] == sizes
+        assert_batch_equals_one_pair_at_a_time([STATIC] * 4, EvaluationConfig(), cap)
+
+    @pytest.mark.parametrize("cap, steps", [(400, "rsrsrsrs"), (800, "rrsrrs"), (1000, "rrrsrs")])
+    def test_full_batch_scored_before_the_next_read(self, monkeypatch, cap, steps):
+        # so a batch's rows and the next pair's are held together only below the cap
+        log = []
+        read, score = evaluation.read_pair, evaluation.score_batch
+        monkeypatch.setattr(evaluation, "read_pair", lambda *a: log.append("r") or read(*a))
+        monkeypatch.setattr(evaluation, "score_batch", lambda *a: log.append("s") or score(*a))
+        monkeypatch.setattr(evaluation, "MAX_BATCH_ROWS", cap)
+        with tempfile.TemporaryDirectory() as tmp:
+            evaluation._score_pairs(write_scenes(Path(tmp), [STATIC] * 4), VOCAB, EvaluationConfig())
+        assert "".join(log) == steps
+
+    @pytest.mark.parametrize("duration, sizes", [(9.2e16, [2]), (1e17, [1, 1])])
+    def test_grids_reaching_2_63_split_the_batch(self, duration, sizes):
+        # 4.6e18 frames each fit twice below frame 2**63; 5e18 frames do not
+        config = EvaluationConfig(duration=duration)
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = write_scenes(Path(tmp), [CASES["tie_2x2"]] * 2)
+            assert [len(b) for b in evaluation._batches(paths, VOCAB, config, None)] == sizes
+
+
 class TestSubtractionAndWarnings:
     def _scene(self, root, antipodal):
         ref, pred = root / "ref", root / "pred"
@@ -247,7 +374,7 @@ class TestRunReuse:
         ref = [event("dog", 0, 499, (0, 0), HOP), event("dog", 0, 499, (90, 0), HOP)]
         pred = [(f, 0, d) for f in range(500) for d in ((10.0, 0.0), (80.0, 0.0))]
         got = score_both(ref, pred, EvaluationConfig())
-        assert solved == [1, 1]
+        assert solved == [2]  # one frame problem and one slice problem, in one call
         assert got.loc_k == 1000 and got.j_pairs_f.tolist() == [1000, 0, 0]
 
 

@@ -313,3 +313,50 @@ def test_synth_expecting_too_many_insertions_returns_at_once(tmp_path):
 def test_malformed_file_among_good_systems(command, position, row):
     systems = GOOD_SYSTEMS[:position] + ["d={root}/bad"] + GOOD_SYSTEMS[position:]
     assert_error_envelope(*run_systems(command, systems, bad_row=row))
+
+
+@pytest.mark.parametrize("command", MULTI_SYSTEM)
+def test_malformed_system_reported_before_a_later_missing_one(command):
+    # Systems are scored in order: s1's bad file is read before s2's directory is looked up.
+    code, err = run_systems(command, ["s1={root}/bad", "s2={root}/missing", *GOOD_SYSTEMS[1:]],
+                            bad_row="1,0,bcx,0.0")
+    assert_error_envelope(code, err)
+    envelope = json.loads(err)
+    assert envelope["error"] == "ParseError"
+    match = re.fullmatch(r"cannot parse azimuth from 'bcx' \[(?P<d>.+)[/\\]b\.csv:2\]",
+                         envelope["message"])
+    assert match and Path(match["d"]).name == "bad", envelope["message"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("bad_row", ["1,0,bcx,0.0", "1,0,10.0", "1,0,10.0,91.0", b"\xff"])
+def test_first_malformed_file_named(tmp_path, jobs, bad_row):
+    # Files 2 and 5 of six are malformed; one batch, or one group per worker,
+    # holds both, and file 2 is read first.
+    ref, pred = tmp_path / "ref", tmp_path / "pred"
+    ref.mkdir()
+    pred.mkdir()
+    (ref / "vocabulary.txt").write_text("dog\ncat\n", encoding="utf-8")
+    for i in range(1, 7):
+        (ref / f"f{i}.csv").write_text(f"{REF_ROW}\n", encoding="utf-8")
+        tail = _bytes(bad_row) + b"\n" if i in (2, 5) else b""
+        (pred / f"f{i}.csv").write_bytes(f"{PRED_ROW}\n".encode() + tail)
+    code, err = run_main(["evaluate", "--ref", str(ref), "--pred", str(pred), "--jobs", jobs,
+                          "--format", "json"])
+    assert_error_envelope(code, err)
+    envelope = json.loads(err)
+    assert envelope["error"] == "ParseError"
+    assert "f2.csv" in envelope["message"] and "f5.csv" not in envelope["message"]
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_synth_nan_insertion_rate_refused(where):
+    # nan < 0 is false: the rate once passed, inserted nothing, and wrote
+    # "insertion_rate": NaN into injection_log.json, which strict JSON refuses
+    if where == "flag":
+        code, err = run_in_corpus("synth", extra=("--insert-rate", "nan"))
+    else:
+        code, err = run_in_corpus("synth", config='{"insertion_rate": NaN}')
+    assert_error_envelope(code, err)
+    envelope = json.loads(err)
+    assert envelope["error"] == "ConfigError" and "insertion_rate" in envelope["message"]

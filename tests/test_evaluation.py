@@ -295,6 +295,37 @@ class TestRanking:
             rank_systems(ref_dir, [("a", a)], VOCAB, EvaluationConfig(), "official")
 
 
+class TestReferenceReuse:
+    @pytest.fixture(scope="class")
+    def systems(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("reuse")
+        ref_dir = make_corpus(root / "ref", VOCAB, 3, 6, seed=16)
+        return ref_dir, [(f"s{k}", make_system(ref_dir, root / f"s{k}", PerturbationSpec(
+            doa_jitter_deg=4.0 * k, deletion_prob=0.1 * k, seed=k))) for k in range(3)]
+
+    @pytest.mark.parametrize("command", ["rank", "correlate"])
+    def test_each_reference_read_once_per_command(self, monkeypatch, systems, command):
+        ref_dir, pred_dirs = systems
+        run = {"rank": evaluation.rank_systems, "correlate": evaluation.correlate_systems}[command]
+        want = run(ref_dir, pred_dirs, VOCAB, EvaluationConfig())
+        read = []
+        parse = evaluation.parse_reference
+        monkeypatch.setattr(evaluation, "parse_reference",
+                            lambda path, vocab: read.append(path.name) or parse(path, vocab))
+        assert run(ref_dir, pred_dirs, VOCAB, EvaluationConfig()) == want
+        assert read == ["scene_000.csv", "scene_001.csv", "scene_002.csv"]
+
+    def test_reused_rows_equal_a_fresh_read(self, systems):
+        ref_dir, pred_dirs = systems
+        references = {}
+        for _, pred_dir in pred_dirs:
+            fresh = evaluate_directory(ref_dir, pred_dir, VOCAB, EvaluationConfig())
+            reused = evaluate_directory(ref_dir, pred_dir, VOCAB, EvaluationConfig(), references)
+            assert reused.report() == fresh.report()
+        assert sorted(p.name for p in references) == ["scene_000.csv", "scene_001.csv",
+                                                     "scene_002.csv"]
+
+
 class TestMetricDirections:
     def test_covers_all_report_keys(self, tmp_path):
         ref_dir = make_corpus(tmp_path / "ref", VOCAB, 1, 4, seed=14)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings, strategies as st
 import scipy.stats
 
 from seldeval._tquantile import T975
@@ -22,7 +23,10 @@ from seldeval.stats import (
     build_rank_table,
     cumulative_rank,
     jackknife_ci,
+    _average_ranks,
     metric_ranks,
+    rank_correlation,
+    rank_moments,
     spearman,
 )
 
@@ -311,7 +315,37 @@ class TestCumulativeRank:
             cumulative_rank([[1, 2], [1, 2, 3]])
 
 
+def pearson_of_ranks(values_a, values_b):
+    # Spearman's rho as one direct formula: each column ranked again for each pair.
+    n = len(values_a)
+    ra, rb = _average_ranks(list(values_a)), _average_ranks(list(values_b))
+    mean_a, mean_b = sum(ra) / n, sum(rb) / n
+    var_a = sum((x - mean_a) ** 2 for x in ra)
+    var_b = sum((x - mean_b) ** 2 for x in rb)
+    if var_a == 0 or var_b == 0:
+        return None
+    return sum((x - mean_a) * (y - mean_b) for x, y in zip(ra, rb)) / math.sqrt(var_a * var_b)
+
+
 class TestSpearman:
+    @given(st.integers(2, 12).flatmap(lambda n: st.lists(
+        st.lists(st.sampled_from([0.0, 1.0, 1.5, 2.0, -3.0, 1e-9]), min_size=n, max_size=n),
+        min_size=2, max_size=5)))
+    @settings(max_examples=200, deadline=None)
+    def test_columns_ranked_once_equal_the_direct_formula(self, columns):
+        # correlate_systems ranks each column once and pairs the moments
+        moments = [rank_moments(col) for col in columns]
+        for a, ma in zip(columns, moments):
+            for b, mb in zip(columns, moments):
+                want = pearson_of_ranks(a, b)
+                if want is None:
+                    with pytest.raises(DegenerateRanks):
+                        rank_correlation(ma, mb)
+                    with pytest.raises(DegenerateRanks):
+                        spearman(a, b)
+                else:
+                    assert rank_correlation(ma, mb).hex() == spearman(a, b).hex() == want.hex()
+
     def test_identical_rankings(self):
         assert spearman([1, 2, 3, 4], [10, 20, 30, 40]) == pytest.approx(1.0)
 
