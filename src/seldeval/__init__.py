@@ -18,8 +18,7 @@ from importlib import import_module
 
 _EXPORTS = {
     "annotations": "EventRecord FrameSnapshot SegmentView Vocabulary densify parse_prediction "
-                   "parse_reference parse_vocabulary rasterize segmentize write_prediction "
-                   "write_reference",
+                   "parse_reference rasterize segmentize write_reference",
     "assignment": "Assignment DistanceMatrix build_distance_matrix hungarian",
     "detection": "DetectionCounts detection_counts",
     "errors": "SeldEvalError",

@@ -126,10 +126,6 @@ class SegmentView:
     classes: dict = field(default_factory=dict)  # label -> SegmentClassStats
 
 
-def parse_vocabulary(path) -> Vocabulary:
-    return Vocabulary.from_file(path)
-
-
 def _parse_float(text: str, what: str, path, lineno: int) -> float:
     try:
         value = float(text)
@@ -266,14 +262,6 @@ def write_reference(path, events: Iterable[EventRecord]) -> None:
             f"{ev.label},{ev.onset!r},{ev.offset!r},{ev.direction.azimuth!r},{ev.direction.elevation!r}"
         )
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-
-
-def write_prediction(path, frames: Iterable[FrameSnapshot], vocabulary: Vocabulary) -> None:
-    """Write frame-level rows, sorted by frame, class index, then DoA."""
-    write_prediction_rows(path, [
-        (frame.index, *row) for frame in frames
-        for row in sorted((vocabulary.index(label), d.azimuth, d.elevation)
-                          for label, d in frame.instances)])
 
 
 def write_prediction_rows(path, rows: Iterable[tuple]) -> None:

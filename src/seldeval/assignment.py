@@ -87,17 +87,6 @@ class DistanceMatrix:
                 if not (math.isfinite(v) and 0.0 <= v <= 180.0):
                     raise ValueError(f"distance entry {v} outside [0, 180]")
 
-    def __eq__(self, other):
-        if not isinstance(other, DistanceMatrix):
-            return NotImplemented
-        return self.values == other.values and self.cols == other.cols
-
-    def __hash__(self):
-        return hash((self.values, self.cols))
-
-    def __repr__(self):
-        return f"DistanceMatrix({self.rows}x{self.cols})"
-
 
 @dataclass(frozen=True)
 class Assignment:

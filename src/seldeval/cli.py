@@ -11,7 +11,9 @@ duration, jobs) or, for ``synth``, of `PerturbationSpec` (doa_jitter_deg,
 deletion_prob, insertion_rate, substitution_prob, swap_locations, seed).
 Its flag stores under the field's name, and a JSON config file
 (``--config``) sets it under the same key; flags override the file, and
-the file overrides the field's default. JSON output is stable: keys are
+the file overrides the field's default. A config file key that names no
+field, or a value of a JSON type its field does not take (see
+`_SETTINGS`), is refused. JSON output is stable: keys are
 sorted and numbers carry 6 significant digits, so reports diff cleanly
 in CI. Exit code is 0 iff the command completed without errors;
 otherwise, usage errors included, a machine-readable error summary goes
@@ -116,16 +118,27 @@ def _fmt_value(v) -> str:
 # settings
 
 
-# The only conversions the CLI applies; any other setting reaches its field
-# as the flag or the config file gave it.
-_CASTS = {
-    "thetas": lambda v: tuple(float(t) for t in v),
-    "theta_class": lambda v: tuple(sorted((str(k), float(t)) for k, t in dict(v).items())),
-    "jobs": int,
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# Every key a config file may hold, a field of EvaluationConfig or of
+# PerturbationSpec: the JSON type its value must have, and the conversion, if
+# any, that the file's or the flag's value takes on its way to the field.
+_SETTINGS = {
+    **dict.fromkeys(("frame_hop", "segment_length", "confidence"), ("a number", _is_number, None)),
+    "thetas": ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v)),
+               lambda v: tuple(float(t) for t in v)),
+    "theta_class": ("an object of numbers",
+                    lambda v: isinstance(v, dict) and all(map(_is_number, v.values())),
+                    lambda v: tuple(sorted((str(k), float(t)) for k, t in dict(v).items()))),
+    **dict.fromkeys(("loc_mode", "le_mode"), ("a string", lambda v: isinstance(v, str), None)),
+    "duration": ("a number or null", lambda v: v is None or _is_number(v), None),
+    **dict.fromkeys(("jobs", "seed"),
+                    ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), None)),
     **dict.fromkeys(("doa_jitter_deg", "deletion_prob", "insertion_rate", "substitution_prob"),
-                    float),
-    "swap_locations": bool,
-    "seed": int,
+                    ("a number", _is_number, float)),
+    "swap_locations": ("a boolean", lambda v: isinstance(v, bool), None),
 }
 
 
@@ -137,7 +150,7 @@ def _settings(cls, args, file_cfg: dict, what: str):
         flag = getattr(args, f.name, None)
         values[f.name] = file_cfg.get(f.name, f.default) if flag is None else flag
     try:
-        return cls(**{name: _CASTS.get(name, lambda v: v)(v) for name, v in values.items()})
+        return cls(**{name: (_SETTINGS[name][2] or (lambda v: v))(v) for name, v in values.items()})
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad {what}: {exc}") from None
 
@@ -163,6 +176,12 @@ def _load_config_file(path) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
+    for key, value in data.items():
+        if key not in _SETTINGS:
+            raise ConfigError(f"config file {path}: unknown key {key!r}")
+        kind, fits, _ = _SETTINGS[key]
+        if not fits(value):
+            raise ConfigError(f"config file {path}: {key} must be {kind}, got {json.dumps(value)}")
     return data
 
 
@@ -288,11 +307,11 @@ def _synth(args, config, vocabulary, file_cfg: dict) -> None:
     from .synth import PerturbationSpec, perturb, serialize_prediction  # only synth needs it
 
     spec = _settings(PerturbationSpec, args, file_cfg, "perturbation parameter")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     refs = reference_files(args.ref)
     if not refs:
         raise ConfigError(f"no reference files found in {Path(args.ref)}")
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     total_frames = None
     if config.duration is not None:
         total_frames = math.ceil(config.duration / config.frame_hop - 1e-9)
@@ -365,7 +384,9 @@ def _add_scoring(p, multi_system: bool = False) -> None:
                    help=f"segment localization evidence (default {d.loc_mode})")
     p.add_argument("--le-mode", choices=LE_MODES,
                    help=f"multi-frame LE accumulation reported as LE (default {d.le_mode})")
-    p.add_argument("--jobs", type=int, help=f"parallel file workers (default {d.jobs})")
+    p.add_argument("--jobs", type=int,
+                   help="score the files in at most this many contiguous groups, each group in "
+                        f"a worker process of its own when there are several (default {d.jobs})")
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.add_argument("--out", help="write output to this file instead of stdout")
 

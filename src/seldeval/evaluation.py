@@ -6,11 +6,9 @@ so datasets merge associatively and each jackknife partial is the total
 minus one cached per-file contribution instead of a re-parse. Every
 metric is formed from these sums in one place, `compute_metrics`, under
 the keys that `metric_keys` lists, and every per-threshold count reads
-its thresholds from `class_thresholds`. Files
-are always merged in sorted filename order, which keeps the output
-byte-stable regardless of worker scheduling. The process pool, and with
-it `multiprocessing`, is imported only when `jobs > 1`, so a `--jobs 1`
-command does not pay for loading it.
+its thresholds from `class_thresholds`. Files are always merged in
+sorted filename order, which keeps the output byte-stable regardless of
+worker scheduling.
 
 Scoring works on columns: `read_pair` reads one file pair, makes every
 per-file check, and gives each side as rows (frame, class, unit xyz);
@@ -30,10 +28,17 @@ batches of at most `MAX_BATCH_ROWS` rows; a larger pair is scored alone,
 a batch whose offset grids would reach frame 2**63 is closed first, and
 a full batch is scored before the next pair is read. The batch core
 raises no error, so the first error is the one that reading the pairs
-one after another raises. With `--jobs N`, each worker reads and scores
-one contiguous group of the pairs. `rank` and `correlate` keep each
-reference's rows once read and expanded, and reuse them for every later
-system of the command.
+one after another raises.
+
+There is one path for every `--jobs N`: the pairs are split into at most
+N contiguous groups, and `_score_pairs` reads and scores each group as
+above. A single group is scored in this process through the caller's
+reference cache, or a fresh one, which keeps each reference's rows once
+read and expanded; `rank` and `correlate` pass one cache for every system
+of the command. Only more than one group starts a process pool, and with
+it loads `multiprocessing`: one worker per group, each reading its own
+references. The groups' results, errors included, come back in group
+order, so the first error is the same for every N.
 
 Only occupied frames are touched; empty frames and segments are counted
 arithmetically, so memory follows the rows, not the grid. A reference
@@ -76,6 +81,7 @@ pairs, so batching keeps this bit-identity too.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -331,17 +337,17 @@ MAX_BATCH_ROWS = 2 ** 14
 
 
 def read_pair(ref_path, pred_path, vocabulary: Vocabulary, config: EvaluationConfig,
-              references: dict | None = None) -> tuple:
+              references: dict) -> tuple:
     """(name, frames, reference rows, prediction rows) of one file pair. Each
     side's rows are (frame, class, unit xyz) arrays, the reference's
     stable-sorted by frame, so that a frame's rows keep their event order.
 
     Every per-file check is made here, in this order: the reference, the
-    prediction, the configured duration, the reference's length. With
-    `references`, a reference read and expanded once keeps its grid end and
-    rows there, keyed by its path, for every later pair on it."""
+    prediction, the configured duration, the reference's length. A
+    reference read and expanded once keeps its grid end and rows in
+    `references`, keyed by its path, for every later pair on it."""
     name = Path(ref_path).name
-    known = None if references is None else references.get(ref_path)
+    known = references.get(ref_path)
     if known is None:
         events = parse_reference(ref_path, vocabulary)
         spans = [frame_span(ev.onset, ev.offset, config.frame_hop) for ev in events]
@@ -361,8 +367,7 @@ def read_pair(ref_path, pred_path, vocabulary: Vocabulary, config: EvaluationCon
             spans, (np.array([vocabulary.index(e.label) for e in events], dtype=np.int64),
                     np.array([e.direction.unit for e in events]).reshape(-1, 3)),
             config.frame_hop, name)
-        if references is not None:
-            references[ref_path] = end, ref_rows
+        references[ref_path] = end, ref_rows
     return name, total, ref_rows, pred_rows
 
 
@@ -534,11 +539,12 @@ def score_batch(pairs: Sequence, vocabulary: Vocabulary, config: EvaluationConfi
 def score_file(ref_path, pred_path, vocabulary: Vocabulary, config: EvaluationConfig) -> FileContribution:
     """Parse one file pair and accumulate every metric on its columns: the
     one-pair form of `score_batch`."""
-    return score_batch([read_pair(ref_path, pred_path, vocabulary, config)], vocabulary, config)[0]
+    return score_batch([read_pair(ref_path, pred_path, vocabulary, config, {})], vocabulary,
+                       config)[0]
 
 
 def _batches(pairs: Sequence, vocabulary: Vocabulary, config: EvaluationConfig,
-             references: dict | None):
+             references: dict):
     """The (reference, prediction) path pairs, read in order by `read_pair`,
     in lists of at most MAX_BATCH_ROWS rows, a larger pair alone, whose grids
     rounded up to whole segments end before frame 2**63. A full list is
@@ -562,8 +568,9 @@ def _batches(pairs: Sequence, vocabulary: Vocabulary, config: EvaluationConfig,
 
 
 def _score_pairs(pairs: Sequence, vocabulary: Vocabulary, config: EvaluationConfig,
-                 references: dict | None = None) -> list:
-    """The FileContribution of each (reference, prediction) path pair, in order."""
+                 references: dict) -> list:
+    """The FileContribution of each (reference, prediction) path pair, in order,
+    each reference read through `references` (see `read_pair`)."""
     return [c for batch in _batches(pairs, vocabulary, config, references)
             for c in score_batch(batch, vocabulary, config)]
 
@@ -662,11 +669,6 @@ def discover_pairs(ref_dir, pred_dir) -> list:
     return [(p.name, p, pred_dir / p.name) for p in refs]
 
 
-def _score_group(args) -> tuple:
-    pairs, vocabulary, config, references = args
-    return _score_pairs(pairs, vocabulary, config, references), references
-
-
 @dataclass
 class EvaluationResult:
     config: EvaluationConfig
@@ -721,28 +723,26 @@ def evaluate_directory(
 ) -> EvaluationResult:
     """Score a directory of filename-matched reference/prediction pairs.
 
-    With `references` (see `read_pair`), each reference is read and
-    expanded once for every call that passes the same dict. With `jobs`
-    above 1, each worker scores one contiguous group of the pairs.
+    The pairs are split into contiguous groups, at most `config.jobs`, each
+    scored by `_score_pairs`. One group is scored in this process, each
+    reference read through `references` (see `read_pair`), so that the
+    calls passing the same dict read it once. More groups are scored in a
+    process pool, one worker per group, each reading its own references.
     """
     class_thresholds(config, vocabulary)  # refuses a per-class threshold for an unknown class
     pairs = discover_pairs(ref_dir, pred_dir)
     paths = [(ref, pred) for _, ref, pred in pairs]
-    if config.jobs > 1:
+    size = -(-len(paths) // config.jobs)
+    groups = [paths[i:i + size] for i in range(0, len(paths), size)]
+    if len(groups) == 1:
+        contribs = _score_pairs(paths, vocabulary, config, {} if references is None else references)
+    else:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
-        size = -(-len(paths) // config.jobs)
-        tasks = [(group, vocabulary, config, None if references is None else
-                  {ref: references[ref] for ref, _ in group if ref in references})
-                 for group in (paths[i:i + size] for i in range(0, len(paths), size))]
-        contribs = []
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            for scored, read in pool.map(_score_group, tasks):
-                contribs += scored
-                if read:
-                    references.update(read)
-    else:
-        contribs = _score_pairs(paths, vocabulary, config, references)
+        score = functools.partial(_score_pairs, vocabulary=vocabulary, config=config,
+                                  references={})
+        with ProcessPoolExecutor(max_workers=len(groups)) as pool:
+            contribs = [c for scored in pool.map(score, groups) for c in scored]
     per_file = {name: c for (name, _, _), c in zip(pairs, contribs)}
     total = FileContribution.zeros(len(config.thetas), len(vocabulary))
     for name in sorted(per_file):

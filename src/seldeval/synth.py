@@ -213,9 +213,9 @@ def serialize_prediction(
     total_frames: int | None = None,
 ) -> None:
     """Write the frames the events cover in the frame-level prediction
-    format, the rows of a frame sorted by class index, then DoA: the bytes
-    `write_prediction` writes for `rasterize(events, frame_hop, total_frames)`,
-    without building the frame grid. Events that reach frame 2**63, or
+    format, the rows of a frame sorted by class index, then DoA: the rows
+    of `rasterize(events, frame_hop, total_frames)`, without building the
+    frame grid. Events that reach frame 2**63, or
     whose rows numpy cannot allocate, raise `ReferenceTooLong`."""
     if frame_hop <= 0:
         raise ConfigError(f"frame hop must be positive, got {frame_hop}")

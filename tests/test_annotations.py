@@ -11,7 +11,7 @@ from seldeval.annotations import (
     parse_reference,
     rasterize,
     segmentize,
-    write_prediction,
+    write_prediction_rows,
     write_reference,
 )
 from seldeval.errors import ConfigError, InvalidInterval, ParseError, UnknownClass
@@ -164,7 +164,8 @@ class TestRoundTrips:
             FrameSnapshot(10, [("cat", Direction(-120, 40))]),
         ]
         path = tmp_path / "p.csv"
-        write_prediction(path, frames, vocab)
+        write_prediction_rows(path, [(frame.index, vocab.index(label), d.azimuth, d.elevation)
+                                     for frame in frames for label, d in frame.instances])
         parsed = parse_prediction(path, vocab)
         assert [s.index for s in parsed] == [3, 10]
         assert sorted(parsed[0].instances, key=lambda x: x[0]) == sorted(

@@ -1,8 +1,9 @@
 """Malformed input ends in exit 1 and a JSON error envelope on stderr.
 
 Hypothesis writes a reference, a prediction and a config file, one of
-them malformed (bad values, a field longer than the csv module reads, or
-bytes that are not UTF-8), and runs `cli.main` on them: every command
+them malformed (bad values, a field longer than the csv module reads,
+bytes that are not UTF-8, or a config key that names no setting or holds
+a value of another JSON type than its setting takes), and runs `cli.main` on them: every command
 that reads the broken file must return 1 and print
 `{"error": ..., "message": ...}`, never raise. A broken row always
 follows a valid one, so it cannot be taken for a header. The
@@ -14,6 +15,7 @@ file expecting more than `synth.MAX_INSERTIONS` insertions.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -28,8 +30,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seldeval import cli
 from seldeval.cli import main
-from seldeval.synth import MAX_INSERTIONS
+from seldeval.evaluation import EvaluationConfig
+from seldeval.synth import MAX_INSERTIONS, PerturbationSpec
+
+# every key a config file may hold
+SETTINGS = {f.name for cls in (EvaluationConfig, PerturbationSpec) for f in dataclasses.fields(cls)}
 
 REF_ROW = "dog,0.0,1.0,10.0,0.0"
 PRED_ROW = "0,0,10.0,0.0"
@@ -124,6 +131,15 @@ bad_configs = st.one_of(
             | st.floats(min_value=2 ** 63 * 0.02) | st.integers(min_value=2 ** 63 // 50 + 1)),
     setting("jobs", st.integers(max_value=0) | garbage),
     undecodable('{"thetas": [10.0]}'),
+    # a key that names no setting, or a value of a JSON type its setting does not take
+    st.just('{"theta": [45], "loc-mode": "segment-mean"}'),
+    st.text().filter(lambda key: key not in SETTINGS).map(lambda key: json.dumps({key: 1})),
+    st.sampled_from([{"thetas": "45"}, {"thetas": [True]}, {"thetas": 45},
+                     {"swap_locations": "false"}, {"swap_locations": 0},
+                     {"jobs": 1.9}, {"jobs": 2.0}, {"jobs": True},
+                     {"seed": 1.5}, {"duration": True}, {"frame_hop": True}, {"confidence": "0.9"},
+                     {"theta_class": {"dog": "45"}}, {"theta_class": [["dog", 45]]},
+                     {"loc_mode": 1}, {"doa_jitter_deg": None}]).map(json.dumps),
 )
 
 COMMANDS = st.sampled_from(["evaluate", "jackknife", "synth"])
@@ -220,6 +236,19 @@ def test_malformed_prediction(command, row):
 @settings(max_examples=100, deadline=None)
 def test_malformed_config(command, config):
     assert_error_envelope(*run_in_corpus(command, config=config))
+
+
+def test_config_naming_every_setting_accepted():
+    # one value of each setting's JSON type; the integers are numbers too
+    config = {"frame_hop": 0.02, "segment_length": 1, "thetas": [20, 90.5],
+              "theta_class": {"dog": 45}, "loc_mode": "segment-mean", "le_mode": "macro",
+              "confidence": 0.9, "duration": None, "jobs": 1, "doa_jitter_deg": 5,
+              "deletion_prob": 0, "insertion_rate": 0.5, "substitution_prob": 0.0,
+              "swap_locations": True, "seed": 3}
+    assert set(config) == SETTINGS == set(cli._SETTINGS)
+    for command in ("evaluate", "jackknife", "synth"):
+        cat = REF_ROW.replace("dog", "cat")
+        assert run_in_corpus(command, ref=cat, config=json.dumps(config)) == (0, ""), command
 
 
 @given(st.floats(min_value=0.01, max_value=60.0),
@@ -360,3 +389,56 @@ def test_synth_nan_insertion_rate_refused(where):
     assert_error_envelope(code, err)
     envelope = json.loads(err)
     assert envelope["error"] == "ConfigError" and "insertion_rate" in envelope["message"]
+
+
+@pytest.mark.parametrize("item, message", [("foo", "--theta-class expects CLASS=DEG, got 'foo'"),
+                                           ("dog=abc", "bad per-class threshold 'dog=abc'")])
+def test_malformed_theta_class_flag(item, message):
+    code, err = run_in_corpus("evaluate", extra=("--theta-class", item))
+    assert_error_envelope(code, err)
+    assert json.loads(err) == {"error": "ConfigError", "message": message}
+
+
+def test_missing_vocabulary_file(tmp_path):
+    code, err = run_in_corpus("evaluate", extra=("--vocab", str(tmp_path / "labels.txt")))
+    assert_error_envelope(code, err)
+    envelope = json.loads(err)
+    assert envelope["error"] == "ConfigError"
+    assert envelope["message"].startswith(f"vocabulary file not found: {tmp_path / 'labels.txt'} ")
+
+
+def test_synth_without_reference_files(tmp_path):
+    (tmp_path / "ref").mkdir()
+    (tmp_path / "ref" / "vocabulary.txt").write_text("dog\n", encoding="utf-8")
+    code, err = run_main(["synth", "--ref", str(tmp_path / "ref"), "--out", str(tmp_path / "out")])
+    assert_error_envelope(code, err)
+    assert json.loads(err) == {"error": "ConfigError",
+                               "message": f"no reference files found in {tmp_path / 'ref'}"}
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "jackknife"])
+def test_unwritable_out_path(tmp_path, command):
+    out = tmp_path / "missing" / "report.json"
+    code, err = run_in_corpus(command, ref=REF_ROW.replace("dog", "cat"), extra=("--out", str(out)))
+    assert_error_envelope(code, err)
+    envelope = json.loads(err)
+    assert envelope["error"] == "OSError" and str(out) in envelope["message"]
+
+
+def test_blank_reference_rows_score_like_none(tmp_path):
+    rows = [REF_ROW, REF_ROW.replace("dog", "cat").replace("0.0,1.0", "0.5,2.0")]
+    outputs = []
+    for name, text in (("plain", "".join(f"{row}\n" for row in rows)),
+                       ("blank", f"\n   \n{rows[0]}\n\t\n , ,\n{rows[1]}\n\n  ")):
+        root = tmp_path / name
+        (root / "ref").mkdir(parents=True)
+        (root / "ref" / "vocabulary.txt").write_text("dog\ncat\n", encoding="utf-8")
+        (root / "ref" / "a.csv").write_text(text, encoding="utf-8")
+        (root / "pred").mkdir()
+        (root / "pred" / "a.csv").write_text(f"{PRED_ROW}\n10,1,10.0,0.0\n", encoding="utf-8")
+        out = root / "report.json"
+        assert run_main(["evaluate", "--ref", str(root / "ref"), "--pred", str(root / "pred"),
+                         "--format", "json", "--out", str(out)]) == (0, "")
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

@@ -1,3 +1,6 @@
+import concurrent.futures
+import pickle
+
 import numpy as np
 import pytest
 
@@ -293,6 +296,68 @@ class TestRanking:
         a = make_system(ref_dir, tmp_path / "a", PerturbationSpec(seed=0))
         with pytest.raises(ConfigError):
             rank_systems(ref_dir, [("a", a)], VOCAB, EvaluationConfig(), "official")
+
+
+class FakePool:
+    """A ProcessPoolExecutor that starts no process. It records the workers
+    asked for and the function mapped, and maps in this process on pickled
+    copies of the function and its groups, as the workers would get them."""
+
+    def __init__(self, log, max_workers):
+        self.log, self.max_workers = log, max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        self.log.append((self.max_workers, fn))
+        return map(pickle.loads(pickle.dumps(fn)), *pickle.loads(pickle.dumps(iterables)))
+
+
+class TestJobs:
+    """Every --jobs value scores contiguous groups through `_score_pairs`: one
+    group in this process, more in a pool of one worker per group."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("jobs")
+        ref_dir = make_corpus(root / "ref", VOCAB, 4, 6, seed=17)
+        return ref_dir, make_system(ref_dir, root / "pred", PerturbationSpec(
+            doa_jitter_deg=6.0, deletion_prob=0.2, seed=5))
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        log = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda max_workers: FakePool(log, max_workers))
+        return log
+
+    @pytest.mark.parametrize("files, jobs, workers", [(2, 8, [2]), (4, 3, [2]), (1, 4, [])])
+    def test_one_worker_per_group(self, tmp_path, corpus, pools, files, jobs, workers):
+        ref_dir, pred_dir = corpus
+        for side, source in (("ref", ref_dir), ("pred", pred_dir)):
+            (tmp_path / side).mkdir()
+            for path in sorted(source.glob("scene_*.csv"))[:files]:
+                (tmp_path / side / path.name).write_bytes(path.read_bytes())
+        references = {}
+        evaluate_directory(tmp_path / "ref", tmp_path / "pred", VOCAB,
+                           EvaluationConfig(jobs=jobs), references)
+        assert [size for size, _ in pools] == workers
+        for _, fn in pools:
+            assert fn.func is evaluation._score_pairs and fn.keywords["references"] == {}
+        # the workers read their own references; one group reads the caller's
+        assert len(references) == (0 if workers else files)
+
+    def test_reports_equal_for_every_jobs(self, corpus, pools):
+        want = evaluate_directory(*corpus, VOCAB, EvaluationConfig())
+        for jobs in (2, 3, 8):
+            got = evaluate_directory(*corpus, VOCAB, EvaluationConfig(jobs=jobs))
+            assert got.report() == want.report()
+            assert got.jackknife() == want.jackknife()
+        assert [size for size, _ in pools] == [2, 2, 4]
 
 
 class TestReferenceReuse:

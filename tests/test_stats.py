@@ -195,7 +195,7 @@ class TestStartup:
     # the names deleted since
     EXPORTED = """
         EventRecord FrameSnapshot SegmentView Vocabulary densify parse_prediction
-        parse_reference parse_vocabulary rasterize segmentize write_prediction write_reference
+        parse_reference rasterize segmentize write_reference
         Assignment DistanceMatrix build_distance_matrix hungarian
         DetectionCounts detection_counts SeldEvalError
         EvaluationConfig EvaluationResult FileContribution MetricReport compute_metrics
