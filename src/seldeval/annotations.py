@@ -2,29 +2,29 @@
 
 Reference files are event-level CSV rows
 ``class_label,onset_s,offset_s,azimuth_deg,elevation_deg[,distance_m]``
-(header optional, auto-detected; the distance column is accepted and
-ignored). Prediction files are frame-level CSV rows
-``frame_index,class_index,azimuth_deg,elevation_deg``. Vocabulary files
-hold one class label per line; the 0-based line number is the class
-index. Files are UTF-8 (a leading byte-order mark is skipped; any other
-byte sequence that is not UTF-8 is a `ParseError`), comma-separated,
-``.`` decimal point, LF or CRLF; a field longer than the csv module's
-limit, 131,072 characters by default, is a `ParseError`.
+(the distance column is accepted and ignored). Prediction files are
+frame-level CSV rows ``frame_index,class_index,azimuth_deg,elevation_deg``.
+Blank rows are skipped; the first other row is a header when its onset, or
+its frame index, is not a number. Vocabulary files hold one class label per
+line; the 0-based line number is the class index. Files are UTF-8 (a
+leading byte-order mark is skipped; any other byte sequence that is not
+UTF-8 is a `ParseError`), comma-separated, ``.`` decimal point, LF or CRLF;
+a field longer than the csv module's limit, 131,072 characters by default,
+is a `ParseError`.
 
 References are rasterized onto the frame grid (an event is active in
 frame ``l`` iff ``[l*hop, (l+1)*hop)`` intersects ``[onset, offset)``)
 so that both sides of the evaluation are frame streams.
 
-`read_prediction_columns` parses a prediction file in C (`np.loadtxt`,
-whose floats equal `float()`'s) into frame, class and unit-vector columns;
-a file it rejects or whose values fail validation (a header, a quoted or
-whitespace-only line, a bad value) goes through `parse_prediction`, which
-raises the same `ParseError`, with the same line number, as before.
+`read_prediction_columns` parses a prediction file past its header in C
+(`np.loadtxt`, whose floats equal `float()`'s) into frame, class and
+unit-vector columns. A file that it rejects or whose values fail
+validation (a quoted or whitespace-only line, a bad value) is read row by
+row, as `parse_prediction` reads it: the same rows, or the same error.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import math
@@ -136,23 +136,50 @@ def _parse_float(text: str, what: str, path, lineno: int) -> float:
     return value
 
 
-@contextlib.contextmanager
-def _utf8_text(path, newline: str | None = None):
-    """The file opened as UTF-8 text, past a leading byte-order mark; a byte
-    that is not UTF-8, read inside the block, raises ParseError naming it."""
-    with open(path, encoding="utf-8-sig", newline=newline) as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"cannot decode as UTF-8 ({exc.reason})", path) from None
-
-
-def _csv_rows(fh, path):
-    """(row number, fields) of each CSV row of `fh`; a line the csv module
-    refuses (a field over its size limit, say) raises ParseError naming it."""
-    reader = csv.reader(fh)
+def _direction(azimuth: str, elevation: str, path, lineno: int) -> Direction:
     try:
-        yield from enumerate(reader, start=1)
+        return Direction(_parse_float(azimuth, "azimuth", path, lineno),
+                         _parse_float(elevation, "elevation", path, lineno))
+    except ValueError as exc:
+        raise ParseError(str(exc), path, lineno) from None
+
+
+def _read_text(path) -> str:
+    """The file's UTF-8 text past a leading byte-order mark, line ends as they
+    are; a byte that is not UTF-8 raises ParseError naming it."""
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot decode as UTF-8 ({exc.reason})", path) from None
+
+
+def _records(text: str, path, fields, key_column, key_type):
+    """If the CSV text has a non-blank row: the offset in `text` of the end
+    of its header (0 without one), then (row number, stripped fields) of each
+    data row. Blank rows are skipped; the first other row is the header if
+    `key_type(row[key_column])` fails. A row whose field count is not in
+    `fields`, or that the csv module refuses, raises ParseError."""
+    lines = io.StringIO(text, newline="")
+    reader = csv.reader(lines)
+    first = True
+    try:
+        for lineno, row in enumerate(reader, start=1):
+            row = [cell.strip() for cell in row]
+            if not any(row):
+                continue
+            if len(row) not in fields:
+                raise ParseError(f"expected {' or '.join(map(str, fields))} fields, got {len(row)}",
+                                 path, lineno)
+            if first:
+                first = False
+                try:
+                    key_type(row[key_column])
+                except ValueError:
+                    yield lines.tell()
+                    continue
+                yield 0
+            yield lineno, row
     except csv.Error as exc:
         raise ParseError(str(exc), path, reader.line_num) from None
 
@@ -160,34 +187,36 @@ def _csv_rows(fh, path):
 def parse_reference(path, vocabulary: Vocabulary) -> list:
     """Read an event-level reference file into validated EventRecords."""
     events = []
-    path = Path(path)
-    with _utf8_text(path, newline="") as fh:
-        for lineno, row in _csv_rows(fh, path):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            row = [cell.strip() for cell in row]
-            if len(row) not in (5, 6):
-                raise ParseError(f"expected 5 or 6 fields, got {len(row)}", path, lineno)
-            if lineno == 1:
-                try:
-                    float(row[1])
-                except ValueError:
-                    continue  # header row
-            label = row[0]
-            if label not in vocabulary:
-                raise UnknownClass(f"class label {label!r} not in vocabulary ({path}:{lineno})")
-            onset = _parse_float(row[1], "onset", path, lineno)
-            offset = _parse_float(row[2], "offset", path, lineno)
-            if onset < 0 or onset >= offset:
-                raise InvalidInterval(f"need 0 <= onset < offset, got [{onset}, {offset}) ({path}:{lineno})")
-            azimuth = _parse_float(row[3], "azimuth", path, lineno)
-            elevation = _parse_float(row[4], "elevation", path, lineno)
-            try:
-                direction = Direction(azimuth, elevation)
-            except ValueError as exc:
-                raise ParseError(str(exc), path, lineno) from None
-            events.append(EventRecord(label, onset, offset, direction))
+    records = _records(_read_text(path), path, (5, 6), 1, float)
+    next(records, 0)  # past the header
+    for lineno, row in records:
+        label = row[0]
+        if label not in vocabulary:
+            raise UnknownClass(f"class label {label!r} not in vocabulary ({path}:{lineno})")
+        onset = _parse_float(row[1], "onset", path, lineno)
+        offset = _parse_float(row[2], "offset", path, lineno)
+        if onset < 0 or onset >= offset:
+            raise InvalidInterval(f"need 0 <= onset < offset, got [{onset}, {offset}) ({path}:{lineno})")
+        events.append(EventRecord(label, onset, offset, _direction(row[3], row[4], path, lineno)))
     return events
+
+
+def _prediction_rows(text: str, path, vocabulary: Vocabulary):
+    """(frame, class index, Direction) of each prediction row, in file order."""
+    records = _records(text, path, (4,), 0, int)
+    next(records, 0)  # past the header
+    for lineno, row in records:
+        try:
+            frame = int(row[0])
+            class_index = int(row[1])
+        except ValueError:
+            raise ParseError(f"cannot parse frame/class index from {row!r}", path, lineno) from None
+        if frame < 0:
+            raise ParseError(f"negative frame index {frame}", path, lineno)
+        if frame >= 2 ** 63:
+            raise ParseError(f"frame index {frame} exceeds int64", path, lineno)
+        vocabulary.label(class_index)  # UnknownClass outside the vocabulary
+        yield frame, class_index, _direction(row[2], row[3], path, lineno)
 
 
 def parse_prediction(path, vocabulary: Vocabulary, frame_hop: float = 0.02) -> list:
@@ -198,49 +227,21 @@ def parse_prediction(path, vocabulary: Vocabulary, frame_hop: float = 0.02) -> l
     """
     if frame_hop <= 0:
         raise ConfigError(f"frame hop must be positive, got {frame_hop}")
-    path = Path(path)
     by_frame: dict = {}
-    with _utf8_text(path, newline="") as fh:
-        for lineno, row in _csv_rows(fh, path):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            row = [cell.strip() for cell in row]
-            if len(row) != 4:
-                raise ParseError(f"expected 4 fields, got {len(row)}", path, lineno)
-            if lineno == 1:
-                try:
-                    int(row[0])
-                except ValueError:
-                    continue  # header row
-            try:
-                frame = int(row[0])
-                class_index = int(row[1])
-            except ValueError:
-                raise ParseError(f"cannot parse frame/class index from {row!r}", path, lineno) from None
-            if frame < 0:
-                raise ParseError(f"negative frame index {frame}", path, lineno)
-            if frame >= 2 ** 63:
-                raise ParseError(f"frame index {frame} exceeds int64", path, lineno)
-            label = vocabulary.label(class_index)
-            azimuth = _parse_float(row[2], "azimuth", path, lineno)
-            elevation = _parse_float(row[3], "elevation", path, lineno)
-            try:
-                direction = Direction(azimuth, elevation)
-            except ValueError as exc:
-                raise ParseError(str(exc), path, lineno) from None
-            by_frame.setdefault(frame, []).append((label, direction))
+    for frame, class_index, direction in _prediction_rows(_read_text(path), path, vocabulary):
+        by_frame.setdefault(frame, []).append((vocabulary.labels[class_index], direction))
     return [FrameSnapshot(idx, by_frame[idx]) for idx in sorted(by_frame)]
 
 
 def read_prediction_columns(path, vocabulary: Vocabulary) -> tuple:
     """Frame index, class index and unit-vector arrays, one row per
-    prediction; the rows of a frame keep their file order."""
+    prediction, in file order."""
+    text = _read_text(path)
     try:
-        with _utf8_text(path) as fh:
-            text = fh.read()
-        rows = np.loadtxt(io.StringIO(text), delimiter=",", dtype=_PRED_COLUMNS,
-                          comments=None, ndmin=1) if text.strip() else None
-    except ValueError:
+        data = text[next(_records(text, path, (4,), 0, int), 0):]  # past the header
+        rows = np.loadtxt(io.StringIO(data), delimiter=",", dtype=_PRED_COLUMNS,
+                          comments=None, ndmin=1) if data.strip() else None
+    except (ValueError, ParseError):
         rows = None
     if rows is not None and (
             rows["frame"].min() >= 0 and rows["cls"].min() >= 0
@@ -248,11 +249,10 @@ def read_prediction_columns(path, vocabulary: Vocabulary) -> tuple:
             and np.isfinite(rows["az"]).all() and np.isfinite(rows["el"]).all()
             and np.abs(rows["el"]).max() <= 90.0):
         return rows["frame"], rows["cls"], unit_vectors(rows["az"], rows["el"])
-    snaps = parse_prediction(path, vocabulary)
-    instances = [(s.index, vocabulary.index(lb), d.unit) for s in snaps for lb, d in s.instances]
-    frame, cls, unit = zip(*instances) if instances else ((), (), ())
+    rows = list(_prediction_rows(text, path, vocabulary))
+    frame, cls, direction = zip(*rows) if rows else ((), (), ())
     return (np.array(frame, dtype=np.int64), np.array(cls, dtype=np.int64),
-            np.array(unit, dtype=float).reshape(-1, 3))
+            np.array([d.unit for d in direction], dtype=float).reshape(-1, 3))
 
 
 def write_reference(path, events: Iterable[EventRecord]) -> None:

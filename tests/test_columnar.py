@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seldeval.annotations import EventRecord, Vocabulary, parse_prediction, read_prediction_columns, write_reference
-from seldeval import assignment, evaluation
+from seldeval import annotations, assignment, evaluation
 from seldeval.assignment import CHUNK_TOTALS, DistanceMatrix, assign_batch, hungarian
 from seldeval.evaluation import EvaluationConfig, FileContribution, evaluate_directory, score_file
 from seldeval.geometry import Direction, angles_between, angular_distance, unit_vectors
@@ -407,10 +407,35 @@ class TestPredictionColumns:
         slow.write_text("frame,class,az,el\n" + body.replace("3,1", '"3",1'))
         a, b = read_prediction_columns(fast, VOCAB), read_prediction_columns(slow, VOCAB)
         assert a[0].tolist() == [3, 0, 3, 1] and a[1].tolist() == [1, 0, 2, 0]
-        # The line parser groups rows by frame; each frame keeps its file order.
-        a = [x[np.argsort(a[0], kind="stable")] for x in a]
         for x, y in zip(a, b):
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("head", ["frame,class,az,el\n", "\n \nframe,class,az,el\n",
+                                      '"frame\n",class,az,el\r\n', "\ufeff frame , class,az,el\n"])
+    def test_header_files_take_the_fast_path(self, tmp_path, monkeypatch, head):
+        body = "3,1,10.5,-20\n0,0,-190,90\n\n9223372036854775807,2,359.9,0\n1,0,0,-0.0\n"
+        plain, header = tmp_path / "plain.csv", tmp_path / "header.csv"
+        plain.write_text(body)
+        header.write_text(head + body, encoding="utf-8")
+
+        def per_row(*args):
+            raise AssertionError("read row by row")
+        monkeypatch.setattr(annotations, "_prediction_rows", per_row)
+        want = read_prediction_columns(plain, VOCAB)
+        for x, y in zip(read_prediction_columns(header, VOCAB), want):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        assert want[0].tolist() == [3, 0, 2 ** 63 - 1, 1]
+
+    def test_quoted_first_row_is_data(self, tmp_path):
+        # the csv module reads "0" as 0, so the row is data; np.loadtxt refuses the
+        # quotes and the per-row parser reads the file
+        plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+        plain.write_text("0,0,10.0,0.0\n5,1,20.0,0.0\n")
+        quoted.write_text('"0",0,10.0,0.0\n5,1,20.0,0.0\n')
+        got = read_prediction_columns(quoted, VOCAB)
+        for x, y in zip(got, read_prediction_columns(plain, VOCAB)):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        assert got[0].tolist() == [0, 5]
 
     @pytest.mark.parametrize("text", ["", "\n\n", "0,0,0,0\n0,5,0,0\n", "0,0,nan,0\n",
                                       "0,0,0,91\n", "1.0,0,0,0\n", f"{2 ** 63},0,0,0\n",

@@ -442,3 +442,24 @@ def test_blank_reference_rows_score_like_none(tmp_path):
                          "--format", "json", "--out", str(out)]) == (0, "")
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("side", ["ref", "pred"])
+def test_blank_line_before_a_header_scores_like_none(tmp_path, side):
+    # the first non-blank row is the header, wherever it starts
+    files = {"ref": "dog,0.0,1.5,10,0", "pred": "0,0,10.0,0.0"}
+    headers = {"ref": "label,onset,offset,azimuth,elevation", "pred": "frame,class,azimuth,elevation"}
+    outputs = []
+    for name in ("plain", "header"):
+        root = tmp_path / name
+        for d, text in files.items():
+            (root / d).mkdir(parents=True)
+            if name == "header" and d == side:
+                text = f"\n{headers[d]}\n{text}"
+            (root / d / "a.csv").write_text(text, encoding="utf-8")
+        (root / "ref" / "vocabulary.txt").write_text("dog\n", encoding="utf-8")
+        out = root / "report.json"
+        assert run_main(["evaluate", "--ref", str(root / "ref"), "--pred", str(root / "pred"),
+                         "--format", "json", "--out", str(out)]) == (0, "")
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
