@@ -1,11 +1,11 @@
 """Evaluation toolkit for sound event localization and detection outputs.
 
-Every metric is computed from one file-level counting core:
-`evaluation.score_file` sums each file's counts and
-`evaluation.compute_metrics` forms every metric from them. The
-`localization`, `detection` and `joint` modules keep only the per-frame
-and per-segment definitions that core reproduces, for the scalar test
-oracle and the benchmark tracer.
+Every metric is computed from one counting core: `evaluation.read_pair`
+reads each file pair into columns, `evaluation.score_batch` sums each
+file's counts, and `evaluation.compute_metrics` forms every metric from
+them. The `localization`, `detection` and `joint` modules keep only the
+per-frame and per-segment definitions that core reproduces, for the
+scalar test oracle and the benchmark tracer.
 
 The public names below are imported from their submodule on first
 access, not when the package is: every command starts with
@@ -22,7 +22,7 @@ _EXPORTS = {
     "assignment": "Assignment DistanceMatrix build_distance_matrix hungarian",
     "detection": "DetectionCounts detection_counts",
     "errors": "SeldEvalError",
-    "evaluation": "EvaluationConfig EvaluationResult FileContribution MetricReport "
+    "evaluation": "EvaluationConfig EvaluationResult FileContribution "
                   "compute_metrics correlate_systems evaluate_directory metric_directions "
                   "rank_systems score_file",
     "geometry": "Direction angular_distance spherical_mean",

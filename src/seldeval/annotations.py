@@ -18,9 +18,9 @@ so that both sides of the evaluation are frame streams.
 
 `read_prediction_columns` parses a prediction file past its header in C
 (`np.loadtxt`, whose floats equal `float()`'s) into frame, class and
-unit-vector columns. A file that it rejects or whose values fail
-validation (a quoted or whitespace-only line, a bad value) is read row by
-row, as `parse_prediction` reads it: the same rows, or the same error.
+unit-vector columns, once more without whitespace-only lines if refused.
+A file still refused, or with a value that fails validation, is read row
+by row, as `parse_prediction` reads it: the same rows, or the same error.
 """
 
 from __future__ import annotations
@@ -236,11 +236,17 @@ def parse_prediction(path, vocabulary: Vocabulary, frame_hop: float = 0.02) -> l
 def read_prediction_columns(path, vocabulary: Vocabulary) -> tuple:
     """Frame index, class index and unit-vector arrays, one row per
     prediction, in file order."""
+    def loadtxt(data):
+        return np.loadtxt(io.StringIO(data), delimiter=",", dtype=_PRED_COLUMNS, comments=None,
+                          ndmin=1) if data.strip() else None
+
     text = _read_text(path)
     try:
         data = text[next(_records(text, path, (4,), 0, int), 0):]  # past the header
-        rows = np.loadtxt(io.StringIO(data), delimiter=",", dtype=_PRED_COLUMNS,
-                          comments=None, ndmin=1) if data.strip() else None
+        try:
+            rows = loadtxt(data)
+        except ValueError:  # np.loadtxt refuses a whitespace-only line; it is a blank row
+            rows = loadtxt("\n".join(line for line in data.split("\n") if not line.isspace()))
     except (ValueError, ParseError):
         rows = None
     if rows is not None and (

@@ -12,9 +12,9 @@ deletion_prob, insertion_rate, substitution_prob, swap_locations, seed).
 Its flag stores under the field's name, and a JSON config file
 (``--config``) sets it under the same key; flags override the file, and
 the file overrides the field's default. A config file key that names no
-field, or a value of a JSON type its field does not take (see
-`_SETTINGS`), is refused. JSON output is stable: keys are
-sorted and numbers carry 6 significant digits, so reports diff cleanly
+field or comes twice in one object, or a value of a JSON type its field
+does not take (see `_SETTINGS`), is refused. JSON output is stable: keys
+are sorted and numbers carry 6 significant digits, so reports diff cleanly
 in CI. Exit code is 0 iff the command completed without errors;
 otherwise, usage errors included, a machine-readable error summary goes
 to stderr. Importing this module suspends automatic garbage collection
@@ -54,6 +54,7 @@ try:
     import json
     import math
     import sys
+    from collections import Counter
     from pathlib import Path
 
     from .annotations import Vocabulary, expand_spans, frame_span, parse_reference
@@ -131,7 +132,8 @@ _SETTINGS = {
                lambda v: tuple(float(t) for t in v)),
     "theta_class": ("an object of numbers",
                     lambda v: isinstance(v, dict) and all(map(_is_number, v.values())),
-                    lambda v: tuple(sorted((str(k), float(t)) for k, t in dict(v).items()))),
+                    lambda v: tuple(sorted((str(k), float(t))
+                                           for k, t in (v.items() if isinstance(v, dict) else v)))),
     **dict.fromkeys(("loc_mode", "le_mode"), ("a string", lambda v: isinstance(v, str), None)),
     "duration": ("a number or null", lambda v: v is None or _is_number(v), None),
     **dict.fromkeys(("jobs", "seed"),
@@ -170,8 +172,15 @@ def _load_config_file(path) -> dict:
     """The --config file's settings, or {} when none was given."""
     if not path:
         return {}
+
+    def unique(pairs):  # each object of the file: a key given twice is refused
+        for key, count in Counter(key for key, _ in pairs).items():
+            if count > 1:
+                raise ConfigError(f"config file {path}: key {key!r} given more than once")
+        return dict(pairs)
+
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+        data = json.loads(Path(path).read_text(encoding="utf-8-sig"), object_pairs_hook=unique)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -216,18 +225,18 @@ def _parse_systems(items) -> list:
 
 def _evaluate(args, config, vocabulary) -> tuple:
     result = evaluate_directory(args.ref, args.pred, vocabulary, config)
-    report = result.report()
+    total = result.total
     ci = result.jackknife() if args.command == "jackknife" else {}
     echo = {**dataclasses.asdict(config), "theta_class": dict(config.theta_class)}
     del echo["jobs"]  # the report is the same for any number of workers
     obj = {
         "schema": REPORT_SCHEMA,
         "config": echo,
-        "files": report.files,
-        "frames": report.frames,
-        "segments": report.segments,
-        "metrics": {k: _round6(v) for k, v in report.metrics.items()},
-        "warnings": list(report.warnings),
+        "files": total.n_files,
+        "frames": total.frames,
+        "segments": total.segments,
+        "metrics": {k: _round6(v) for k, v in result.metrics.items()},
+        "warnings": list(total.warnings),
     }
     header = f"{'metric':<12} {'value':>12}"
     if ci:
@@ -236,13 +245,13 @@ def _evaluate(args, config, vocabulary) -> tuple:
                            "high": _round6(est.high), "confidence": est.confidence}
                      if isinstance(est, JackknifeEstimate) else {"error": est}
                      for key, est in ci.items()}
-    lines = [f"files {report.files} | frames {report.frames} | segments {report.segments}",
+    lines = [f"files {total.n_files} | frames {total.frames} | segments {total.segments}",
              header, "-" * len(header)]
     # the correlation's metric keys, less the frame-level class means
     for key in correlation_metric_keys(config):
         if key in ("le_cd_f", "lr_cd_f"):
             continue
-        row = f"{_display_name(key):<12} {_fmt_value(report.metrics[key]):>12}"
+        row = f"{_display_name(key):<12} {_fmt_value(result.metrics[key]):>12}"
         est = ci.get(key)
         if isinstance(est, JackknifeEstimate):
             row += f"  [{_round6(est.low):g}, {_round6(est.high):g}]"
@@ -251,12 +260,12 @@ def _evaluate(args, config, vocabulary) -> tuple:
         lines.append(row)
     if args.per_class:
         obj["per_class"] = {label: {k: _round6(v) for k, v in vals.items()}
-                            for label, vals in report.per_class.items()}
-        if report.per_class:
+                            for label, vals in result.per_class.items()}
+        if result.per_class:
             lines += ["", f"{'class':<20} {'LE_c':>12} {'LR_c':>12}"]
             lines += [f"{label:<20} {_fmt_value(vals['le_c']):>12} {_fmt_value(vals['lr_c']):>12}"
-                      for label, vals in sorted(report.per_class.items())]
-    return obj, lines + [f"warning: {w}" for w in report.warnings]
+                      for label, vals in sorted(result.per_class.items())]
+    return obj, lines + [f"warning: {w}" for w in total.warnings]
 
 
 def _rank(args, config, vocabulary) -> tuple:
@@ -295,8 +304,8 @@ def _correlate(args, config, vocabulary) -> tuple:
         "warnings": result.warnings,
     }
     names = [_display_name(k) for k in result.metrics]
-    width = max(len(n) for n in names) + 1
-    lines = [" " * width + "".join(f"{n:>{width}}" for n in names)]
+    width = max(map(len, names), default=0) + 1
+    lines = [" " * width + "".join(f"{n:>{width}}" for n in names)] if names else []
     for name, row in zip(names, result.matrix):
         lines.append(f"{name:<{width}}" + "".join(
             f"{'n/a':>{width}}" if v is None else f"{_round6(v):>{width}g}" for v in row))

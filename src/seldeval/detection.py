@@ -2,8 +2,8 @@
 
 `detection_counts` gives each segment's binary per-class TP/FP/FN and
 its S/D/I decomposition; per-class instance multiplicity only matters
-for the joint metrics. It is the definition that
-`evaluation.score_file` reproduces on columns and that the scalar test
+for the joint metrics. It is the definition that `evaluation.read_pair`
++ `evaluation.score_batch` reproduce on columns and that the scalar test
 oracle and the benchmark tracer replay; ER and F1 are formed from the
 summed counts in `evaluation.compute_metrics`.
 """

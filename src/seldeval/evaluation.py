@@ -1,14 +1,14 @@
 """Batch evaluation pipeline: per-file scoring, mergeable accumulators,
-metric reports, confidence intervals, ranking, and correlation.
+metrics, confidence intervals, ranking, and correlation.
 
 Every file contributes a bundle of commutative sums (FileContribution),
-so datasets merge associatively and each jackknife partial is the total
-minus one cached per-file contribution instead of a re-parse. Every
-metric is formed from these sums in one place, `compute_metrics`, under
-the keys that `metric_keys` lists, and every per-threshold count reads
-its thresholds from `class_thresholds`. Files are always merged in
-sorted filename order, which keeps the output byte-stable regardless of
-worker scheduling.
+each stored once: a sum that others give, such as a reference count, is
+derived where it is used. Datasets merge associatively; each jackknife
+partial is the total minus one file's contribution. `compute_metrics`
+forms every metric from the sums, under the keys `metric_keys` lists,
+and `evaluate_directory` keeps the total's metrics on its result, once.
+Every per-threshold count reads `class_thresholds`. Files are merged in
+sorted filename order, whatever the worker scheduling.
 
 Scoring works on columns: `read_pair` reads one file pair, makes every
 per-file check, and gives each side as rows (frame, class, unit xyz);
@@ -46,9 +46,9 @@ event has one row per frame it covers; a file whose events reach frame
 2**63, or whose rows numpy cannot allocate, is refused with
 `ReferenceTooLong`, and any file whose rows fit in memory is scored. The
 result equals the per-frame definition (`LocalizationAccumulator`,
-`segmentize`, `segment_class_counts`) bit for bit: distances come from
-`angles_between` (acos from `math`, as numpy's is 1 ulp off on ~9% of
-inputs); `assign_batch` gives every frame and (frame, class) slice
+`segmentize`, `segment_class_counts`) bit for bit: distances and segment
+means come from `angles_between` and `mean_unit_vectors` (acos, asin and
+atan2 from `math`: numpy's can be 1 ulp off); `assign_batch` gives every frame and (frame, class) slice
 `hungarian`'s pairs, enumerating the pairings of each shape with at most
 2520 of them (and of every 1 x N and M x 1) in numpy and handing
 near-ties and larger shapes to the exact kernel; and float sums keep
@@ -100,16 +100,12 @@ from .annotations import (
 )
 from .assignment import THRESHOLD_EPS, assign_batch, ragged_arange
 from .errors import ConfigError, DegenerateRanks, MissingPair, ReferenceTooLong, UndefinedPartial
-from .geometry import Direction, _angle_between_units, angles_between, sorted_unique
+from .geometry import angles_between, mean_unit_vectors, sorted_unique
 from .stats import (JackknifeEstimate, RankTable, build_rank_table, jackknife_ci, rank_correlation,
                     rank_moments)
 
 LOC_MODES = ("frame-average", "segment-mean")
 LE_MODES = ("micro", "macro")
-
-
-def _fmt_deg(theta: float) -> str:
-    return f"{theta:g}"
 
 
 @dataclass(frozen=True)
@@ -133,7 +129,7 @@ class EvaluationConfig:
         for t in self.thetas:
             if not 0.0 < t <= 180.0:
                 raise ConfigError(f"threshold {t} outside (0, 180]")
-        if len({_fmt_deg(t) for t in self.thetas}) != len(self.thetas):
+        if len({f"{t:g}" for t in self.thetas}) != len(self.thetas):  # as metric_keys names them
             raise ConfigError("duplicate thresholds configured")
         for _, t in self.theta_class:
             if not 0.0 < t <= 180.0:
@@ -174,7 +170,7 @@ def class_thresholds(config: EvaluationConfig, vocabulary: Vocabulary) -> np.nda
 def metric_keys(thetas: Sequence[float]) -> list:
     """Every metric key the report emits for these thresholds, in the order
     `compute_metrics` emits them."""
-    degs = [_fmt_deg(t) for t in thetas]
+    degs = [f"{t:g}" for t in thetas]
     return (["er", "f1", "le", "le_micro", "le_macro", "lr", "ecr"]
             + [f"{base}:{deg}" for deg in degs for base in ("le_theta", "lr_theta", "ecr_theta")]
             + ["le_cd", "lr_cd", "le_cd_f", "lr_cd_f"]
@@ -200,7 +196,6 @@ class FileContribution:
     # class-agnostic localization, frame level
     loc_dist: float = 0.0
     loc_k: int = 0
-    loc_n: int = 0
     loc_eq: int = 0
     loc_frame_le_sum: float = 0.0
     loc_frame_le_count: int = 0
@@ -214,7 +209,6 @@ class FileContribution:
     det_s: int = 0
     det_d: int = 0
     det_i: int = 0
-    det_nref: int = 0
     # joint metrics, per class
     j_dist_f: np.ndarray = _array("c", float)   # frame-pair distance sums
     j_pairs_f: np.ndarray = _array("c")   # frame-pair counts (= frame-level K_c)
@@ -223,7 +217,6 @@ class FileContribution:
     j_n_seg: np.ndarray = _array("c")     # segment-level N_c
     j_m_seg: np.ndarray = _array("c")     # segment-level M_c
     j_fn: np.ndarray = _array("c")        # threshold-independent false negatives
-    j_nref_seg: int = 0
     # segment-level evidence in the configured loc_mode
     j_dist: np.ndarray = _array("c", float)   # LE_c distance sums
     j_pairs: np.ndarray = _array("c")     # LE_c pair counts
@@ -439,8 +432,7 @@ def score_batch(pairs: Sequence, vocabulary: Vocabulary, config: EvaluationConfi
     both_file = occ_file[both]
     pair_file = both_file[pair_frame]
     n_occ, n_eq, n_ref = per_file(occ_file), per_file(occ_file[m == n]), per_file(occ_file[n > 0])
-    ints = dict(loc_k=per_file(both_file, k), loc_n=per_file(file_of(rf)),
-                loc_frame_le_count=per_file(both_file))
+    ints = dict(loc_k=per_file(both_file, k), loc_frame_le_count=per_file(both_file))
     # bincount adds a file's frame totals one after another from 0.0, as the accumulator
     floats = dict(loc_dist=per_file(both_file, totals),
                   loc_frame_le_sum=per_file(both_file, totals / k))
@@ -478,41 +470,35 @@ def score_batch(pairs: Sequence, vocabulary: Vocabulary, config: EvaluationConfi
 
     ref_on, pred_on = rmax > 0, pmax > 0
     fp_seg, fn_seg = pred_on & ~ref_on, ref_on & ~pred_on
-    ints.update(zip(("det_tp", "det_fp", "det_fn", "det_nref"), (
-        per_file(sc_file[x]) for x in (ref_on & pred_on, fp_seg, fn_seg, ref_on))))
+    ints.update(zip(("det_tp", "det_fp", "det_fn"), (
+        per_file(sc_file[x]) for x in (ref_on & pred_on, fp_seg, fn_seg))))
     ints.update(zip(("det_s", "det_d", "det_i"), sdi(fp_seg, fn_seg)))
     kk, fn = np.minimum(pmax, rmax), np.maximum(rmax - pmax, 0)
     arrays.update(j_dist_f=per_class(pair_sum, float), j_pairs_f=per_class(n_pairs),
                   j_n_f=per_class(np.bincount(sc_of_key, nc, minlength=len(sc))))
     arrays.update(zip(("j_k_seg", "j_n_seg", "j_m_seg", "j_fn"),
                       (per_class(x) for x in (kk, rmax, pmax, fn))))
-    ints["j_nref_seg"] = per_file(sc_file, rmax)
 
     # Joint counts (segment_class_counts), in the configured mode only.
     warned = [set() for _ in pairs]
     if config.loc_mode == "segment-mean":
         evidence = ref_on & pred_on
+        q = np.flatnonzero(evidence)
         seg_index = segs - start[seg_file] // spf  # each segment's index in its own file
         means = []
         for side, row_key, units in (("prediction", p_key, pu), ("reference", r_key, ru)):
             sc_row = sc_of_key[row_key]
-            sums = np.stack([np.bincount(sc_row, u, minlength=len(sc)) for u in units.T], 1)
-            first = np.full(len(sc), len(sc_row))
-            np.minimum.at(first, sc_row, np.arange(len(sc_row)))
-            sums, firsts = sums[evidence].tolist(), units[first[evidence]].tolist()
-            means.append([])
-            for q, (sx, sy, sz), unit in zip(np.flatnonzero(evidence), sums, firsts):
-                if math.sqrt(sx * sx + sy * sy + sz * sz) > 1e-9:  # as spherical_mean
-                    means[-1].append(Direction.from_unit_vector(sx, sy, sz).unit)
-                else:
-                    means[-1].append(tuple(unit))
-                    warned[sc_file[q]].add(
-                        f"degenerate {side} pool for {vocabulary.labels[sc_cls[q]]!r} in segment "
-                        f"{seg_index[sc_seg[q]]}; fell back to its first direction")
-        rep = np.zeros(len(sc))
-        rep[evidence] = [_angle_between_units(p, r) for p, r in zip(*means)]
-        arrays.update(j_dist=per_class(np.where(evidence, rep * kk, 0.0), float),
-                      j_pairs=per_class(np.where(evidence, kk, 0)))
+            mean, degenerate = mean_unit_vectors(np.stack(
+                [np.bincount(sc_row, u, minlength=len(sc))[q] for u in units.T], 1))
+            for i, j in zip(np.flatnonzero(degenerate), q[degenerate]):
+                mean[i] = units[np.argmax(sc_row == j)]  # the pool's first direction
+                warned[sc_file[j]].add(
+                    f"degenerate {side} pool for {vocabulary.labels[sc_cls[j]]!r} in segment "
+                    f"{seg_index[sc_seg[j]]}; fell back to its first direction")
+            means.append(mean)
+        rep = np.zeros(len(sc))  # 0 where a side is off, as kk is
+        rep[q] = angles_between(*means)
+        arrays.update(j_dist=per_class(rep * kk, float), j_pairs=arrays["j_k_seg"])
     else:
         evidence = n_pairs > 0
         rep = pair_sum / np.maximum(n_pairs, 1)
@@ -575,22 +561,6 @@ def _score_pairs(pairs: Sequence, vocabulary: Vocabulary, config: EvaluationConf
             for c in score_batch(batch, vocabulary, config)]
 
 
-@dataclass
-class MetricReport:
-    """Flat metric map of one evaluated system.
-
-    Undefined metrics are None; rendering layers print them as
-    "undefined" and never as numbers.
-    """
-
-    files: int
-    frames: int
-    segments: int
-    metrics: dict
-    per_class: dict
-    warnings: list = field(default_factory=list)
-
-
 def _ratio(num, den):
     return num / den if den else None
 
@@ -598,19 +568,20 @@ def _ratio(num, den):
 def compute_metrics(contrib: FileContribution, config: EvaluationConfig,
                     vocabulary: Vocabulary) -> tuple:
     """All metric values, keyed by `metric_keys`, plus the per-class breakdown
-    for a contribution."""
+    for a contribution; undefined metrics are None."""
     le_micro = _ratio(contrib.loc_dist, contrib.loc_k)
     le_macro = _ratio(contrib.loc_frame_le_sum, contrib.loc_frame_le_count)
+    loc_n = int(contrib.j_n_f.sum())  # frame-level reference count
     values = [
-        _ratio(contrib.det_s + contrib.det_d + contrib.det_i, contrib.det_nref),
+        _ratio(contrib.det_s + contrib.det_d + contrib.det_i, contrib.det_tp + contrib.det_fn),
         _ratio(2 * contrib.det_tp, 2 * contrib.det_tp + contrib.det_fp + contrib.det_fn),
         le_macro if config.le_mode == "macro" else le_micro, le_micro, le_macro,
-        _ratio(contrib.loc_k, contrib.loc_n),
+        _ratio(contrib.loc_k, loc_n),
         _ratio(contrib.loc_eq, contrib.frames),
     ]
     for t in range(len(config.thetas)):
         kt = int(contrib.loc_k_t[t])
-        values += [_ratio(float(contrib.loc_dist_t[t]), kt), _ratio(kt, contrib.loc_n),
+        values += [_ratio(float(contrib.loc_dist_t[t]), kt), _ratio(kt, loc_n),
                    _ratio(int(contrib.loc_eq_t[t]), contrib.frames)]
 
     per_class: dict = {}
@@ -628,12 +599,12 @@ def compute_metrics(contrib: FileContribution, config: EvaluationConfig,
         defined = [row[col] for row in rows if row[col] is not None]
         values.append(sum(defined) / len(defined) if defined else None)
 
-    fn_total = int(contrib.j_fn.sum())
+    fn_total, nref_seg = int(contrib.j_fn.sum()), int(contrib.j_n_seg.sum())
     for t in range(len(config.thetas)):
         tp = int(contrib.j_tp[t].sum())
         fp = int(contrib.j_fp[t].sum())
         errors = int(contrib.j_s[t]) + int(contrib.j_d[t]) + int(contrib.j_i[t])
-        values += [_ratio(errors, contrib.j_nref_seg), _ratio(2 * tp, 2 * tp + fp + fn_total)]
+        values += [_ratio(errors, nref_seg), _ratio(2 * tp, 2 * tp + fp + fn_total)]
     return dict(zip(metric_keys(config.thetas), values, strict=True)), per_class
 
 
@@ -649,7 +620,7 @@ def reference_files(ref_dir) -> list:
 
 
 def discover_pairs(ref_dir, pred_dir) -> list:
-    """Filename-matched (name, ref_path, pred_path) triples, sorted."""
+    """Filename-matched (ref_path, pred_path) pairs, sorted."""
     ref_dir = Path(ref_dir)
     pred_dir = Path(pred_dir)
     refs = reference_files(ref_dir)
@@ -666,7 +637,7 @@ def discover_pairs(ref_dir, pred_dir) -> list:
     if extra:
         raise MissingPair(f"prediction file(s) in {pred_dir} without a reference: "
                           f"{', '.join(extra)}")
-    return [(p.name, p, pred_dir / p.name) for p in refs]
+    return [(p, pred_dir / p.name) for p in refs]
 
 
 @dataclass
@@ -675,39 +646,30 @@ class EvaluationResult:
     vocabulary: Vocabulary
     per_file: dict            # name -> FileContribution, insertion-sorted
     total: FileContribution
-
-    def report(self) -> MetricReport:
-        metrics, per_class = compute_metrics(self.total, self.config, self.vocabulary)
-        return MetricReport(
-            files=self.total.n_files,
-            frames=self.total.frames,
-            segments=self.total.segments,
-            metrics=metrics,
-            per_class=per_class,
-            warnings=list(self.total.warnings),
-        )
+    metrics: dict             # compute_metrics of the total
+    per_class: dict
 
     def jackknife(self, keys: Sequence[str] | None = None) -> dict:
         """Leave-one-out confidence intervals for the given metric keys.
 
-        The metrics are computed once on all files and once per
-        leave-one-out subset (the total minus one file's contribution),
-        then every key reads its values from those n + 1 metric maps.
+        The point estimate is `metrics`, and the metrics are computed once
+        per leave-one-out subset (the total minus one file's contribution);
+        every key reads its values from those n + 1 metric maps.
         Returns {key: JackknifeEstimate} for metrics where the interval
         exists; undefined metrics and undefined partials map to an error
         string instead of being silently skipped.
         """
-        point = compute_metrics(self.total, self.config, self.vocabulary)[0]
         partials = {name: compute_metrics(self.total - self.per_file[name], self.config,
                                           self.vocabulary)[0]
                     for name in sorted(self.per_file)}
         out: dict = {}
-        for key in point if keys is None else keys:
-            if point.get(key) is None:
+        for key in self.metrics if keys is None else keys:
+            if self.metrics.get(key) is None:
                 out[key] = "undefined"
                 continue
             try:
-                out[key] = jackknife_ci(point[key], {name: m[key] for name, m in partials.items()},
+                out[key] = jackknife_ci(self.metrics[key],
+                                        {name: m[key] for name, m in partials.items()},
                                         self.config.confidence)
             except UndefinedPartial as exc:
                 out[key] = f"{type(exc).__name__}: {exc}: metric {key!r} undefined on this subset"
@@ -730,8 +692,7 @@ def evaluate_directory(
     process pool, one worker per group, each reading its own references.
     """
     class_thresholds(config, vocabulary)  # refuses a per-class threshold for an unknown class
-    pairs = discover_pairs(ref_dir, pred_dir)
-    paths = [(ref, pred) for _, ref, pred in pairs]
+    paths = discover_pairs(ref_dir, pred_dir)
     size = -(-len(paths) // config.jobs)
     groups = [paths[i:i + size] for i in range(0, len(paths), size)]
     if len(groups) == 1:
@@ -743,11 +704,12 @@ def evaluate_directory(
                                   references={})
         with ProcessPoolExecutor(max_workers=len(groups)) as pool:
             contribs = [c for scored in pool.map(score, groups) for c in scored]
-    per_file = {name: c for (name, _, _), c in zip(pairs, contribs)}
+    per_file = {ref.name: c for (ref, _), c in zip(paths, contribs)}
     total = FileContribution.zeros(len(config.thetas), len(vocabulary))
     for name in sorted(per_file):
         total = total + per_file[name]
-    return EvaluationResult(config=config, vocabulary=vocabulary, per_file=per_file, total=total)
+    return EvaluationResult(config, vocabulary, per_file, total,
+                            *compute_metrics(total, config, vocabulary))
 
 
 OFFICIAL_METRICS = ("er", "f1", "le", "ecr")
@@ -767,7 +729,7 @@ def _system_values(ref_dir, systems: Sequence, vocabulary: Vocabulary,
             result = evaluate_directory(ref_dir, pred_dir, vocabulary, config, references)
         except MissingPair as exc:
             raise MissingPair(f"system {system_id!r}: {exc}") from None
-        metrics.append(result.report().metrics)
+        metrics.append(result.metrics)
     return {k: [m[k] for m in metrics] for k in keys}
 
 

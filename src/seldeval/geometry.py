@@ -128,6 +128,19 @@ def unit_vectors(azimuth: np.ndarray, elevation: np.ndarray) -> np.ndarray:
     return np.stack([cos_el * cos_az, cos_el * sin_az, sin_el], axis=1)
 
 
+def mean_unit_vectors(sums: np.ndarray) -> tuple:
+    """Rows of `Direction.from_unit_vector(*s).unit` for rows s of vector
+    sums, and a mask of the rows whose norm is <= 1e-9, of which
+    `spherical_mean` takes no mean; their rows are no mean."""
+    x, y, z = sums.T
+    norm = np.sqrt(x * x + y * y + z * z)
+    degenerate = norm <= 1e-9
+    zc = np.clip(z / np.where(degenerate, 1.0, norm), -1.0, 1.0)
+    el = _math_map(zc, math.asin)[0] * (180.0 / math.pi)  # math.degrees
+    az = np.array(list(map(math.atan2, y.tolist(), x.tolist())), dtype=float) * (180.0 / math.pi)
+    return unit_vectors(np.where(90.0 - np.abs(el) < _POLE_EPS_DEG, 0.0, az), el), degenerate
+
+
 def angles_between(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """`angular_distance` between the unit vectors of rows u[k] and v[k]."""
     dot = u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1] + u[:, 2] * v[:, 2]

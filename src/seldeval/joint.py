@@ -24,10 +24,10 @@ the single representative distance is used instead; prediction-side
 event identity is undefined, so this mode is reported for comparison
 rather than as the default.
 
-`segment_class_counts` is the definition that `evaluation.score_file`
-reproduces on columns and that the scalar test oracle and the benchmark
-tracer replay. LE_c/LR_c, their class means LE_CD/LR_CD, and
-ER_theta/F_theta are formed from the summed counts in
+`segment_class_counts` is the definition that `evaluation.read_pair` +
+`evaluation.score_batch` reproduce on columns and that the scalar test
+oracle and the benchmark tracer replay. LE_c/LR_c, their class means
+LE_CD/LR_CD, and ER_theta/F_theta are formed from the summed counts in
 `evaluation.compute_metrics`.
 """
 

@@ -3,10 +3,10 @@
 `LocalizationAccumulator.update` folds one frame into the sums behind
 LE, LR, ECR and their thresholded variants: predictions and references
 are matched per frame purely by angular distance, class labels ignored.
-It is the definition that `evaluation.score_file` reproduces on columns
-and that the scalar test oracle and the benchmark tracer replay; the
-metrics themselves are formed from the sums in
-`evaluation.compute_metrics`.
+It is the definition that `evaluation.read_pair` +
+`evaluation.score_batch` reproduce on columns and that the scalar test
+oracle and the benchmark tracer replay; the metrics themselves are
+formed from the sums in `evaluation.compute_metrics`.
 """
 
 from __future__ import annotations

@@ -62,7 +62,6 @@ def score_file_oracle(ref_path, pred_path, vocabulary, config) -> FileContributi
     contrib.frames = loc.frames
     contrib.loc_dist = loc.dist_sum
     contrib.loc_k = loc.k_total
-    contrib.loc_n = loc.n_total
     contrib.loc_eq = loc.eq_frames
     contrib.loc_frame_le_sum = loc.frame_le_sum
     contrib.loc_frame_le_count = loc.frame_le_count
@@ -79,7 +78,6 @@ def score_file_oracle(ref_path, pred_path, vocabulary, config) -> FileContributi
         contrib.det_s += counts.s
         contrib.det_d += counts.d
         contrib.det_i += counts.i
-        contrib.det_nref += counts.n_ref
 
     warnings: list = []
     seg_mean = config.loc_mode == "segment-mean"
@@ -93,7 +91,6 @@ def score_file_oracle(ref_path, pred_path, vocabulary, config) -> FileContributi
             contrib.j_n_seg[ci] += stats.ref_max
             contrib.j_m_seg[ci] += stats.pred_max
             contrib.j_fn[ci] += max(0, stats.ref_max - stats.pred_max)
-            contrib.j_nref_seg += stats.ref_max
         for t, row in enumerate(thresholds):
             unit = joint.segment_class_counts(
                 view, lambda label: float(row[vocabulary.index(label)]), config.loc_mode,

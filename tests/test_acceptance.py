@@ -70,8 +70,8 @@ def test_criterion_01_fig3_golden(tmp_path):
     assert [e["type"] for e in logs["scene_000.csv"]] == ["swap"]
 
     config = EvaluationConfig(thetas=(10.0, 30.0))
-    twin = evaluate_directory(ref_dir, twin_dir, vocab, config).report().metrics
-    swap = evaluate_directory(ref_dir, swapped_dir, vocab, config).report().metrics
+    twin = evaluate_directory(ref_dir, twin_dir, vocab, config).metrics
+    swap = evaluate_directory(ref_dir, swapped_dir, vocab, config).metrics
 
     for metrics in (twin, swap):  # independent metrics identical and perfect
         assert metrics["er"] == pytest.approx(0.0, abs=1e-9)
@@ -120,7 +120,7 @@ def test_criterion_02_fig4_golden(tmp_path):
     tp, fp, fn = int(contrib.j_tp[0].sum()), int(contrib.j_fp[0].sum()), int(contrib.j_fn.sum())
     assert (tp, fp, fn) == (1, 2, 2)  # fn is one count for every threshold
     assert int(contrib.j_tp[1].sum()) == 2  # d2 is within 30 degrees
-    report = evaluate_directory(ref_dir, pred_dir, vocab, config).report()
+    report = evaluate_directory(ref_dir, pred_dir, vocab, config)
     assert report.metrics["f_theta:10"] == pytest.approx(1 / 3, abs=1e-12)
 
     elapsed = time.perf_counter() - start
@@ -172,7 +172,7 @@ def test_criterion_04_jitter_oracle(tmp_path):
         ref_dir, tmp_path / "pred", PerturbationSpec(doa_jitter_deg=5.0, seed=0), VOCAB11
     )
     config = EvaluationConfig(thetas=(3.0, 10.0))
-    metrics = evaluate_directory(ref_dir, pred_dir, VOCAB11, config).report().metrics
+    metrics = evaluate_directory(ref_dir, pred_dir, VOCAB11, config).metrics
     assert metrics["le_cd"] == pytest.approx(5.0, abs=0.01)
     assert metrics["lr_cd"] == pytest.approx(1.0, abs=1e-9)
     assert metrics["f_theta:10"] == pytest.approx(1.0, abs=1e-9)
@@ -190,7 +190,7 @@ def test_criterion_05_deletion_oracle(tmp_path):
         ref_dir, tmp_path / "pred", PerturbationSpec(deletion_prob=0.3, seed=31), VOCAB11
     )
     config = EvaluationConfig()
-    report = evaluate_directory(ref_dir, pred_dir, VOCAB11, config).report()
+    report = evaluate_directory(ref_dir, pred_dir, VOCAB11, config)
 
     assert abs((1.0 - report.metrics["lr_cd"]) - 0.3) <= 0.03
 
@@ -234,7 +234,7 @@ def test_criterion_06_threshold_monotonicity(tmp_path):
         VOCAB11,
     )
     config = EvaluationConfig(thetas=thetas)
-    metrics = evaluate_directory(ref_dir, pred_dir, VOCAB11, config).report().metrics
+    metrics = evaluate_directory(ref_dir, pred_dir, VOCAB11, config).metrics
 
     keys = [f"{t:g}" for t in thetas]
     f_vals = [metrics[f"f_theta:{k}"] for k in keys]

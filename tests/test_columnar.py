@@ -332,10 +332,10 @@ class TestSubtractionAndWarnings:
 
     def test_frame_average_report_has_no_segment_mean_warnings(self, tmp_path):
         ref, pred = self._scene(tmp_path, antipodal=True)
-        plain = evaluate_directory(ref, pred, VOCAB, EvaluationConfig()).report()
-        assert plain.warnings == []
+        plain = evaluate_directory(ref, pred, VOCAB, EvaluationConfig())
+        assert plain.total.warnings == ()
         seg = evaluate_directory(ref, pred, VOCAB, EvaluationConfig(loc_mode="segment-mean"))
-        assert [w.split(":")[0] for w in seg.report().warnings] == ["f0.csv", "f1.csv"]
+        assert [w.split(":")[0] for w in seg.total.warnings] == ["f0.csv", "f1.csv"]
 
     def test_subtraction_keeps_the_other_files_warnings(self, tmp_path):
         ref, pred = self._scene(tmp_path, antipodal=True)

@@ -11,7 +11,10 @@ multi-system commands, `rank` and `correlate`, must do the same for a
 malformed, repeated or empty system and for one broken file among good
 systems. A missing or empty prediction directory is named in the message,
 after the system's id where there are several; `synth` refuses at once a
-file expecting more than `synth.MAX_INSERTIONS` insertions.
+file expecting more than `synth.MAX_INSERTIONS` insertions. A setting given
+twice, by two flags or by a key repeated in a config file's object, is
+refused too; `correlate` with no metric defined for every system still
+reports, with its warnings.
 """
 
 import contextlib
@@ -397,6 +400,46 @@ def test_malformed_theta_class_flag(item, message):
     code, err = run_in_corpus("evaluate", extra=("--theta-class", item))
     assert_error_envelope(code, err)
     assert json.loads(err) == {"error": "ConfigError", "message": message}
+
+
+@pytest.mark.parametrize("where, config, message", [
+    ("flag", "{}", "per-class threshold given more than once for class(es): 'dog'"),
+    ("config", '{"theta_class": {"dog": 10, "dog": 20}}', "key 'dog' given more than once"),
+    ("config", '{"thetas": [10], "thetas": [20]}', "key 'thetas' given more than once"),
+], ids=["flags", "nested-key", "key"])
+def test_setting_given_twice_refused(where, config, message):
+    # json.loads keeps the last of a repeated key, and the flags' pairs once went
+    # through dict(): either way the second value was scored, silently
+    extra = ("--theta-class", "dog=10", "--theta-class", "dog=20") if where == "flag" else ()
+    code, err = run_in_corpus("evaluate", config=config, extra=extra)
+    assert_error_envelope(code, err)
+    envelope = json.loads(err)
+    assert envelope["error"] == "ConfigError" and envelope["message"].endswith(message)
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_correlate_with_no_metric_defined_for_every_system(tmp_path, fmt):
+    # one empty reference, three empty systems and no --duration: no frame, so
+    # no metric is defined; the table's column width once came from max() of none
+    for name in ("ref", "a", "b", "c"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "x.csv").write_text("", encoding="utf-8")
+    argv = ["correlate", "--ref", str(tmp_path / "ref"), "--format", fmt,
+            "--pred", f"a={tmp_path / 'a'}", "--pred", f"b={tmp_path / 'b'}",
+            "--pred", f"c={tmp_path / 'c'}"]
+    (tmp_path / "ref" / "vocabulary.txt").write_text("dog\n", encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(argv) == 0
+    assert err.getvalue() == ""
+    warnings = [f"metric {key!r} undefined for some system; skipped"
+                for key in cli.correlation_metric_keys(EvaluationConfig())]
+    warnings.append("official cumulative rank undefined for some system; skipped")
+    if fmt == "json":
+        report = json.loads(out.getvalue())
+        assert (report["metrics"], report["spearman"], report["warnings"]) == ([], [], warnings)
+    else:
+        assert out.getvalue() == "".join(f"warning: {w}\n" for w in warnings)
 
 
 def test_missing_vocabulary_file(tmp_path):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from seldeval.errors import DegenerateMean, InvalidDirection, SeldEvalError
 from seldeval.geometry import (
     Direction,
     angular_distance,
+    mean_unit_vectors,
     spherical_mean,
 )
 
@@ -160,3 +162,52 @@ class TestSphericalMean:
         expected = Direction(mean.azimuth + shift, mean.elevation)
         # tolerance floor: arccos of a float dot product resolves ~1e-6 deg
         assert angular_distance(rotated_mean, expected) < 5e-6
+
+
+signed_zero = st.sampled_from([0.0, -0.0])
+component = signed_zero | st.floats(-3.0, 3.0)
+near_pole = st.builds(  # within ~1e-9 deg of a pole: |x|, |y| up to 3e-11 |z|
+    lambda z, a, b: (z * a, z * b, z),
+    st.floats(0.5, 3.0) | st.floats(-3.0, -0.5),
+    signed_zero | st.floats(-3e-11, 3e-11), signed_zero | st.floats(-3e-11, 3e-11))
+tiny = st.builds(  # a norm at or just above 1e-9
+    lambda d, norm: tuple(norm * u for u in d.unit),
+    directions, st.sampled_from([1e-9, math.nextafter(1e-9, 1.0)]) | st.floats(1e-9, 1.2e-9))
+sums = st.tuples(component, component, component) | near_pole | tiny
+
+
+class TestMeanUnitVectors:
+    @given(st.lists(sums, min_size=1, max_size=8))
+    @settings(max_examples=300)
+    @example([(0.0, -0.0, 1.0), (-0.0, 0.0, -2.0), (-0.0, -0.0, 0.5), (-1.0, -0.0, 0.0),
+              (-1.0, 0.0, 0.0), (0.0, 0.0, 1e-9), (0.0, 0.0, 0.0)])
+    def test_equals_from_unit_vector_bit_for_bit(self, rows):
+        got, degenerate = mean_unit_vectors(np.array(rows, dtype=float).reshape(-1, 3))
+        for s, unit, flagged in zip(rows, got, degenerate):
+            assert flagged == (math.sqrt(s[0] * s[0] + s[1] * s[1] + s[2] * s[2]) <= 1e-9)
+            if not flagged:
+                want = np.array(Direction.from_unit_vector(*s).unit)
+                assert (unit.view(np.int64) == want.view(np.int64)).all(), s
+
+    @given(st.lists(st.lists(directions, min_size=1, max_size=4), min_size=1, max_size=6),
+           st.data())
+    @settings(max_examples=200)
+    def test_flags_the_pools_spherical_mean_refuses(self, pools, data):
+        # an antipode added to some pools makes their sums cancel
+        pools = [pool + [Direction(d.azimuth + 180.0, -d.elevation) for d in pool]
+                 if data.draw(st.booleans()) else pool for pool in pools]
+        rows = []
+        for pool in pools:  # summed one unit after another, as spherical_mean sums them
+            s = [0.0, 0.0, 0.0]
+            for d in pool:
+                s = [a + b for a, b in zip(s, d.unit)]
+            rows.append(s)
+        got, degenerate = mean_unit_vectors(np.array(rows))
+        for pool, unit, flagged in zip(pools, got, degenerate):
+            try:
+                want = spherical_mean(pool).unit
+            except DegenerateMean:
+                assert flagged
+                continue
+            assert not flagged
+            assert (unit.view(np.int64) == np.array(want).view(np.int64)).all()

@@ -198,7 +198,7 @@ class TestStartup:
         parse_reference rasterize segmentize write_reference
         Assignment DistanceMatrix build_distance_matrix hungarian
         DetectionCounts detection_counts SeldEvalError
-        EvaluationConfig EvaluationResult FileContribution MetricReport compute_metrics
+        EvaluationConfig EvaluationResult FileContribution compute_metrics
         correlate_systems evaluate_directory metric_directions rank_systems score_file
         Direction angular_distance spherical_mean ClassCounts segment_class_counts
         JackknifeEstimate RankTable build_rank_table cumulative_rank jackknife_ci metric_ranks

@@ -191,7 +191,7 @@ class TestMetricOracles:
             out, _ = perturb(events, dataclasses.replace(spec, seed=spec.seed + index), vocab)
             serialize_prediction(out, 0.02, vocab, pred_dir / ref_path.name)
         config = EvaluationConfig(thetas=tuple(thetas))
-        return evaluate_directory(ref_dir, pred_dir, vocab, config).report()
+        return evaluate_directory(ref_dir, pred_dir, vocab, config)
 
     def test_full_deletion_floor(self, tmp_path):
         rep = self._evaluate(tmp_path, PerturbationSpec(deletion_prob=1.0, seed=1))
