@@ -4,13 +4,13 @@ Reference files are event-level CSV rows
 ``class_label,onset_s,offset_s,azimuth_deg,elevation_deg[,distance_m]``
 (the distance column is accepted and ignored). Prediction files are
 frame-level CSV rows ``frame_index,class_index,azimuth_deg,elevation_deg``.
-Blank rows are skipped; the first other row is a header when its onset, or
-its frame index, is not a number. Vocabulary files hold one class label per
-line; the 0-based line number is the class index. Files are UTF-8 (a
-leading byte-order mark is skipped; any other byte sequence that is not
-UTF-8 is a `ParseError`), comma-separated, ``.`` decimal point, LF or CRLF;
-a field longer than the csv module's limit, 131,072 characters by default,
-is a `ParseError`.
+Blank rows, of only commas and whitespace, are skipped; the first other row
+is a header when its onset, or its frame index, is not a number to
+`float()`. Vocabulary files hold one class label per line; the 0-based
+line number is the class index. Files are UTF-8 (a leading byte-order mark
+is skipped; any other byte sequence that is not UTF-8 is a `ParseError`),
+comma-separated, ``.`` decimal point, LF or CRLF; a field longer than the
+csv module's limit, 131,072 characters by default, is a `ParseError`.
 
 References are rasterized onto the frame grid (an event is active in
 frame ``l`` iff ``[l*hop, (l+1)*hop)`` intersects ``[onset, offset)``)
@@ -18,7 +18,7 @@ so that both sides of the evaluation are frame streams.
 
 `read_prediction_columns` parses a prediction file past its header in C
 (`np.loadtxt`, whose floats equal `float()`'s) into frame, class and
-unit-vector columns, once more without whitespace-only lines if refused.
+unit-vector columns, once more without its blank rows if refused.
 A file still refused, or with a value that fails validation, is read row
 by row, as `parse_prediction` reads it: the same rows, or the same error.
 """
@@ -154,11 +154,11 @@ def _read_text(path) -> str:
         raise ParseError(f"cannot decode as UTF-8 ({exc.reason})", path) from None
 
 
-def _records(text: str, path, fields, key_column, key_type):
+def _records(text: str, path, fields, key_column):
     """If the CSV text has a non-blank row: the offset in `text` of the end
     of its header (0 without one), then (row number, stripped fields) of each
     data row. Blank rows are skipped; the first other row is the header if
-    `key_type(row[key_column])` fails. A row whose field count is not in
+    `float(row[key_column])` fails. A row whose field count is not in
     `fields`, or that the csv module refuses, raises ParseError."""
     lines = io.StringIO(text, newline="")
     reader = csv.reader(lines)
@@ -174,7 +174,7 @@ def _records(text: str, path, fields, key_column, key_type):
             if first:
                 first = False
                 try:
-                    key_type(row[key_column])
+                    float(row[key_column])
                 except ValueError:
                     yield lines.tell()
                     continue
@@ -187,7 +187,7 @@ def _records(text: str, path, fields, key_column, key_type):
 def parse_reference(path, vocabulary: Vocabulary) -> list:
     """Read an event-level reference file into validated EventRecords."""
     events = []
-    records = _records(_read_text(path), path, (5, 6), 1, float)
+    records = _records(_read_text(path), path, (5, 6), 1)
     next(records, 0)  # past the header
     for lineno, row in records:
         label = row[0]
@@ -203,7 +203,7 @@ def parse_reference(path, vocabulary: Vocabulary) -> list:
 
 def _prediction_rows(text: str, path, vocabulary: Vocabulary):
     """(frame, class index, Direction) of each prediction row, in file order."""
-    records = _records(text, path, (4,), 0, int)
+    records = _records(text, path, (4,), 0)
     next(records, 0)  # past the header
     for lineno, row in records:
         try:
@@ -242,11 +242,12 @@ def read_prediction_columns(path, vocabulary: Vocabulary) -> tuple:
 
     text = _read_text(path)
     try:
-        data = text[next(_records(text, path, (4,), 0, int), 0):]  # past the header
+        data = text[next(_records(text, path, (4,), 0), 0):]  # past the header
         try:
             rows = loadtxt(data)
-        except ValueError:  # np.loadtxt refuses a whitespace-only line; it is a blank row
-            rows = loadtxt("\n".join(line for line in data.split("\n") if not line.isspace()))
+        except ValueError:  # np.loadtxt refuses a line of only commas and whitespace: a blank row
+            rows = loadtxt("\n".join(line for line in data.split("\n")
+                                     if line.replace(",", "").strip()))
     except (ValueError, ParseError):
         rows = None
     if rows is not None and (

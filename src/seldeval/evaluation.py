@@ -2,11 +2,13 @@
 metrics, confidence intervals, ranking, and correlation.
 
 Every file contributes a bundle of commutative sums (FileContribution),
-each stored once: a sum that others give, such as a reference count, is
-derived where it is used. Datasets merge associatively; each jackknife
-partial is the total minus one file's contribution. `compute_metrics`
-forms every metric from the sums, under the keys `metric_keys` lists,
-and `evaluate_directory` keeps the total's metrics on its result, once.
+each stored once: a sum that others give, such as deletions, insertions
+or a class's joint FP and FN, is derived where it is used, in integers
+(the field comments say from what). Datasets merge associatively; each
+jackknife partial is the total minus one file's contribution.
+`compute_metrics` forms every metric from the sums, under the keys
+`metric_keys` lists, and `evaluate_directory` keeps the total's metrics
+on its result, once.
 Every per-threshold count reads `class_thresholds`. Files are merged in
 sorted filename order, whatever the worker scheduling.
 
@@ -202,29 +204,21 @@ class FileContribution:
     loc_dist_t: np.ndarray = _array("t", float)
     loc_k_t: np.ndarray = _array("t")
     loc_eq_t: np.ndarray = _array("t")
-    # location-agnostic detection, segment level, binary activity
+    # location-agnostic detection, segment level, binary activity; D = FN - S, I = FP - S
     det_tp: int = 0
     det_fp: int = 0
     det_fn: int = 0
-    det_s: int = 0
-    det_d: int = 0
-    det_i: int = 0
-    # joint metrics, per class
+    det_s: int = 0   # substitutions, min(FN, FP) of each segment
+    # joint metrics, per class; FN_c = N_c - min(M_c, N_c) and FP_c = M_c - K_theta
     j_dist_f: np.ndarray = _array("c", float)   # frame-pair distance sums
     j_pairs_f: np.ndarray = _array("c")   # frame-pair counts (= frame-level K_c)
     j_n_f: np.ndarray = _array("c")       # frame-level reference counts
     j_k_seg: np.ndarray = _array("c")     # segment-level min(M_c, N_c)
     j_n_seg: np.ndarray = _array("c")     # segment-level N_c
     j_m_seg: np.ndarray = _array("c")     # segment-level M_c
-    j_fn: np.ndarray = _array("c")        # threshold-independent false negatives
-    # segment-level evidence in the configured loc_mode
-    j_dist: np.ndarray = _array("c", float)   # LE_c distance sums
-    j_pairs: np.ndarray = _array("c")     # LE_c pair counts
-    j_tp: np.ndarray = _array("tc")
-    j_fp: np.ndarray = _array("tc")
-    j_s: np.ndarray = _array("t")
-    j_d: np.ndarray = _array("t")
-    j_i: np.ndarray = _array("t")
+    j_dist_mean: np.ndarray = _array("c", float)  # segment-mean LE_c sums over K_c; else 0
+    j_tp: np.ndarray = _array("tc")       # K_theta
+    j_s: np.ndarray = _array("t")         # min(FN, FP) of each segment, over classes
     warnings: tuple = ()
 
     @classmethod
@@ -463,21 +457,19 @@ def score_batch(pairs: Sequence, vocabulary: Vocabulary, config: EvaluationConfi
         return np.bincount(sc_file * n_cls + sc_cls, x, minlength=n_files * n_cls).reshape(
             n_files, n_cls).astype(dtype, copy=False)
 
-    def sdi(fp, fn):  # S, D, I of each file, summed over segments
+    def substitutions(fp, fn):  # S of each file: min(FP, FN) of each segment, summed
         u_fp, u_fn = (np.bincount(sc_seg, x, minlength=len(segs)) for x in (fp, fn))
-        s = np.minimum(u_fp, u_fn)
-        return per_file(seg_file, s), per_file(seg_file, u_fn - s), per_file(seg_file, u_fp - s)
+        return per_file(seg_file, np.minimum(u_fp, u_fn))
 
     ref_on, pred_on = rmax > 0, pmax > 0
     fp_seg, fn_seg = pred_on & ~ref_on, ref_on & ~pred_on
     ints.update(zip(("det_tp", "det_fp", "det_fn"), (
         per_file(sc_file[x]) for x in (ref_on & pred_on, fp_seg, fn_seg))))
-    ints.update(zip(("det_s", "det_d", "det_i"), sdi(fp_seg, fn_seg)))
-    kk, fn = np.minimum(pmax, rmax), np.maximum(rmax - pmax, 0)
+    ints.update(det_s=substitutions(fp_seg, fn_seg))
+    kk = np.minimum(pmax, rmax)
     arrays.update(j_dist_f=per_class(pair_sum, float), j_pairs_f=per_class(n_pairs),
                   j_n_f=per_class(np.bincount(sc_of_key, nc, minlength=len(sc))))
-    arrays.update(zip(("j_k_seg", "j_n_seg", "j_m_seg", "j_fn"),
-                      (per_class(x) for x in (kk, rmax, pmax, fn))))
+    arrays.update(zip(("j_k_seg", "j_n_seg", "j_m_seg"), (per_class(x) for x in (kk, rmax, pmax))))
 
     # Joint counts (segment_class_counts), in the configured mode only.
     warned = [set() for _ in pairs]
@@ -498,19 +490,16 @@ def score_batch(pairs: Sequence, vocabulary: Vocabulary, config: EvaluationConfi
             means.append(mean)
         rep = np.zeros(len(sc))  # 0 where a side is off, as kk is
         rep[q] = angles_between(*means)
-        arrays.update(j_dist=per_class(rep * kk, float), j_pairs=arrays["j_k_seg"])
+        arrays.update(j_dist_mean=per_class(rep * kk, float))
     else:
         evidence = n_pairs > 0
         rep = pair_sum / np.maximum(n_pairs, 1)
-        arrays.update(j_dist=arrays["j_dist_f"], j_pairs=arrays["j_pairs_f"])
-    j_tp, j_fp = np.zeros((2, n_files, n_t, n_cls), np.int64)
-    j_sdi = np.zeros((3, n_files, n_t), np.int64)
+        arrays.update(j_dist_mean=np.zeros((n_files, n_cls)))
+    j_tp, j_s = np.zeros((n_files, n_t, n_cls), np.int64), np.zeros((n_files, n_t), np.int64)
     for t, theta in enumerate(class_thresholds(config, vocabulary)[:, sc_cls]):
         k_theta = np.where((theta >= 180.0) | (evidence & (rep <= theta + THRESHOLD_EPS)), kk, 0)
-        fp = np.maximum(pmax - rmax, 0) + kk - k_theta
-        j_tp[:, t], j_fp[:, t] = per_class(k_theta), per_class(fp)
-        j_sdi[:, :, t] = sdi(fp, fn)
-    arrays.update(j_tp=j_tp, j_fp=j_fp, j_s=j_sdi[0], j_d=j_sdi[1], j_i=j_sdi[2])
+        j_tp[:, t], j_s[:, t] = per_class(k_theta), substitutions(pmax - k_theta, rmax - kk)
+    arrays.update(j_tp=j_tp, j_s=j_s)
     return [FileContribution(
         n_files=1, frames=total, segments=(total + spf - 1) // spf,
         loc_eq=total - int(n_occ[i]) + int(n_eq[i]),
@@ -573,7 +562,7 @@ def compute_metrics(contrib: FileContribution, config: EvaluationConfig,
     le_macro = _ratio(contrib.loc_frame_le_sum, contrib.loc_frame_le_count)
     loc_n = int(contrib.j_n_f.sum())  # frame-level reference count
     values = [
-        _ratio(contrib.det_s + contrib.det_d + contrib.det_i, contrib.det_tp + contrib.det_fn),
+        _ratio(contrib.det_fn + contrib.det_fp - contrib.det_s, contrib.det_tp + contrib.det_fn),
         _ratio(2 * contrib.det_tp, 2 * contrib.det_tp + contrib.det_fp + contrib.det_fn),
         le_macro if config.le_mode == "macro" else le_micro, le_micro, le_macro,
         _ratio(contrib.loc_k, loc_n),
@@ -589,22 +578,23 @@ def compute_metrics(contrib: FileContribution, config: EvaluationConfig,
     for ci, label in enumerate(vocabulary):
         if contrib.j_n_seg[ci] == 0 and contrib.j_m_seg[ci] == 0:
             continue  # class absent from references and predictions alike
-        le_c = _ratio(float(contrib.j_dist[ci]), int(contrib.j_pairs[ci]))
+        le_f = _ratio(float(contrib.j_dist_f[ci]), int(contrib.j_pairs_f[ci]))
+        le_c = (_ratio(float(contrib.j_dist_mean[ci]), int(contrib.j_k_seg[ci]))
+                if config.loc_mode == "segment-mean" else le_f)
         lr_c = _ratio(int(contrib.j_k_seg[ci]), int(contrib.j_n_seg[ci]))
         per_class[label] = {"le_c": le_c, "lr_c": lr_c}
-        rows.append((le_c, lr_c, _ratio(float(contrib.j_dist_f[ci]), int(contrib.j_pairs_f[ci])),
-                     _ratio(int(contrib.j_pairs_f[ci]), int(contrib.j_n_f[ci]))))
+        rows.append((le_c, lr_c, le_f, _ratio(int(contrib.j_pairs_f[ci]), int(contrib.j_n_f[ci]))))
     # LE_CD, LR_CD, LE_CD(f), LR_CD(f): each the mean over the classes where it is defined
     for col in range(4):
         defined = [row[col] for row in rows if row[col] is not None]
         values.append(sum(defined) / len(defined) if defined else None)
 
-    fn_total, nref_seg = int(contrib.j_fn.sum()), int(contrib.j_n_seg.sum())
+    n_seg, m_seg = int(contrib.j_n_seg.sum()), int(contrib.j_m_seg.sum())
+    fn = n_seg - int(contrib.j_k_seg.sum())
     for t in range(len(config.thetas)):
         tp = int(contrib.j_tp[t].sum())
-        fp = int(contrib.j_fp[t].sum())
-        errors = int(contrib.j_s[t]) + int(contrib.j_d[t]) + int(contrib.j_i[t])
-        values += [_ratio(errors, nref_seg), _ratio(2 * tp, 2 * tp + fp + fn_total)]
+        fp = m_seg - tp
+        values += [_ratio(fn + fp - int(contrib.j_s[t]), n_seg), _ratio(2 * tp, 2 * tp + fp + fn)]
     return dict(zip(metric_keys(config.thetas), values, strict=True)), per_class
 
 

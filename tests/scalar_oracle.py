@@ -5,6 +5,11 @@ from the public scalar functions: `rasterize`/`densify`, one
 `LocalizationAccumulator.update` per frame, `segmentize`,
 `detection_counts` and `segment_class_counts`. The columnar kernel must
 reproduce its `FileContribution` exactly, floats bit for bit.
+
+The oracle also counts, on its own, what `FileContribution` does not keep
+(deletions, insertions, each class's joint FP and FN, the segment-mean
+pair counts) and asserts that each equals the form `compute_metrics`
+derives it by.
 """
 
 from __future__ import annotations
@@ -71,14 +76,22 @@ def score_file_oracle(ref_path, pred_path, vocabulary, config) -> FileContributi
 
     views = segmentize(pred_frames, ref_frames, config.segment_length, config.frame_hop)
     contrib.segments = len(views)
+    det_d = det_i = 0
     for counts in detection_counts(views):
         contrib.det_tp += counts.tp
         contrib.det_fp += counts.fp
         contrib.det_fn += counts.fn
         contrib.det_s += counts.s
-        contrib.det_d += counts.d
-        contrib.det_i += counts.i
+        det_d += counts.d
+        det_i += counts.i
+    # compute_metrics: S + D + I = FN + FP - S
+    assert det_d + det_i == contrib.det_fn + contrib.det_fp - 2 * contrib.det_s
 
+    n_t, n_cls = thresholds.shape
+    j_fn = np.zeros(n_cls, dtype=np.int64)
+    j_fp = np.zeros((n_t, n_cls), dtype=np.int64)
+    j_d, j_i = np.zeros((2, n_t), dtype=np.int64)
+    mean_pairs = np.zeros(n_cls, dtype=np.int64)
     warnings: list = []
     seg_mean = config.loc_mode == "segment-mean"
     for view in views:
@@ -90,7 +103,7 @@ def score_file_oracle(ref_path, pred_path, vocabulary, config) -> FileContributi
             contrib.j_k_seg[ci] += min(stats.pred_max, stats.ref_max)
             contrib.j_n_seg[ci] += stats.ref_max
             contrib.j_m_seg[ci] += stats.pred_max
-            contrib.j_fn[ci] += max(0, stats.ref_max - stats.pred_max)
+            j_fn[ci] += max(0, stats.ref_max - stats.pred_max)
         for t, row in enumerate(thresholds):
             unit = joint.segment_class_counts(
                 view, lambda label: float(row[vocabulary.index(label)]), config.loc_mode,
@@ -100,18 +113,22 @@ def score_file_oracle(ref_path, pred_path, vocabulary, config) -> FileContributi
             for c in unit:
                 ci = vocabulary.index(c.label)
                 contrib.j_tp[t, ci] += c.tp
-                contrib.j_fp[t, ci] += c.fp
+                j_fp[t, ci] += c.fp
                 u_fp += c.fp
                 u_fn += c.fn
                 if t == 0 and seg_mean:
-                    contrib.j_dist[ci] += c.dist_sum
-                    contrib.j_pairs[ci] += c.pair_count
+                    contrib.j_dist_mean[ci] += c.dist_sum
+                    mean_pairs[ci] += c.pair_count
             u_s = min(u_fn, u_fp)
             contrib.j_s[t] += u_s
-            contrib.j_d[t] += u_fn - u_s
-            contrib.j_i[t] += u_fp - u_s
-    if not seg_mean:
-        contrib.j_dist, contrib.j_pairs = contrib.j_dist_f, contrib.j_pairs_f
+            j_d[t] += u_fn - u_s
+            j_i[t] += u_fp - u_s
+    # compute_metrics: FN = N - min(M, N), FP = M - K_theta, and ER_theta's
+    # S + D + I = FN + FP - S; segment-mean LE_c is over min(M, N) pairs
+    assert (j_fn == contrib.j_n_seg - contrib.j_k_seg).all()
+    assert (j_fp == contrib.j_m_seg - contrib.j_tp).all()
+    assert (j_d + j_i == j_fn.sum() + j_fp.sum(axis=1) - 2 * contrib.j_s).all()
+    assert (mean_pairs == (contrib.j_k_seg if seg_mean else 0)).all()
     if warnings:
         name = Path(ref_path).name
         contrib.warnings = tuple(f"{name}: {w}" for w in sorted(set(warnings)))

@@ -117,7 +117,8 @@ def test_criterion_02_fig4_golden(tmp_path):
     serialize_prediction(pred_events, 0.02, vocab, pred_dir / "scene_000.csv")
     config = EvaluationConfig(thetas=(10.0, 30.0))
     contrib = score_file(ref_dir / "scene_000.csv", pred_dir / "scene_000.csv", vocab, config)
-    tp, fp, fn = int(contrib.j_tp[0].sum()), int(contrib.j_fp[0].sum()), int(contrib.j_fn.sum())
+    tp = int(contrib.j_tp[0].sum())  # FP = M - TP, FN = N - min(M, N), as compute_metrics has them
+    fp, fn = int(contrib.j_m_seg.sum()) - tp, int((contrib.j_n_seg - contrib.j_k_seg).sum())
     assert (tp, fp, fn) == (1, 2, 2)  # fn is one count for every threshold
     assert int(contrib.j_tp[1].sum()) == 2  # d2 is within 30 degrees
     report = evaluate_directory(ref_dir, pred_dir, vocab, config)

@@ -487,6 +487,24 @@ def test_blank_reference_rows_score_like_none(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_numeric_first_prediction_row_is_no_header(tmp_path):
+    # a first row is a header only when float() refuses its frame index; the
+    # row "1.0,0,10,0" was once dropped as one, and the file scored as empty
+    for name, text in (("ref", f"{REF_ROW}\n"), ("pred", "1.0,0,10,0\n")):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "a.csv").write_text(text, encoding="utf-8")
+    (tmp_path / "ref" / "vocabulary.txt").write_text("dog\n", encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["evaluate", "--ref", str(tmp_path / "ref"), "--pred", str(tmp_path / "pred"),
+                     "--format", "json"])
+    assert_error_envelope(code, err.getvalue())
+    assert out.getvalue() == ""
+    envelope = json.loads(err.getvalue())
+    assert envelope["error"] == "ParseError"
+    assert envelope["message"].endswith(f"[{tmp_path / 'pred' / 'a.csv'}:1]")
+
+
 @pytest.mark.parametrize("side", ["ref", "pred"])
 def test_blank_line_before_a_header_scores_like_none(tmp_path, side):
     # the first non-blank row is the header, wherever it starts

@@ -2,12 +2,13 @@
 
 Hypothesis writes a valid reference and prediction file, then rewrites each
 in a way the file format allows: a header row, blank or whitespace-only
-lines (the first line included), CRLF line ends, a byte-order mark, spaces
-or tabs around fields, no final newline. Each rewrite, and all of them at
-once, must leave `parse_reference` equal and `read_prediction_columns` bit
-for bit identical. `read_prediction_columns` on its `np.loadtxt` path must
-also give the per-row parser's arrays, bit for bit, in file order, and every
-rewrite of a file with rows must stay on that path.
+lines (the first line included), a line of only commas and whitespace,
+CRLF line ends, a byte-order mark, spaces or tabs around fields, no final
+newline. Each rewrite, and all of them at once, must leave `parse_reference`
+equal and `read_prediction_columns` bit for bit identical.
+`read_prediction_columns` on its `np.loadtxt` path must also give the
+per-row parser's arrays, bit for bit, in file order, and every rewrite of a
+file with rows must stay on that path.
 """
 
 import tempfile
@@ -21,7 +22,7 @@ from seldeval.annotations import Vocabulary, parse_reference, read_prediction_co
 
 VOCAB = Vocabulary(["dog", "cat", "speech"])
 HEADERS = {"ref": "label,onset,offset,azimuth,elevation", "pred": "frame,class,azimuth,elevation"}
-REWRITES = ("header", "blank", "crlf", "bom", "padding", "no_final_newline")
+REWRITES = ("header", "blank", "commas", "crlf", "bom", "padding", "no_final_newline")
 
 azimuths = st.floats(-720, 720, allow_nan=False) | st.sampled_from([-180.0, 180.0, -0.0, 1e-300])
 elevations = st.floats(-90, 90, allow_nan=False) | st.sampled_from([-90.0, 90.0, -0.0])
@@ -50,6 +51,8 @@ def rewritten(draw, side, rows, rewrites):
     if "blank" in rewrites:
         for _ in range(draw(st.integers(1, 4))):
             lines.insert(draw(st.integers(0, len(lines))), draw(whitespace))
+    if "commas" in rewrites:  # a blank row to the csv module, refused by np.loadtxt
+        lines.insert(draw(st.integers(0, len(lines))), " , , , ")
     end = "\r\n" if "crlf" in rewrites else "\n"
     text = end.join(lines) + ("" if "no_final_newline" in rewrites or not lines else end)
     return ("\ufeff" if "bom" in rewrites else "") + text

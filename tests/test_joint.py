@@ -26,10 +26,16 @@ def slices(contrib):
 
 
 def counts(contrib, label, profile=0):
-    """(TP, FP, FN) of one class at the given threshold profile."""
+    """(TP, FP, FN) of one class at the given threshold profile, as
+    `compute_metrics` derives them: FP = M - TP, FN = N - min(M, N)."""
     i = VOCAB.index(label)
-    return (int(contrib.j_tp[profile][i]), int(contrib.j_fp[profile][i]),
-            int(contrib.j_fn[i]))
+    tp = int(contrib.j_tp[profile][i])
+    return tp, int(contrib.j_m_seg[i]) - tp, int(contrib.j_n_seg[i] - contrib.j_k_seg[i])
+
+
+def totals(contrib, profile=0):
+    """(TP, FP, FN) summed over the classes."""
+    return tuple(map(sum, zip(*(counts(contrib, label, profile) for label in VOCAB))))
 
 
 class TestClassSlices:
@@ -121,9 +127,7 @@ class TestFig4Scene:
         assert counts(c, "car_horn") == (0, 1, 0)
         assert counts(c, "cat") == (0, 1, 0)
         assert counts(c, "child") == (0, 0, 1)
-        assert int(c.j_tp[0].sum()) == 1
-        assert int(c.j_fp[0].sum()) == 2
-        assert int(c.j_fn.sum()) == 2
+        assert totals(c) == (1, 2, 2)
 
     def test_f_score_one_third(self, tmp_path):
         _, m, _ = self.score(tmp_path)
@@ -132,7 +136,7 @@ class TestFig4Scene:
     def test_fn_same_at_both_thresholds(self, tmp_path):
         for theta in (10.0, 30.0):
             c, _, _ = self.score(tmp_path, thetas=(theta,))
-            assert int(c.j_fn.sum()) == 2
+            assert totals(c)[2] == 2
 
 
 class TestClassAwareLocalization:
