@@ -277,11 +277,16 @@ def write_prediction_rows(path, rows: Iterable[tuple]) -> None:
                           encoding="utf-8")
 
 
+def grid_frames(duration: float, frame_hop: float) -> int:
+    """The number of frames whose window starts before `duration` s: the
+    grid of a file that long."""
+    return math.ceil(duration / frame_hop - _GRID_EPS)
+
+
 def frame_span(onset: float, offset: float, frame_hop: float):
     """First and last frame index whose window intersects [onset, offset)."""
     first = math.floor(onset / frame_hop + _GRID_EPS)
-    last = math.ceil(offset / frame_hop - _GRID_EPS) - 1
-    return max(first, 0), last
+    return max(first, 0), grid_frames(offset, frame_hop) - 1
 
 
 def expand_spans(spans, columns, frame_hop: float, name: str) -> tuple:

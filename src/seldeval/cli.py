@@ -52,12 +52,11 @@ try:
     import argparse
     import dataclasses
     import json
-    import math
     import sys
     from collections import Counter
     from pathlib import Path
 
-    from .annotations import Vocabulary, expand_spans, frame_span, parse_reference
+    from .annotations import Vocabulary, expand_spans, frame_span, grid_frames, parse_reference
     from .errors import ConfigError, GridOverflow, SeldEvalError
     from .evaluation import (
         LE_MODES,
@@ -321,9 +320,8 @@ def _synth(args, config, vocabulary, file_cfg: dict) -> None:
         raise ConfigError(f"no reference files found in {Path(args.ref)}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    total_frames = None
-    if config.duration is not None:
-        total_frames = math.ceil(config.duration / config.frame_hop - 1e-9)
+    total_frames = (None if config.duration is None
+                    else grid_frames(config.duration, config.frame_hop))
     settings = dataclasses.asdict(spec)
     log = {"schema": INJECTION_SCHEMA, "seed": settings.pop("seed"), "spec": settings, "files": {}}
     for index, ref_path in enumerate(refs):

@@ -25,21 +25,21 @@ in input order, one after another from 0.0: the same additions as
 scoring that file alone, so every FileContribution is bit for bit the
 one-pair result.
 
-`evaluate_directory` reads a system's pairs in order and scores them in
+`_score_pairs` reads a list of pairs in order and scores them in
 batches of at most `MAX_BATCH_ROWS` rows; a larger pair is scored alone,
 a batch whose offset grids would reach frame 2**63 is closed first, and
 a full batch is scored before the next pair is read. The batch core
 raises no error, so the first error is the one that reading the pairs
 one after another raises.
 
-There is one path for every `--jobs N`: the pairs are split into at most
-N contiguous groups, and `_score_pairs` reads and scores each group as
-above. A single group is scored in this process through the caller's
-reference cache, or a fresh one, which keeps each reference's rows once
-read and expanded; `rank` and `correlate` pass one cache for every system
-of the command. Only more than one group starts a process pool, and with
-it loads `multiprocessing`: one worker per group, each reading its own
-references. The groups' results, errors included, come back in group
+A command scores its systems in one loop, `_evaluate_systems`, each
+before the next one's pairs are looked up: the pairs are split into at
+most `--jobs` N contiguous groups, each read and scored as above. One
+group is scored in this process. A command of several systems then reads
+each reference once, through one cache that keeps its rows for the later
+systems; `evaluate` and `jackknife` keep none. More groups start the
+command's one process pool, with one worker per group, each reading its
+own references. The groups' results, errors included, come back in group
 order, so the first error is the same for every N.
 
 Only occupied frames are touched; empty frames and segments are counted
@@ -82,10 +82,10 @@ pairs, so batching keeps this bit-identity too.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -97,6 +97,7 @@ from .annotations import (
     expand_spans,
     frame_span,
     frames_per_segment,
+    grid_frames,
     parse_reference,
     read_prediction_columns,
 )
@@ -324,17 +325,17 @@ MAX_BATCH_ROWS = 2 ** 14
 
 
 def read_pair(ref_path, pred_path, vocabulary: Vocabulary, config: EvaluationConfig,
-              references: dict) -> tuple:
+              references: dict | None = None) -> tuple:
     """(name, frames, reference rows, prediction rows) of one file pair. Each
     side's rows are (frame, class, unit xyz) arrays, the reference's
     stable-sorted by frame, so that a frame's rows keep their event order.
 
     Every per-file check is made here, in this order: the reference, the
-    prediction, the configured duration, the reference's length. A
-    reference read and expanded once keeps its grid end and rows in
-    `references`, keyed by its path, for every later pair on it."""
+    prediction, the configured duration, the reference's length. With
+    `references`, a reference read and expanded once keeps its grid end and
+    rows there, keyed by its path, for every later pair on it."""
     name = Path(ref_path).name
-    known = references.get(ref_path)
+    known = None if references is None else references.get(ref_path)
     if known is None:
         events = parse_reference(ref_path, vocabulary)
         spans = [frame_span(ev.onset, ev.offset, config.frame_hop) for ev in events]
@@ -344,7 +345,7 @@ def read_pair(ref_path, pred_path, vocabulary: Vocabulary, config: EvaluationCon
     pred_rows = read_prediction_columns(pred_path, vocabulary)
     total = max(end, int(pred_rows[0].max(initial=-1)) + 1)
     if config.duration is not None:
-        fixed = math.ceil(config.duration / config.frame_hop - 1e-9)
+        fixed = grid_frames(config.duration, config.frame_hop)
         if total > fixed:
             raise ConfigError(f"{name}: file content extends past the configured duration "
                               f"{config.duration} s")
@@ -354,7 +355,8 @@ def read_pair(ref_path, pred_path, vocabulary: Vocabulary, config: EvaluationCon
             spans, (np.array([vocabulary.index(e.label) for e in events], dtype=np.int64),
                     np.array([e.direction.unit for e in events]).reshape(-1, 3)),
             config.frame_hop, name)
-        references[ref_path] = end, ref_rows
+        if references is not None:
+            references[ref_path] = end, ref_rows
     return name, total, ref_rows, pred_rows
 
 
@@ -514,40 +516,31 @@ def score_batch(pairs: Sequence, vocabulary: Vocabulary, config: EvaluationConfi
 def score_file(ref_path, pred_path, vocabulary: Vocabulary, config: EvaluationConfig) -> FileContribution:
     """Parse one file pair and accumulate every metric on its columns: the
     one-pair form of `score_batch`."""
-    return score_batch([read_pair(ref_path, pred_path, vocabulary, config, {})], vocabulary,
-                       config)[0]
+    return score_batch([read_pair(ref_path, pred_path, vocabulary, config)], vocabulary, config)[0]
 
 
-def _batches(pairs: Sequence, vocabulary: Vocabulary, config: EvaluationConfig,
-             references: dict):
-    """The (reference, prediction) path pairs, read in order by `read_pair`,
-    in lists of at most MAX_BATCH_ROWS rows, a larger pair alone, whose grids
-    rounded up to whole segments end before frame 2**63. A full list is
-    given before the next pair is read."""
+def _score_pairs(pairs: Sequence, vocabulary: Vocabulary, config: EvaluationConfig,
+                 references: dict | None = None) -> list:
+    """The FileContribution of each (reference, prediction) path pair, in
+    order. The pairs are read in order by `read_pair`, through `references`,
+    and scored by `score_batch` in batches of at most
+    MAX_BATCH_ROWS rows, a larger pair alone, whose grids rounded up to whole
+    segments end before frame 2**63. A full batch is scored before the next
+    pair is read."""
     spf = frames_per_segment(config.segment_length, config.frame_hop)
-    batch, rows, grid = [], 0, 0
+    out, batch, rows, grid = [], [], 0, 0
     for ref_path, pred_path in pairs:
         pair = read_pair(ref_path, pred_path, vocabulary, config, references)
-        _, frames, ref_rows, pred_rows = pair
-        size = len(ref_rows[0]) + len(pred_rows[0])
+        frames, size = pair[1], len(pair[2][0]) + len(pair[3][0])
         if batch and (rows + size > MAX_BATCH_ROWS or grid + frames >= 2 ** 63):
-            yield batch
+            out += score_batch(batch, vocabulary, config)
             batch, rows, grid = [], 0, 0
         batch.append(pair)
         rows, grid = rows + size, grid + -(-frames // spf) * spf
         if rows >= MAX_BATCH_ROWS:
-            yield batch
+            out += score_batch(batch, vocabulary, config)
             batch, rows, grid = [], 0, 0
-    if batch:
-        yield batch
-
-
-def _score_pairs(pairs: Sequence, vocabulary: Vocabulary, config: EvaluationConfig,
-                 references: dict) -> list:
-    """The FileContribution of each (reference, prediction) path pair, in order,
-    each reference read through `references` (see `read_pair`)."""
-    return [c for batch in _batches(pairs, vocabulary, config, references)
-            for c in score_batch(batch, vocabulary, config)]
+    return out + (score_batch(batch, vocabulary, config) if batch else [])
 
 
 def _ratio(num, den):
@@ -666,40 +659,47 @@ class EvaluationResult:
         return out
 
 
-def evaluate_directory(
-    ref_dir,
-    pred_dir,
-    vocabulary: Vocabulary,
-    config: EvaluationConfig,
-    references: dict | None = None,
-) -> EvaluationResult:
-    """Score a directory of filename-matched reference/prediction pairs.
-
-    The pairs are split into contiguous groups, at most `config.jobs`, each
-    scored by `_score_pairs`. One group is scored in this process, each
-    reference read through `references` (see `read_pair`), so that the
-    calls passing the same dict read it once. More groups are scored in a
-    process pool, one worker per group, each reading its own references.
-    """
+def _evaluate_systems(ref_dir, systems: Sequence, vocabulary: Vocabulary,
+                      config: EvaluationConfig) -> list:
+    """The EvaluationResult of each (id, prediction directory) system, in
+    order, scored as the module docstring sets out; where there are several
+    systems, a `MissingPair` names the system."""
     class_thresholds(config, vocabulary)  # refuses a per-class threshold for an unknown class
-    paths = discover_pairs(ref_dir, pred_dir)
-    size = -(-len(paths) // config.jobs)
-    groups = [paths[i:i + size] for i in range(0, len(paths), size)]
-    if len(groups) == 1:
-        contribs = _score_pairs(paths, vocabulary, config, {} if references is None else references)
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+    results, pool = [], None
+    references = {} if len(systems) > 1 else None  # each later system reads them again
+    with contextlib.ExitStack() as stack:
+        for system_id, pred_dir in systems:
+            try:
+                paths = discover_pairs(ref_dir, pred_dir)
+            except MissingPair as exc:
+                if len(systems) == 1:
+                    raise
+                raise MissingPair(f"system {system_id!r}: {exc}") from None
+            size = -(-len(paths) // config.jobs)
+            groups = [paths[i:i + size] for i in range(0, len(paths), size)]
+            if len(groups) == 1:
+                contribs = _score_pairs(paths, vocabulary, config, references)
+            else:
+                if pool is None:
+                    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
-        score = functools.partial(_score_pairs, vocabulary=vocabulary, config=config,
-                                  references={})
-        with ProcessPoolExecutor(max_workers=len(groups)) as pool:
-            contribs = [c for scored in pool.map(score, groups) for c in scored]
-    per_file = {ref.name: c for (ref, _), c in zip(paths, contribs)}
-    total = FileContribution.zeros(len(config.thetas), len(vocabulary))
-    for name in sorted(per_file):
-        total = total + per_file[name]
-    return EvaluationResult(config, vocabulary, per_file, total,
-                            *compute_metrics(total, config, vocabulary))
+                    pool = stack.enter_context(ProcessPoolExecutor(max_workers=len(groups)))
+                score = functools.partial(_score_pairs, vocabulary=vocabulary, config=config)
+                contribs = [c for scored in pool.map(score, groups) for c in scored]
+            per_file = {ref.name: c for (ref, _), c in zip(paths, contribs)}
+            total = sum((per_file[name] for name in sorted(per_file)),
+                        FileContribution.zeros(len(config.thetas), len(vocabulary)))
+            results.append(EvaluationResult(config, vocabulary, per_file, total,
+                                            *compute_metrics(total, config, vocabulary)))
+    return results
+
+
+def evaluate_directory(ref_dir, pred_dir, vocabulary: Vocabulary,
+                       config: EvaluationConfig) -> EvaluationResult:
+    """Score a directory of filename-matched reference/prediction pairs: the
+    one-system call of `_evaluate_systems`, which keeps no reference's rows
+    beyond the batch that scores them."""
+    return _evaluate_systems(ref_dir, [(None, pred_dir)], vocabulary, config)[0]
 
 
 OFFICIAL_METRICS = ("er", "f1", "le", "ecr")
@@ -713,14 +713,8 @@ def joint_metric_set(config: EvaluationConfig) -> tuple:
 def _system_values(ref_dir, systems: Sequence, vocabulary: Vocabulary,
                    config: EvaluationConfig, keys) -> dict:
     """Each metric key's values over the (id, prediction directory) systems, in order."""
-    metrics, references = [], {}  # each reference is read for the first system only
-    for system_id, pred_dir in systems:
-        try:
-            result = evaluate_directory(ref_dir, pred_dir, vocabulary, config, references)
-        except MissingPair as exc:
-            raise MissingPair(f"system {system_id!r}: {exc}") from None
-        metrics.append(result.metrics)
-    return {k: [m[k] for m in metrics] for k in keys}
+    results = _evaluate_systems(ref_dir, systems, vocabulary, config)
+    return {k: [r.metrics[k] for r in results] for k in keys}
 
 
 def rank_systems(

@@ -218,15 +218,24 @@ def assert_batch_equals_one_pair_at_a_time(scenes, config, cap=evaluation.MAX_BA
     with tempfile.TemporaryDirectory() as tmp:
         paths = write_scenes(Path(tmp), scenes)
         want = [score_file(ref, pred, VOCAB, config) for ref, pred in paths]
-        one = evaluation.score_batch([evaluation.read_pair(ref, pred, VOCAB, config, {})
+        one = evaluation.score_batch([evaluation.read_pair(ref, pred, VOCAB, config)
                                       for ref, pred in paths], VOCAB, config)
         with mock.patch.object(evaluation, "MAX_BATCH_ROWS", cap):
-            capped = evaluation._score_pairs(paths, VOCAB, config, {})
+            capped = evaluation._score_pairs(paths, VOCAB, config)
     for got in (one, capped):
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert_same(a, b)
     return want
+
+
+def batch_sizes(paths, config):
+    """The number of pairs in each batch that `_score_pairs` scores."""
+    sizes, score = [], evaluation.score_batch
+    with mock.patch.object(evaluation, "score_batch",
+                           lambda batch, *a: sizes.append(len(batch)) or score(batch, *a)):
+        evaluation._score_pairs(paths, VOCAB, config)
+    return sizes
 
 
 @st.composite
@@ -279,7 +288,7 @@ class TestBatchEqualsOnePairAtATime:
                             lambda dist, m, n: solved.append(len(m)) or solve(dist, m, n))
         with tempfile.TemporaryDirectory() as tmp:
             paths = write_scenes(Path(tmp), [STATIC, STATIC])
-            got = evaluation._score_pairs(paths, VOCAB, EvaluationConfig(), {})
+            got = evaluation._score_pairs(paths, VOCAB, EvaluationConfig())
         assert solved == [2]  # one frame problem and one slice problem
         monkeypatch.undo()
         assert_batch_equals_one_pair_at_a_time([STATIC, STATIC], EvaluationConfig())
@@ -292,7 +301,7 @@ class TestBatchEqualsOnePairAtATime:
         monkeypatch.setattr(evaluation, "MAX_BATCH_ROWS", cap)
         with tempfile.TemporaryDirectory() as tmp:
             paths = write_scenes(Path(tmp), [STATIC] * 4)
-            assert [len(b) for b in evaluation._batches(paths, VOCAB, EvaluationConfig(), {})] == sizes
+            assert batch_sizes(paths, EvaluationConfig()) == sizes
         assert_batch_equals_one_pair_at_a_time([STATIC] * 4, EvaluationConfig(), cap)
 
     @pytest.mark.parametrize("cap, steps", [(400, "rsrsrsrs"), (800, "rrsrrs"), (1000, "rrrsrs")])
@@ -305,7 +314,7 @@ class TestBatchEqualsOnePairAtATime:
         monkeypatch.setattr(evaluation, "MAX_BATCH_ROWS", cap)
         with tempfile.TemporaryDirectory() as tmp:
             paths = write_scenes(Path(tmp), [STATIC] * 4)
-            evaluation._score_pairs(paths, VOCAB, EvaluationConfig(), {})
+            evaluation._score_pairs(paths, VOCAB, EvaluationConfig())
         assert "".join(log) == steps
 
     @pytest.mark.parametrize("duration, sizes", [(9.2e16, [2]), (1e17, [1, 1])])
@@ -314,7 +323,7 @@ class TestBatchEqualsOnePairAtATime:
         config = EvaluationConfig(duration=duration)
         with tempfile.TemporaryDirectory() as tmp:
             paths = write_scenes(Path(tmp), [CASES["tie_2x2"]] * 2)
-            assert [len(b) for b in evaluation._batches(paths, VOCAB, config, {})] == sizes
+            assert batch_sizes(paths, config) == sizes
 
 
 class TestSubtractionAndWarnings:

@@ -191,11 +191,12 @@ MULTI_SYSTEM = ["rank", "correlate"]
 GOOD_SYSTEMS = ["a={root}/good", "b={root}/good", "c={root}/good"]
 
 
-def run_systems(command, systems, bad_row=PRED_ROW):
+def run_systems(command, systems, bad_row=PRED_ROW, jobs="1"):
     """Exit code and stderr of a scoring command on the two-file corpus
     with one --pred per entry of `systems`, where ``{root}`` names a
     directory holding ``good`` (valid predictions), ``bad`` (`bad_row` as
-    the second row of b.csv) and ``empty`` (no files)."""
+    the second row of b.csv) and ``empty`` (no files), run with `jobs`
+    workers."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         write_files(root / "ref", REF_ROW, REF_ROW.replace("dog", "cat"))
@@ -203,7 +204,7 @@ def run_systems(command, systems, bad_row=PRED_ROW):
         write_files(root / "good", PRED_ROW, PRED_ROW)
         write_files(root / "bad", PRED_ROW, bad_row)
         (root / "empty").mkdir()
-        argv = [command, "--ref", str(root / "ref"), "--format", "json"]
+        argv = [command, "--ref", str(root / "ref"), "--format", "json", "--jobs", jobs]
         for system in systems:
             argv += ["--pred", system.format(root=root)]
         return run_main(argv)
@@ -349,15 +350,17 @@ def test_malformed_file_among_good_systems(command, position, row):
 
 @pytest.mark.parametrize("command", MULTI_SYSTEM)
 def test_malformed_system_reported_before_a_later_missing_one(command):
-    # Systems are scored in order: s1's bad file is read before s2's directory is looked up.
-    code, err = run_systems(command, ["s1={root}/bad", "s2={root}/missing", *GOOD_SYSTEMS[1:]],
-                            bad_row="1,0,bcx,0.0")
-    assert_error_envelope(code, err)
-    envelope = json.loads(err)
-    assert envelope["error"] == "ParseError"
-    match = re.fullmatch(r"cannot parse azimuth from 'bcx' \[(?P<d>.+)[/\\]b\.csv:2\]",
-                         envelope["message"])
-    assert match and Path(match["d"]).name == "bad", envelope["message"]
+    # Systems are scored in order: s1's bad file is read before s2's directory is
+    # looked up, in this process or, at --jobs 2, in the command's one pool.
+    for jobs in ("1", "2"):
+        code, err = run_systems(command, ["s1={root}/bad", "s2={root}/missing",
+                                          *GOOD_SYSTEMS[1:]], bad_row="1,0,bcx,0.0", jobs=jobs)
+        assert_error_envelope(code, err)
+        envelope = json.loads(err)
+        assert envelope["error"] == "ParseError", jobs
+        match = re.fullmatch(r"cannot parse azimuth from 'bcx' \[(?P<d>.+)[/\\]b\.csv:2\]",
+                             envelope["message"])
+        assert match and Path(match["d"]).name == "bad", envelope["message"]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

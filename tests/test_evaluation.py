@@ -1,5 +1,6 @@
 import concurrent.futures
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -307,12 +308,14 @@ class TestRanking:
 
 
 class FakePool:
-    """A ProcessPoolExecutor that starts no process. It records the workers
-    asked for and the function mapped, and maps in this process on pickled
-    copies of the function and its groups, as the workers would get them."""
+    """A ProcessPoolExecutor that starts no process. It logs its start, with
+    the workers asked for, apart from each function it maps, and maps in this
+    process on pickled copies of the function and its groups, as the workers
+    would get them."""
 
     def __init__(self, log, max_workers):
-        self.log, self.max_workers = log, max_workers
+        self.log = log
+        log.append(("start", max_workers))
 
     def __enter__(self):
         return self
@@ -321,20 +324,29 @@ class FakePool:
         return False
 
     def map(self, fn, *iterables):
-        self.log.append((self.max_workers, fn))
+        self.log.append(("map", fn))
         return map(pickle.loads(pickle.dumps(fn)), *pickle.loads(pickle.dumps(iterables)))
+
+
+def started(pools):
+    """The workers of each pool started, in order."""
+    return [size for event, size in pools if event == "start"]
+
+
+COMMANDS = {"rank": evaluation.rank_systems, "correlate": evaluation.correlate_systems}
 
 
 class TestJobs:
     """Every --jobs value scores contiguous groups through `_score_pairs`: one
-    group in this process, more in a pool of one worker per group."""
+    group in this process, more in the command's one pool, started with one
+    worker per group."""
 
     @pytest.fixture(scope="class")
     def corpus(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("jobs")
         ref_dir = make_corpus(root / "ref", VOCAB, 4, 6, seed=17)
-        return ref_dir, make_system(ref_dir, root / "pred", PerturbationSpec(
-            doa_jitter_deg=6.0, deletion_prob=0.2, seed=5))
+        return ref_dir, [(f"s{k}", make_system(ref_dir, root / f"s{k}", PerturbationSpec(
+            doa_jitter_deg=6.0 * k, deletion_prob=0.2, seed=5 + k))) for k in range(3)]
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -345,27 +357,41 @@ class TestJobs:
 
     @pytest.mark.parametrize("files, jobs, workers", [(2, 8, [2]), (4, 3, [2]), (1, 4, [])])
     def test_one_worker_per_group(self, tmp_path, corpus, pools, files, jobs, workers):
-        ref_dir, pred_dir = corpus
+        ref_dir, [(_, pred_dir), *_] = corpus
         for side, source in (("ref", ref_dir), ("pred", pred_dir)):
             (tmp_path / side).mkdir()
             for path in sorted(source.glob("scene_*.csv"))[:files]:
                 (tmp_path / side / path.name).write_bytes(path.read_bytes())
-        references = {}
-        evaluate_directory(tmp_path / "ref", tmp_path / "pred", VOCAB,
-                           EvaluationConfig(jobs=jobs), references)
-        assert [size for size, _ in pools] == workers
-        for _, fn in pools:
-            assert fn.func is evaluation._score_pairs and fn.keywords["references"] == {}
-        # the workers read their own references; one group reads the caller's
-        assert len(references) == (0 if workers else files)
+        evaluate_directory(tmp_path / "ref", tmp_path / "pred", VOCAB, EvaluationConfig(jobs=jobs))
+        assert started(pools) == workers
+        # the workers read their own references, through no cache
+        maps = [fn for event, fn in pools if event == "map"]
+        assert len(maps) == len(workers)
+        for fn in maps:
+            assert fn.func is evaluation._score_pairs and not fn.args
+            assert set(fn.keywords) == {"vocabulary", "config"}
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_one_pool_per_command(self, corpus, pools, command):
+        ref_dir, systems = corpus
+        COMMANDS[command](ref_dir, systems, VOCAB, EvaluationConfig(jobs=2))
+        assert pools[0] == ("start", 2)
+        assert [event for event, _ in pools] == ["start"] + ["map"] * len(systems)
 
     def test_reports_equal_for_every_jobs(self, corpus, pools):
-        want = evaluate_directory(*corpus, VOCAB, EvaluationConfig())
+        ref_dir, systems = corpus
+        want = evaluate_directory(ref_dir, systems[0][1], VOCAB, EvaluationConfig())
         for jobs in (2, 3, 8):
-            got = evaluate_directory(*corpus, VOCAB, EvaluationConfig(jobs=jobs))
+            got = evaluate_directory(ref_dir, systems[0][1], VOCAB, EvaluationConfig(jobs=jobs))
             assert shown(got) == shown(want)
             assert got.jackknife() == want.jackknife()
-        assert [size for size, _ in pools] == [2, 2, 4]
+        assert started(pools) == [2, 2, 4]
+        for run in COMMANDS.values():
+            want = run(ref_dir, systems, VOCAB, EvaluationConfig())
+            for jobs in (2, 3, 8):
+                pools.clear()
+                assert run(ref_dir, systems, VOCAB, EvaluationConfig(jobs=jobs)) == want
+                assert started(pools) == [{2: 2, 3: 2, 8: 4}[jobs]]
 
 
 class TestReferenceReuse:
@@ -379,7 +405,7 @@ class TestReferenceReuse:
     @pytest.mark.parametrize("command", ["rank", "correlate"])
     def test_each_reference_read_once_per_command(self, monkeypatch, systems, command):
         ref_dir, pred_dirs = systems
-        run = {"rank": evaluation.rank_systems, "correlate": evaluation.correlate_systems}[command]
+        run = COMMANDS[command]
         want = run(ref_dir, pred_dirs, VOCAB, EvaluationConfig())
         read = []
         parse = evaluation.parse_reference
@@ -388,15 +414,44 @@ class TestReferenceReuse:
         assert run(ref_dir, pred_dirs, VOCAB, EvaluationConfig()) == want
         assert read == ["scene_000.csv", "scene_001.csv", "scene_002.csv"]
 
-    def test_reused_rows_equal_a_fresh_read(self, systems):
+    def test_reused_rows_equal_a_fresh_read(self, monkeypatch, systems):
+        # each system of rank and correlate scores as evaluate_directory alone
         ref_dir, pred_dirs = systems
-        references = {}
-        for _, pred_dir in pred_dirs:
-            fresh = evaluate_directory(ref_dir, pred_dir, VOCAB, EvaluationConfig())
-            reused = evaluate_directory(ref_dir, pred_dir, VOCAB, EvaluationConfig(), references)
-            assert shown(reused) == shown(fresh)
-        assert sorted(p.name for p in references) == ["scene_000.csv", "scene_001.csv",
-                                                     "scene_002.csv"]
+        fresh = [shown(evaluate_directory(ref_dir, pred_dir, VOCAB, EvaluationConfig()))
+                 for _, pred_dir in pred_dirs]
+        score = evaluation._evaluate_systems
+        for run in COMMANDS.values():
+            got = []
+            monkeypatch.setattr(evaluation, "_evaluate_systems",
+                                lambda *a: got.extend(score(*a)) or got)
+            run(ref_dir, pred_dirs, VOCAB, EvaluationConfig())
+            assert [shown(result) for result in got] == fresh
+
+    @pytest.mark.parametrize("command", ["evaluate", "rank"])
+    def test_rows_cached_only_for_later_systems(self, monkeypatch, systems, command):
+        # One pair per batch. Before each read, count the rows of the references
+        # read before that are still held; a batch's last pair is held until the
+        # next read returns.
+        ref_dir, pred_dirs = systems
+        held, rows = [], []
+        read = evaluation.read_pair
+
+        def spy(*a):
+            held.append(sum(r() is not None for r in rows))
+            pair = read(*a)
+            if not any(r() is pair[2][0] for r in rows):
+                rows.append(weakref.ref(pair[2][0]))
+            return pair
+
+        monkeypatch.setattr(evaluation, "read_pair", spy)
+        monkeypatch.setattr(evaluation, "MAX_BATCH_ROWS", 1)
+        if command == "evaluate":
+            evaluate_directory(ref_dir, pred_dirs[0][1], VOCAB, EvaluationConfig())
+            assert held == [0, 1, 1]  # the previous pair's, never a cache
+        else:
+            evaluation.rank_systems(ref_dir, pred_dirs, VOCAB, EvaluationConfig())
+            assert held == [0, 1, 2] + [3] * 6  # cached for the second and third systems
+        assert len(rows) == 3 and all(r() is None for r in rows)
 
 
 class TestMetricDirections:

@@ -5,19 +5,22 @@ in a way the file format allows: a header row, blank or whitespace-only
 lines (the first line included), a line of only commas and whitespace,
 CRLF line ends, a byte-order mark, spaces or tabs around fields, no final
 newline. Each rewrite, and all of them at once, must leave `parse_reference`
-equal and `read_prediction_columns` bit for bit identical.
+equal and `read_prediction_columns` bit for bit identical, and, applied to
+every file of a small corpus, the JSON report of `evaluate` byte for byte.
 `read_prediction_columns` on its `np.loadtxt` path must also give the
 per-row parser's arrays, bit for bit, in file order, and every rewrite of a
 file with rows must stay on that path.
 """
 
+import contextlib
+import io
 import tempfile
 from pathlib import Path
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from seldeval import annotations
+from seldeval import annotations, cli
 from seldeval.annotations import Vocabulary, parse_reference, read_prediction_columns
 
 VOCAB = Vocabulary(["dog", "cat", "speech"])
@@ -36,6 +39,10 @@ prediction_rows = st.lists(st.builds(
     lambda frame, cls, az, el, fmt: f"{frame},{cls},{fmt(az)},{fmt(el)}",
     st.integers(0, 200) | st.sampled_from([2 ** 53 + 1, 2 ** 63 - 1]), st.integers(0, 2),
     azimuths, elevations, number_text), max_size=12)
+# frames a report can be made of: the grid stays small
+report_prediction_rows = st.lists(st.builds(
+    lambda frame, cls, az, el, fmt: f"{frame},{cls},{fmt(az)},{fmt(el)}",
+    st.integers(0, 200), st.integers(0, 2), azimuths, elevations, number_text), max_size=12)
 whitespace = st.text(" \t", max_size=3)
 
 
@@ -103,3 +110,29 @@ def test_rewrites_leave_the_read_unchanged(ref_rows, pred_rows, data):
             assert_bit_equal(fast_path(path) if pred_rows else read_prediction_columns(path, VOCAB),
                              want)
             assert_bit_equal(per_row(path), want)
+
+
+@given(st.lists(st.tuples(reference_rows, report_prediction_rows), min_size=1, max_size=3),
+       st.data())
+@settings(max_examples=15, deadline=None)
+def test_rewrites_leave_the_report_unchanged(files, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        def report(rewrites):
+            root = Path(tmp) / ("-".join(rewrites) or "plain")
+            for side in ("ref", "pred"):
+                (root / side).mkdir(parents=True)
+            (root / "ref" / "vocabulary.txt").write_text("\n".join(VOCAB.labels) + "\n")
+            for i, (ref_rows, pred_rows) in enumerate(files):
+                for side, rows in (("ref", ref_rows), ("pred", pred_rows)):
+                    text = data.draw(rewritten(side, rows, rewrites))
+                    (root / side / f"f{i}.csv").write_bytes(text.encode("utf-8"))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["evaluate", "--ref", str(root / "ref"), "--pred",
+                                 str(root / "pred"), "--format", "json", "--per-class"])
+            assert (code, err.getvalue()) == (0, ""), rewrites
+            return out.getvalue()
+
+        want = report(())
+        for rewrites in [(r,) for r in REWRITES] + [REWRITES]:
+            assert report(rewrites) == want, rewrites
