@@ -35,14 +35,18 @@ reference_rows = st.lists(st.builds(
         [label, repr(onset), repr(onset + length), fmt(az), fmt(el)] + distance),
     st.sampled_from(VOCAB.labels), st.floats(0, 100), st.floats(0.5, 10), azimuths, elevations,
     number_text, st.sampled_from([[], ["1.5"]])), max_size=8)
-prediction_rows = st.lists(st.builds(
-    lambda frame, cls, az, el, fmt: f"{frame},{cls},{fmt(az)},{fmt(el)}",
-    st.integers(0, 200) | st.sampled_from([2 ** 53 + 1, 2 ** 63 - 1]), st.integers(0, 2),
-    azimuths, elevations, number_text), max_size=12)
-# frames a report can be made of: the grid stays small
-report_prediction_rows = st.lists(st.builds(
-    lambda frame, cls, az, el, fmt: f"{frame},{cls},{fmt(az)},{fmt(el)}",
-    st.integers(0, 200), st.integers(0, 2), azimuths, elevations, number_text), max_size=12)
+
+
+def prediction_lines(frames):
+    """Lists of prediction rows whose frame indices `frames` draws."""
+    return st.lists(st.builds(lambda frame, cls, az, el, fmt: f"{frame},{cls},{fmt(az)},{fmt(el)}",
+                              frames, st.integers(0, 2), azimuths, elevations, number_text),
+                    max_size=12)
+
+
+prediction_rows = prediction_lines(st.integers(0, 200)
+                                   | st.sampled_from([2 ** 53 + 1, 2 ** 63 - 1]))
+report_prediction_rows = prediction_lines(st.integers(0, 200))  # a small grid to score
 whitespace = st.text(" \t", max_size=3)
 
 
