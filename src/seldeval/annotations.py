@@ -16,11 +16,12 @@ References are rasterized onto the frame grid (an event is active in
 frame ``l`` iff ``[l*hop, (l+1)*hop)`` intersects ``[onset, offset)``)
 so that both sides of the evaluation are frame streams.
 
-`read_prediction_columns` parses a prediction file past its header in C
-(`np.loadtxt`, whose floats equal `float()`'s) into frame, class and
-unit-vector columns, once more without its blank rows if refused.
-A file still refused, or with a value that fails validation, is read row
-by row, as `parse_prediction` reads it: the same rows, or the same error.
+`read_prediction_columns` parses the lines of a prediction file past its
+header, less its blank rows of only commas and ASCII whitespace, in one C
+pass (`np.loadtxt`, whose floats equal `float()`'s) into frame, class and
+unit-vector columns. A file it refuses, or with a value that fails
+validation, is read row by row, as `parse_prediction` reads it: the same
+rows, or the same error.
 """
 
 from __future__ import annotations
@@ -236,25 +237,19 @@ def parse_prediction(path, vocabulary: Vocabulary, frame_hop: float = 0.02) -> l
 def read_prediction_columns(path, vocabulary: Vocabulary) -> tuple:
     """Frame index, class index and unit-vector arrays, one row per
     prediction, in file order."""
-    def loadtxt(data):
-        return np.loadtxt(io.StringIO(data), delimiter=",", dtype=_PRED_COLUMNS, comments=None,
-                          ndmin=1) if data.strip() else None
-
     text = _read_text(path)
-    try:
-        data = text[next(_records(text, path, (4,), 0), 0):]  # past the header
-        try:
-            rows = loadtxt(data)
-        except ValueError:  # np.loadtxt refuses a line of only commas and whitespace: a blank row
-            rows = loadtxt("\n".join(line for line in data.split("\n")
-                                     if line.replace(",", "").strip()))
+    try:  # the lines past the header, less those of only commas and whitespace: blank rows
+        lines = [line for line in text[next(_records(text, path, (4,), 0), 0):].split("\n")
+                 if line.strip(" \t\r\f\v,")]
+        rows = np.loadtxt(lines, delimiter=",", dtype=_PRED_COLUMNS, comments=None,
+                          ndmin=1) if lines else None
     except (ValueError, ParseError):
         rows = None
     if rows is not None and (
             rows["frame"].min() >= 0 and rows["cls"].min() >= 0
             and rows["cls"].max() < len(vocabulary)
-            and np.isfinite(rows["az"]).all() and np.isfinite(rows["el"]).all()
-            and np.abs(rows["el"]).max() <= 90.0):
+            and np.isfinite(rows["az"]).all()
+            and np.abs(rows["el"]).max() <= 90.0):  # NaN fails this too
         return rows["frame"], rows["cls"], unit_vectors(rows["az"], rows["el"])
     rows = list(_prediction_rows(text, path, vocabulary))
     frame, cls, direction = zip(*rows) if rows else ((), (), ())
@@ -348,6 +343,9 @@ def frames_per_segment(segment_length: float, frame_hop: float) -> int:
         raise ConfigError(
             f"segment length {segment_length} is not a multiple of the frame hop {frame_hop}"
         )
+    if spf >= 2 ** 63:  # segment indices and frame offsets are int64
+        raise ConfigError(f"segment length {segment_length} s holds 2**63 frames or more at a "
+                          f"{frame_hop} s hop")
     return spf
 
 

@@ -63,6 +63,8 @@ class PerturbationSpec:
             raise ValueError(f"doa_jitter_deg must be in [0, 180], got {self.doa_jitter_deg}")
         if not self.insertion_rate >= 0:  # NaN too
             raise ValueError(f"insertion_rate must be non-negative, got {self.insertion_rate}")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def grid_directions(step_deg: float = 10.0, elevation_limit: float = 40.0) -> list:

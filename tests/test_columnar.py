@@ -448,7 +448,10 @@ class TestPredictionColumns:
 
     @pytest.mark.parametrize("text", ["", "\n\n", "0,0,0,0\n0,5,0,0\n", "0,0,nan,0\n",
                                       "0,0,0,91\n", "1.0,0,0,0\n", f"{2 ** 63},0,0,0\n",
-                                      f"{2 ** 63 - 1},0,0,0\n"])
+                                      f"{2 ** 63 - 1},0,0,0\n",
+                                      # a quoted blank row is skipped, a quoted quote is one field;
+                                      # np.loadtxt refuses both, and the per-row parser reads them
+                                      '0,0,10,0\n"",""\n1,0,20,0\n', '0,0,10,0\n""""\n'])
     def test_rejected_files_behave_as_parse_prediction(self, tmp_path, text):
         path = tmp_path / "p.csv"
         path.write_text(text)

@@ -13,8 +13,9 @@ systems. A missing or empty prediction directory is named in the message,
 after the system's id where there are several; `synth` refuses at once a
 file expecting more than `synth.MAX_INSERTIONS` insertions. A setting given
 twice, by two flags or by a key repeated in a config file's object, is
-refused too; `correlate` with no metric defined for every system still
-reports, with its warnings.
+refused too, as are a negative `synth` seed (before `--out` is made) and a
+segment of 2**63 frames or more; `correlate` with no metric defined for
+every system still reports, with its warnings.
 """
 
 import contextlib
@@ -121,7 +122,7 @@ def setting(key, values):
 bad_configs = st.one_of(
     st.sampled_from(["", "{", "[1, 2]", "3", '"evaluate"', "null"]),
     setting("frame_hop", st.floats(max_value=0.0) | garbage | st.just([])),
-    setting("segment_length", st.sampled_from([0.0, -1.0, 0.03, 1.01, "x"])),
+    setting("segment_length", st.sampled_from([0.0, -1.0, 0.03, 1.01, "x", 2e17, 1e300])),
     setting("thetas", st.just([]) | st.just([10, 10]) | garbage
             | st.lists(st.floats(min_value=180.001) | st.floats(max_value=0.0), min_size=1)),
     setting("theta_class", st.just([1, 2]) | st.fixed_dictionaries(
@@ -395,6 +396,40 @@ def test_synth_nan_insertion_rate_refused(where):
     assert_error_envelope(code, err)
     envelope = json.loads(err)
     assert envelope["error"] == "ConfigError" and "insertion_rate" in envelope["message"]
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_synth_negative_seed_refused(tmp_path, where):
+    # numpy's generators take no negative seed: a traceback once, after --out was made
+    (tmp_path / "ref").mkdir()
+    (tmp_path / "ref" / "vocabulary.txt").write_text("dog\n", encoding="utf-8")
+    (tmp_path / "ref" / "a.csv").write_text(f"{REF_ROW}\n", encoding="utf-8")
+    (tmp_path / "config.json").write_text('{"seed": -3}' if where == "config" else "{}")
+    code, err = run_main(["synth", "--ref", str(tmp_path / "ref"), "--out", str(tmp_path / "out"),
+                          "--config", str(tmp_path / "config.json")]
+                         + (["--seed=-1"] if where == "flag" else []))
+    assert_error_envelope(code, err)
+    seed = -1 if where == "flag" else -3
+    assert json.loads(err) == {"error": "ConfigError", "message":
+                               f"bad perturbation parameter: seed must be non-negative, got {seed}"}
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("extra, config, message", [
+    (("--segment", "2e17"), "{}",
+     "segment length 2e+17 s holds 2**63 frames or more at a 0.02 s hop"),
+    (("--segment", "1e300"), "{}",
+     "segment length 1e+300 s holds 2**63 frames or more at a 0.02 s hop"),
+    ((), '{"segment_length": 1e300}',
+     "segment length 1e+300 s holds 2**63 frames or more at a 0.02 s hop"),
+    (("--hop", "1e-300"), "{}",
+     "segment length 1.0 s holds 2**63 frames or more at a 1e-300 s hop"),
+], ids=["2e17", "1e300", "config", "hop"])
+def test_segment_of_2_63_frames_refused(extra, config, message):
+    # segment indices are int64: such a segment once ended in an OverflowError traceback
+    code, err = run_in_corpus("evaluate", config=config, extra=extra)
+    assert_error_envelope(code, err)
+    assert json.loads(err) == {"error": "ConfigError", "message": message}
 
 
 @pytest.mark.parametrize("item, message", [("foo", "--theta-class expects CLASS=DEG, got 'foo'"),

@@ -9,7 +9,7 @@ equal and `read_prediction_columns` bit for bit identical, and, applied to
 every file of a small corpus, the JSON report of `evaluate` byte for byte.
 `read_prediction_columns` on its `np.loadtxt` path must also give the
 per-row parser's arrays, bit for bit, in file order, and every rewrite of a
-file with rows must stay on that path.
+file with rows must stay on that path, in one `np.loadtxt` call.
 """
 
 import contextlib
@@ -69,10 +69,19 @@ def rewritten(draw, side, rows, rewrites):
     return ("\ufeff" if "bom" in rewrites else "") + text
 
 
-def fast_path(path):
-    """`read_prediction_columns` with its per-row parser refusing to run."""
-    with mock.patch.object(annotations, "_prediction_rows", side_effect=AssertionError("row by row")):
-        return read_prediction_columns(path, VOCAB)
+def fast_path(path, has_rows):
+    """`read_prediction_columns` in one `np.loadtxt` call, with its per-row
+    parser refusing to run; a file without rows is read row by row, with no
+    `np.loadtxt` call."""
+    loadtxt = mock.Mock(wraps=annotations.np.loadtxt)
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(annotations.np, "loadtxt", loadtxt))
+        if has_rows:
+            stack.enter_context(mock.patch.object(annotations, "_prediction_rows",
+                                                  side_effect=AssertionError("row by row")))
+        got = read_prediction_columns(path, VOCAB)
+    assert loadtxt.call_count == int(has_rows)
+    return got
 
 
 def per_row(path):
@@ -102,8 +111,7 @@ def test_rewrites_leave_the_read_unchanged(ref_rows, pred_rows, data):
 
         ref = parse_reference(write("ref.csv", data.draw(rewritten("ref", ref_rows, ()))), VOCAB)
         pred = write("pred.csv", data.draw(rewritten("pred", pred_rows, ())))
-        # a file without rows is read row by row
-        want = fast_path(pred) if pred_rows else read_prediction_columns(pred, VOCAB)
+        want = fast_path(pred, bool(pred_rows))
         assert_bit_equal(per_row(pred), want)
         assert want[0].tolist() == [int(row.split(",")[0]) for row in pred_rows]
         for rewrites in [(r,) for r in REWRITES] + [REWRITES]:
@@ -111,8 +119,7 @@ def test_rewrites_leave_the_read_unchanged(ref_rows, pred_rows, data):
                                   VOCAB)
             assert event_key(got) == event_key(ref), rewrites
             path = write("pred.csv", data.draw(rewritten("pred", pred_rows, rewrites)))
-            assert_bit_equal(fast_path(path) if pred_rows else read_prediction_columns(path, VOCAB),
-                             want)
+            assert_bit_equal(fast_path(path, bool(pred_rows)), want)
             assert_bit_equal(per_row(path), want)
 
 
