@@ -69,11 +69,6 @@ class Vocabulary:
         except KeyError:
             raise UnknownClass(f"class label {label!r} not in vocabulary") from None
 
-    def label(self, index: int) -> str:
-        if not 0 <= index < len(self.labels):
-            raise UnknownClass(f"class index {index} outside vocabulary of size {len(self.labels)}")
-        return self.labels[index]
-
     def __len__(self) -> int:
         return len(self.labels)
 
@@ -216,7 +211,9 @@ def _prediction_rows(text: str, path, vocabulary: Vocabulary):
             raise ParseError(f"negative frame index {frame}", path, lineno)
         if frame >= 2 ** 63:
             raise ParseError(f"frame index {frame} exceeds int64", path, lineno)
-        vocabulary.label(class_index)  # UnknownClass outside the vocabulary
+        if not 0 <= class_index < len(vocabulary):
+            raise UnknownClass(f"class index {class_index} outside vocabulary of size "
+                               f"{len(vocabulary)} ({path}:{lineno})")
         yield frame, class_index, _direction(row[2], row[3], path, lineno)
 
 

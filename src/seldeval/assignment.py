@@ -162,8 +162,8 @@ def assign_batch(dist: np.ndarray, m: np.ndarray, n: np.ndarray) -> tuple:
     b = np.maximum(m, n)
     multi = np.flatnonzero(b > 1)  # 1 x 1: (0, 0)
     width = int(b.max(initial=0)) + 1  # b < width: one key per shape
-    shapes, bucket = sorted_unique(k[multi] * width + b[multi])
-    members = multi[np.argsort(bucket, kind="stable")]
+    shapes, bucket, by_shape = sorted_unique(k[multi] * width + b[multi])
+    members = multi[by_shape]
     count = np.bincount(bucket, minlength=len(shapes))
     ends = np.cumsum(count)
     exact = []
@@ -177,10 +177,10 @@ def assign_batch(dist: np.ndarray, m: np.ndarray, n: np.ndarray) -> tuple:
         pick, tied = _enumerate_bucket(dist, start[g], n[g], f, short, long)
         at = first[g][:, None] + np.arange(pick.shape[1])
         j[at] = pick
-        if f.any():  # a transposed block picked a prediction per reference: sort by it
-            order = np.argsort(pick[f], 1, kind="stable")
-            i[at[f]] = np.take_along_axis(pick[f], order, 1)
-            j[at[f]] = order
+        # a transposed block picked a prediction per reference: sort by it
+        order = np.argsort(pick[f], 1, kind="stable")
+        i[at[f]] = np.take_along_axis(pick[f], order, 1)
+        j[at[f]] = order
         exact += g[tied].tolist()
     for g in exact:
         rows, cols = int(m[g]), int(n[g])

@@ -251,19 +251,14 @@ class FileContribution:
 
 
 def _problems(p_key, r_key) -> tuple:
-    """Sorted keys, row counts per key on each side, the keys present on
-    both (the association problems), each side's rows of those problems,
-    one problem after another, a problem's rows in input order, and each
-    side's key index of every row."""
-    key = np.concatenate([p_key, r_key])
+    """The sorted distinct keys of both sides; the number of rows of each
+    key on the prediction side (m) and on the reference side (n); the index
+    of each key present on both (an association problem); each side's rows
+    of those problems, one problem after another, a problem's rows in input
+    order; and each side's key index of every row."""
     # stable: each side's rows of a key keep their order, the predictions first
-    order = np.argsort(key, kind="stable")
-    ordered = key[order]
-    new = np.ones(len(key), dtype=bool)
-    new[1:] = ordered[1:] != ordered[:-1]
-    at = np.empty(len(key), dtype=np.int64)
-    at[order] = np.cumsum(new) - 1
-    keys, p_at, r_at = ordered[new], at[:len(p_key)], at[len(p_key):]
+    keys, at, order = sorted_unique(np.concatenate([p_key, r_key]))
+    p_at, r_at = at[:len(p_key)], at[len(p_key):]
     m, n = np.bincount(p_at, minlength=len(keys)), np.bincount(r_at, minlength=len(keys))
     paired = (m > 0) & (n > 0)
     is_p = order < len(p_key)
@@ -375,8 +370,6 @@ def score_batch(pairs: Sequence, vocabulary: Vocabulary, config: EvaluationConfi
                                                initial=0)), dtype=np.int64)
 
     def rows(sides):  # one side's rows of every file, frames offset by the file's start
-        if n_files == 1:
-            return sides[0]
         frame, cls, unit = zip(*sides)
         return (np.concatenate([f + s for f, s in zip(frame, start)]), np.concatenate(cls),
                 np.concatenate(unit))
@@ -443,8 +436,8 @@ def score_batch(pairs: Sequence, vocabulary: Vocabulary, config: EvaluationConfi
 
     # Per-class sums per (segment, class), then per (file, class).
     d = dist[cut:]
-    segs, seg_id = sorted_unique(occ[keys // n_cls] // spf)
-    sc, sc_of_key = sorted_unique(seg_id * n_cls + keys % n_cls)
+    segs, seg_id, _ = sorted_unique(occ[keys // n_cls] // spf)
+    sc, sc_of_key, _ = sorted_unique(seg_id * n_cls + keys % n_cls)
     sc_seg, sc_cls = sc // n_cls, sc % n_cls
     seg_file = file_of(segs * spf)
     sc_file = seg_file[sc_seg]

@@ -101,19 +101,21 @@ def _angle_between_units(ua: tuple, ub: tuple) -> float:
 
 
 def sorted_unique(x: np.ndarray) -> tuple:
-    """np.unique(x, return_inverse=True), without importing numpy.ma."""
+    """The sorted distinct values of x, the index of each element's value
+    among them (np.unique(x, return_inverse=True), without importing
+    numpy.ma), and the stable order that sorts x."""
     order = np.argsort(x, kind="stable")
     ordered = x[order]
     new = np.ones(len(x), dtype=bool)
     new[1:] = ordered[1:] != ordered[:-1]
     inverse = np.empty(len(x), dtype=np.int64)
     inverse[order] = np.cumsum(new) - 1
-    return ordered[new], inverse
+    return ordered[new], inverse, order
 
 
 def _math_map(x: np.ndarray, *fns) -> list:
     # Each fn once per distinct bit pattern of x (so -0.0 keeps its sign), sorted once.
-    keys, inverse = sorted_unique(np.ascontiguousarray(x, dtype=float).view(np.int64))
+    keys, inverse, _ = sorted_unique(np.ascontiguousarray(x, dtype=float).view(np.int64))
     keys = keys.view(float).tolist()
     return [np.array(list(map(fn, keys)), dtype=float)[inverse] for fn in fns]
 

@@ -193,7 +193,7 @@ def perturb(
         count = int(rng.poisson(expected))
         grid = grid_directions()
         for _ in range(count):
-            label = vocabulary.label(int(rng.integers(len(vocabulary))))
+            label = vocabulary.labels[int(rng.integers(len(vocabulary)))]
             length = float(rng.uniform(0.3, 1.5))
             onset = float(rng.uniform(0.0, max(duration - length, 1e-3)))
             direction = grid[int(rng.integers(len(grid)))]

@@ -26,15 +26,13 @@ def vocab():
 class TestVocabulary:
     def test_roundtrip_indexing(self, vocab):
         assert vocab.index("dog") == 1
-        assert vocab.label(1) == "dog"
+        assert vocab.labels[1] == "dog"
         assert len(vocab) == 4
         assert "car" in vocab and "horse" not in vocab
 
     def test_unknown(self, vocab):
         with pytest.raises(UnknownClass):
             vocab.index("horse")
-        with pytest.raises(UnknownClass):
-            vocab.label(4)
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "vocabulary.txt"
@@ -133,7 +131,7 @@ class TestParsePrediction:
     def test_class_index_out_of_range(self, tmp_path, vocab):
         f = tmp_path / "p.csv"
         f.write_text("0,4,0,0\n")
-        with pytest.raises(UnknownClass):
+        with pytest.raises(UnknownClass, match=r"p\.csv:1\)$"):
             parse_prediction(f, vocab)
 
     def test_sorted_by_frame(self, tmp_path, vocab):

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -458,7 +459,7 @@ class TestPredictionColumns:
         try:
             expected = parse_prediction(path, VOCAB)
         except Exception as exc:  # noqa: BLE001 - the same error must come back
-            with pytest.raises(type(exc), match=str(exc).replace("[", r"\[")):
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
                 read_prediction_columns(path, VOCAB)
         else:
             frame, _, unit = read_prediction_columns(path, VOCAB)

@@ -15,7 +15,8 @@ file expecting more than `synth.MAX_INSERTIONS` insertions. A setting given
 twice, by two flags or by a key repeated in a config file's object, is
 refused too, as are a negative `synth` seed (before `--out` is made) and a
 segment of 2**63 frames or more; `correlate` with no metric defined for
-every system still reports, with its warnings.
+every system still reports, with its warnings. A prediction class index
+outside the vocabulary is refused naming its file and line.
 """
 
 import contextlib
@@ -525,22 +526,36 @@ def test_blank_reference_rows_score_like_none(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_numeric_first_prediction_row_is_no_header(tmp_path):
-    # a first row is a header only when float() refuses its frame index; the
-    # row "1.0,0,10,0" was once dropped as one, and the file scored as empty
-    for name, text in (("ref", f"{REF_ROW}\n"), ("pred", "1.0,0,10,0\n")):
+def refused_prediction(tmp_path, pred, vocabulary):
+    """The error envelope of `evaluate` on a.csv holding REF_ROW and a.csv
+    holding the prediction text `pred`, which must be refused with nothing
+    on stdout."""
+    for name, text in (("ref", f"{REF_ROW}\n"), ("pred", pred)):
         (tmp_path / name).mkdir()
         (tmp_path / name / "a.csv").write_text(text, encoding="utf-8")
-    (tmp_path / "ref" / "vocabulary.txt").write_text("dog\n", encoding="utf-8")
+    (tmp_path / "ref" / "vocabulary.txt").write_text(vocabulary, encoding="utf-8")
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()) as err:
         code = main(["evaluate", "--ref", str(tmp_path / "ref"), "--pred", str(tmp_path / "pred"),
                      "--format", "json"])
     assert_error_envelope(code, err.getvalue())
     assert out.getvalue() == ""
-    envelope = json.loads(err.getvalue())
+    return json.loads(err.getvalue())
+
+
+def test_numeric_first_prediction_row_is_no_header(tmp_path):
+    # a first row is a header only when float() refuses its frame index; the
+    # row "1.0,0,10,0" was once dropped as one, and the file scored as empty
+    envelope = refused_prediction(tmp_path, "1.0,0,10,0\n", "dog\n")
     assert envelope["error"] == "ParseError"
     assert envelope["message"].endswith(f"[{tmp_path / 'pred' / 'a.csv'}:1]")
+
+
+def test_class_index_outside_vocabulary_names_file_and_line(tmp_path):
+    # the reader checks the class index as it checks every other field
+    envelope = refused_prediction(tmp_path, "0,3,10.0,0.0\n", "dog\ncat\nbird\n")
+    assert envelope["error"] == "UnknownClass"
+    assert envelope["message"].endswith(f"({tmp_path / 'pred' / 'a.csv'}:1)")
 
 
 @pytest.mark.parametrize("side", ["ref", "pred"])

@@ -10,6 +10,7 @@ from seldeval.geometry import (
     Direction,
     angular_distance,
     mean_unit_vectors,
+    sorted_unique,
     spherical_mean,
 )
 
@@ -211,3 +212,16 @@ class TestMeanUnitVectors:
                 continue
             assert not flagged
             assert (unit.view(np.int64) == np.array(want).view(np.int64)).all()
+
+
+class TestSortedUnique:
+    # few distinct values, so that most draws repeat some; negatives and int64's ends too
+    @given(st.lists(st.integers(-3, 3) | st.sampled_from([-2 ** 63, 2 ** 63 - 1]), max_size=40))
+    @example([])
+    def test_unique_inverse_and_stable_order(self, values):
+        x = np.array(values, dtype=np.int64)
+        keys, inverse, order = sorted_unique(x)
+        want_keys, want_inverse = np.unique(x, return_inverse=True)
+        assert keys.dtype == np.int64 and keys.tolist() == want_keys.tolist()
+        assert inverse.tolist() == want_inverse.reshape(-1).tolist()
+        assert order.tolist() == np.argsort(x, kind="stable").tolist()
