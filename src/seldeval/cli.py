@@ -352,8 +352,25 @@ def _synth(args, config, vocabulary, file_cfg: dict) -> None:
 # argument parsing
 
 
+class _StoreOnce(argparse.Action):
+    """A single-valued option, refused when given twice instead of keeping the last value."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("_given", set())  # the options stored in this parse
+        if self.dest in given:
+            raise argparse.ArgumentError(self, "given more than once")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as a ConfigError, so it ends in the JSON envelope."""
+    """Reports a usage error as a ConfigError, so it ends in the JSON envelope.
+    An option stores once (`_StoreOnce`) unless it appends, as --theta,
+    --theta-class and the multi-system --pred do."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _StoreOnce)
 
     def error(self, message):
         raise ConfigError(f"{self.prog}: {message}")
@@ -392,8 +409,9 @@ def _add_scoring(p, multi_system: bool = False) -> None:
     p.add_argument("--le-mode", choices=LE_MODES,
                    help=f"multi-frame LE accumulation reported as LE (default {d.le_mode})")
     p.add_argument("--jobs", type=int,
-                   help="score the files in at most this many contiguous groups, each group in "
-                        f"a worker process of its own when there are several (default {d.jobs})")
+                   help="score all systems' file pairs in at most this many contiguous slices, "
+                        "each slice in a worker process of its own when there are several "
+                        f"(default {d.jobs})")
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.add_argument("--out", help="write output to this file instead of stdout")
 

@@ -32,15 +32,15 @@ a full batch is scored before the next pair is read. The batch core
 raises no error, so the first error is the one that reading the pairs
 one after another raises.
 
-A command scores its systems in one loop, `_evaluate_systems`, each
-before the next one's pairs are looked up: the pairs are split into at
-most `--jobs` N contiguous groups, each read and scored as above. One
-group is scored in this process. A command of several systems then reads
-each reference once, through one cache that keeps its rows for the later
-systems; `evaluate` and `jackknife` keep none. More groups start the
-command's one process pool, with one worker per group, each reading its
-own references. The groups' results, errors included, come back in group
-order, so the first error is the same for every N.
+A command scores its file pairs as one list, `_evaluate_systems`: every
+system's pairs are looked up first and listed system by system. The list
+is cut into as many contiguous slices as `--jobs` N cuts the n references
+into groups, ceil(n / ceil(n / N)); one slice is scored in this process,
+more through one `pool.map`, a worker per slice. A slice reads each of
+its references once and keeps the rows until its last pair on it. The
+results, errors included, come back in list order, and a system whose
+pairs cannot be looked up raises after the systems before it have
+scored, so the first error is the same for every N.
 
 Only occupied frames are touched; empty frames and segments are counted
 arithmetically, so memory follows the rows, not the grid. A reference
@@ -82,7 +82,6 @@ pairs, so batching keeps this bit-identity too.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import functools
 import itertools
@@ -328,7 +327,8 @@ def read_pair(ref_path, pred_path, vocabulary: Vocabulary, config: EvaluationCon
     Every per-file check is made here, in this order: the reference, the
     prediction, the configured duration, the reference's length. With
     `references`, a reference read and expanded once keeps its grid end and
-    rows there, keyed by its path, for every later pair on it."""
+    rows there, keyed by its path, for the later pairs on it; `_score_pairs`
+    drops them after the last."""
     name = Path(ref_path).name
     known = None if references is None else references.get(ref_path)
     if known is None:
@@ -512,18 +512,21 @@ def score_file(ref_path, pred_path, vocabulary: Vocabulary, config: EvaluationCo
     return score_batch([read_pair(ref_path, pred_path, vocabulary, config)], vocabulary, config)[0]
 
 
-def _score_pairs(pairs: Sequence, vocabulary: Vocabulary, config: EvaluationConfig,
-                 references: dict | None = None) -> list:
+def _score_pairs(pairs: Sequence, vocabulary: Vocabulary, config: EvaluationConfig) -> list:
     """The FileContribution of each (reference, prediction) path pair, in
-    order. The pairs are read in order by `read_pair`, through `references`,
-    and scored by `score_batch` in batches of at most
-    MAX_BATCH_ROWS rows, a larger pair alone, whose grids rounded up to whole
-    segments end before frame 2**63. A full batch is scored before the next
-    pair is read."""
+    order. The pairs are read in order by `read_pair`, each reference once:
+    its rows are kept for the later pairs on it and dropped after the last.
+    They are scored by `score_batch` in batches of at most MAX_BATCH_ROWS
+    rows, a larger pair alone, whose grids rounded up to whole segments end
+    before frame 2**63. A full batch is scored before the next pair is
+    read."""
     spf = frames_per_segment(config.segment_length, config.frame_hop)
-    out, batch, rows, grid = [], [], 0, 0
-    for ref_path, pred_path in pairs:
+    last = {ref_path: i for i, (ref_path, _) in enumerate(pairs)}
+    references, out, batch, rows, grid = {}, [], [], 0, 0
+    for i, (ref_path, pred_path) in enumerate(pairs):
         pair = read_pair(ref_path, pred_path, vocabulary, config, references)
+        if last[ref_path] == i:
+            del references[ref_path]
         frames, size = pair[1], len(pair[2][0]) + len(pair[3][0])
         if batch and (rows + size > MAX_BATCH_ROWS or grid + frames >= 2 ** 63):
             out += score_batch(batch, vocabulary, config)
@@ -658,32 +661,35 @@ def _evaluate_systems(ref_dir, systems: Sequence, vocabulary: Vocabulary,
     order, scored as the module docstring sets out; where there are several
     systems, a `MissingPair` names the system."""
     class_thresholds(config, vocabulary)  # refuses a per-class threshold for an unknown class
-    results, pool = [], None
-    references = {} if len(systems) > 1 else None  # each later system reads them again
-    with contextlib.ExitStack() as stack:
-        for system_id, pred_dir in systems:
-            try:
-                paths = discover_pairs(ref_dir, pred_dir)
-            except MissingPair as exc:
-                if len(systems) == 1:
-                    raise
-                raise MissingPair(f"system {system_id!r}: {exc}") from None
-            size = -(-len(paths) // config.jobs)
-            groups = [paths[i:i + size] for i in range(0, len(paths), size)]
-            if len(groups) == 1:
-                contribs = _score_pairs(paths, vocabulary, config, references)
-            else:
-                if pool is None:
-                    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+    found, missing = [], None
+    for system_id, pred_dir in systems:
+        try:
+            found.append(discover_pairs(ref_dir, pred_dir))
+        except MissingPair as exc:
+            missing = exc if len(systems) == 1 else MissingPair(f"system {system_id!r}: {exc}")
+            break
+    pairs = [pair for paths in found for pair in paths]
+    n = len(found[0]) if found else 1  # every system pairs the same references
+    workers = -(-n // -(-n // config.jobs))  # the groups of ceil(n / jobs) references
+    score = functools.partial(_score_pairs, vocabulary=vocabulary, config=config)
+    if workers == 1:
+        contribs = score(pairs)
+    else:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
-                    pool = stack.enter_context(ProcessPoolExecutor(max_workers=len(groups)))
-                score = functools.partial(_score_pairs, vocabulary=vocabulary, config=config)
-                contribs = [c for scored in pool.map(score, groups) for c in scored]
-            per_file = {ref.name: c for (ref, _), c in zip(paths, contribs)}
-            total = sum((per_file[name] for name in sorted(per_file)),
-                        FileContribution.zeros(len(config.thetas), len(vocabulary)))
-            results.append(EvaluationResult(config, vocabulary, per_file, total,
-                                            *compute_metrics(total, config, vocabulary)))
+        cuts = [len(pairs) * k // workers for k in range(workers + 1)]  # a slice per worker
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            contribs = [c for part in pool.map(score, [pairs[a:b] for a, b in zip(cuts, cuts[1:])])
+                        for c in part]
+    if missing is not None:
+        raise missing
+    results, contribs = [], iter(contribs)
+    for paths in found:
+        per_file = dict(zip([ref.name for ref, _ in paths], contribs))  # this system's, in turn
+        total = sum((per_file[name] for name in sorted(per_file)),
+                    FileContribution.zeros(len(config.thetas), len(vocabulary)))
+        results.append(EvaluationResult(config, vocabulary, per_file, total,
+                                        *compute_metrics(total, config, vocabulary)))
     return results
 
 

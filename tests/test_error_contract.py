@@ -13,7 +13,7 @@ systems. A missing or empty prediction directory is named in the message,
 after the system's id where there are several; `synth` refuses at once a
 file expecting more than `synth.MAX_INSERTIONS` insertions. A setting given
 twice, by two flags or by a key repeated in a config file's object, is
-refused too, as are a negative `synth` seed (before `--out` is made) and a
+refused too, as is every single-valued flag given twice, as are a negative `synth` seed (before `--out` is made) and a
 segment of 2**63 frames or more; `correlate` with no metric defined for
 every system still reports, with its warnings. A prediction class index
 outside the vocabulary is refused naming its file and line.
@@ -454,6 +454,66 @@ def test_setting_given_twice_refused(where, config, message):
     assert_error_envelope(code, err)
     envelope = json.loads(err)
     assert envelope["error"] == "ConfigError" and envelope["message"].endswith(message)
+
+
+_INPUTS = ["--ref", "--vocab", "--config", "--hop", "--duration"]
+_SCORING = _INPUTS + ["--segment", "--loc-mode", "--le-mode", "--jobs", "--format", "--out"]
+# each subcommand's flags that take one value; --theta, --theta-class and the
+# multi-system --pred append, and --help, --per-class and --swap-locations take none
+SINGLE_VALUED = {
+    "evaluate": _SCORING + ["--pred"],
+    "jackknife": _SCORING + ["--pred", "--confidence"],
+    "rank": _SCORING + ["--metric-set"],
+    "correlate": _SCORING,
+    "synth": _INPUTS + ["--out", "--seed", "--jitter", "--delete-prob", "--insert-rate",
+                        "--sub-prob"],
+}
+REPEATABLE = {"--theta", "--theta-class", "--pred"}
+NO_VALUE = {"-h", "--help", "--per-class", "--swap-locations"}
+# two values each flag takes; any other flag takes both of ("1", "2")
+FLAG_VALUES = {"--format": ("json", "table"), "--loc-mode": ("frame-average", "segment-mean"),
+               "--le-mode": ("micro", "macro"), "--metric-set": ("official", "joint")}
+
+
+def test_single_valued_flags_listed():
+    commands = next(a.choices for a in cli.build_parser()._actions if a.dest == "command")
+    assert set(commands) == set(SINGLE_VALUED)
+    for command, parser in commands.items():
+        flags = {flag for action in parser._actions for flag in action.option_strings}
+        repeatable = REPEATABLE - set(SINGLE_VALUED[command])
+        assert flags == set(SINGLE_VALUED[command]) | (repeatable & flags) | (NO_VALUE & flags)
+
+
+@pytest.mark.parametrize("command, flag", [(command, flag) for command, flags
+                                           in SINGLE_VALUED.items() for flag in flags])
+def test_single_valued_flag_given_twice_refused(command, flag):
+    # the last value once won silently: --hop 0.02 --hop 0.04 scored at a 0.04 s hop
+    first, second = FLAG_VALUES.get(flag, ("1", "2"))
+    code, err = run_main([command, flag, first, flag, second])
+    assert_error_envelope(code, err)
+    assert json.loads(err) == {"error": "ConfigError",
+                               "message": f"seldeval {command}: argument {flag}: given more "
+                                          "than once"}
+
+
+@pytest.mark.parametrize("extra, flag", [
+    (("--hop=0.02", "--hop", "0.04"), "--hop"),
+    (("--hop", "0.02", "--ho", "0.02"), "--hop"),
+    (("--jobs", "2", "--jobs=2"), "--jobs"),
+], ids=["equals-first", "abbreviated-same-value", "equals-second"])
+def test_flag_given_twice_in_any_spelling_refused(extra, flag):
+    code, err = run_in_corpus("evaluate", extra=extra)
+    assert_error_envelope(code, err)
+    assert json.loads(err) == {"error": "ConfigError",
+                               "message": f"seldeval evaluate: argument {flag}: given more "
+                                          "than once"}
+
+
+def test_repeatable_flags_still_repeat():
+    # the multi-system --pred repeats in test_well_formed_corpus_succeeds
+    for extra in (("--theta", "10", "--theta", "30"),
+                  ("--theta-class", "dog=10", "--theta-class", "cat=20")):
+        assert run_in_corpus("evaluate", extra=extra) == (0, "")
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])

@@ -336,10 +336,21 @@ def started(pools):
 COMMANDS = {"rank": evaluation.rank_systems, "correlate": evaluation.correlate_systems}
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The log of every FakePool the code under test starts instead of a
+    ProcessPoolExecutor."""
+    log = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: FakePool(log, max_workers))
+    return log
+
+
 class TestJobs:
-    """Every --jobs value scores contiguous groups through `_score_pairs`: one
-    group in this process, more in the command's one pool, started with one
-    worker per group."""
+    """Every --jobs value scores contiguous slices of all systems' file pairs
+    through `_score_pairs`: one slice in this process, more through one map
+    of the command's one pool, started with one worker per slice. There are
+    as many slices as --jobs cuts the reference files into groups."""
 
     @pytest.fixture(scope="class")
     def corpus(self, tmp_path_factory):
@@ -347,13 +358,6 @@ class TestJobs:
         ref_dir = make_corpus(root / "ref", VOCAB, 4, 6, seed=17)
         return ref_dir, [(f"s{k}", make_system(ref_dir, root / f"s{k}", PerturbationSpec(
             doa_jitter_deg=6.0 * k, deletion_prob=0.2, seed=5 + k))) for k in range(3)]
-
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        log = []
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            lambda max_workers: FakePool(log, max_workers))
-        return log
 
     @pytest.mark.parametrize("files, jobs, workers", [(2, 8, [2]), (4, 3, [2]), (1, 4, [])])
     def test_one_worker_per_group(self, tmp_path, corpus, pools, files, jobs, workers):
@@ -376,7 +380,7 @@ class TestJobs:
         ref_dir, systems = corpus
         COMMANDS[command](ref_dir, systems, VOCAB, EvaluationConfig(jobs=2))
         assert pools[0] == ("start", 2)
-        assert [event for event, _ in pools] == ["start"] + ["map"] * len(systems)
+        assert [event for event, _ in pools] == ["start", "map"]  # not one map per system
 
     def test_reports_equal_for_every_jobs(self, corpus, pools):
         ref_dir, systems = corpus
@@ -427,31 +431,51 @@ class TestReferenceReuse:
             run(ref_dir, pred_dirs, VOCAB, EvaluationConfig())
             assert [shown(result) for result in got] == fresh
 
+    def test_each_reference_read_once_per_slice(self, monkeypatch, pools, systems):
+        # --jobs 2 cuts the 9 pairs, system by system, into slices of 4 and 5 that
+        # each hold every reference: 6 reads, where one map per system read 9
+        ref_dir, pred_dirs = systems
+        want = evaluation.rank_systems(ref_dir, pred_dirs, VOCAB, EvaluationConfig())
+        read = []
+        parse = evaluation.parse_reference
+        monkeypatch.setattr(evaluation, "parse_reference",
+                            lambda path, vocab: read.append(path.name) or parse(path, vocab))
+        got = evaluation.rank_systems(ref_dir, pred_dirs, VOCAB, EvaluationConfig(jobs=2))
+        assert got == want
+        assert started(pools) == [2]
+        assert read == ["scene_000.csv", "scene_001.csv", "scene_002.csv",
+                        "scene_001.csv", "scene_002.csv", "scene_000.csv"]
+
     @pytest.mark.parametrize("command", ["evaluate", "rank"])
     def test_rows_cached_only_for_later_systems(self, monkeypatch, systems, command):
-        # One pair per batch. Before each read, count the rows of the references
-        # read before that are still held; a batch's last pair is held until the
-        # next read returns.
+        # One pair per batch. Before each read, name the references read before
+        # whose rows are still alive; a batch's last pair is held until the next
+        # read returns.
         ref_dir, pred_dirs = systems
-        held, rows = [], []
+        held, rows = [], {}
         read = evaluation.read_pair
 
         def spy(*a):
-            held.append(sum(r() is not None for r in rows))
+            held.append(sorted(name for name, r in rows.items() if r() is not None))
             pair = read(*a)
-            if not any(r() is pair[2][0] for r in rows):
-                rows.append(weakref.ref(pair[2][0]))
+            if pair[0] in rows:
+                assert rows[pair[0]]() is pair[2][0], f"{pair[0]} read again"
+            else:
+                rows[pair[0]] = weakref.ref(pair[2][0])
             return pair
 
         monkeypatch.setattr(evaluation, "read_pair", spy)
         monkeypatch.setattr(evaluation, "MAX_BATCH_ROWS", 1)
+        a, b, c = "scene_000.csv", "scene_001.csv", "scene_002.csv"
         if command == "evaluate":
             evaluate_directory(ref_dir, pred_dirs[0][1], VOCAB, EvaluationConfig())
-            assert held == [0, 1, 1]  # the previous pair's, never a cache
+            assert held == [[], [a], [b]]  # the previous pair's, never a cache
         else:
             evaluation.rank_systems(ref_dir, pred_dirs, VOCAB, EvaluationConfig())
-            assert held == [0, 1, 2] + [3] * 6  # cached for the second and third systems
-        assert len(rows) == 3 and all(r() is None for r in rows)
+            # kept for the later systems and freed after the last system's pair on
+            # it: a's is the 7th pair, which the batch holds until the 8th read returns
+            assert held == [[], [a], [a, b]] + [[a, b, c]] * 5 + [[b, c]]
+        assert len(rows) == 3 and all(r() is None for r in rows.values())
 
 
 class TestMetricDirections:
