@@ -239,7 +239,7 @@ def _evaluate(args, config, vocabulary) -> tuple:
     }
     header = f"{'metric':<12} {'value':>12}"
     if ci:
-        header += f"  {int(config.confidence * 100)}% CI"
+        header += f"  {config.confidence * 100:g}% CI"
         obj["ci"] = {key: {"point": _round6(est.point), "low": _round6(est.low),
                            "high": _round6(est.high), "confidence": est.confidence}
                      if isinstance(est, JackknifeEstimate) else {"error": est}
@@ -281,16 +281,16 @@ def _rank(args, config, vocabulary) -> tuple:
                      "final_rank": table.final_ranks[i]}
                     for i, system_id in enumerate(table.systems)],
     }
-    header = (f"{'system':<18}" + "".join(f" {_display_name(k):>14}" for k in keys)
-              + f" {'sum':>6} {'rank':>6}")
-    lines = [header, "-" * len(header)]
-    for i in sorted(range(len(table.systems)),
-                    key=lambda i: (table.final_ranks[i], table.systems[i])):
-        lines.append(f"{table.systems[i]:<18}"
-                     + "".join(f" {_fmt_value(table.values[k][i]):>8} ({table.ranks[k][i]:g})"
-                               for k in keys)
-                     + f" {table.rank_sums[i]:>6g} {table.final_ranks[i]:>6g}")
-    return obj, lines
+    order = sorted(range(len(table.systems)),
+                   key=lambda i: (table.final_ranks[i], table.systems[i]))
+    cells = [["system", *map(_display_name, keys), "sum", "rank"]]
+    cells += [[table.systems[i],
+               *(f"{_fmt_value(table.values[k][i])} ({table.ranks[k][i]:g})" for k in keys),
+               f"{table.rank_sums[i]:g}", f"{table.final_ranks[i]:g}"] for i in order]
+    widths = [max(map(len, column)) for column in zip(*cells)]  # each column's widest entry
+    lines = [f"{row[0]:<{widths[0]}}" + "".join(f" {c:>{w}}" for c, w in zip(row[1:], widths[1:]))
+             for row in cells]
+    return obj, lines[:1] + ["-" * len(lines[0])] + lines[1:]
 
 
 def _correlate(args, config, vocabulary) -> tuple:
@@ -409,9 +409,10 @@ def _add_scoring(p, multi_system: bool = False) -> None:
     p.add_argument("--le-mode", choices=LE_MODES,
                    help=f"multi-frame LE accumulation reported as LE (default {d.le_mode})")
     p.add_argument("--jobs", type=int,
-                   help="score all systems' file pairs in at most this many contiguous slices, "
-                        "each slice in a worker process of its own when there are several "
-                        f"(default {d.jobs})")
+                   help="score the file pairs in at most this many slices of whole reference "
+                        "files, each in a worker process of its own when there are several; "
+                        "a slice reads each reference once and holds one reference's rows at a "
+                        f"time (default {d.jobs})")
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.add_argument("--out", help="write output to this file instead of stdout")
 

@@ -33,14 +33,16 @@ raises no error, so the first error is the one that reading the pairs
 one after another raises.
 
 A command scores its file pairs as one list, `_evaluate_systems`: every
-system's pairs are looked up first and listed system by system. The list
-is cut into as many contiguous slices as `--jobs` N cuts the n references
-into groups, ceil(n / ceil(n / N)); one slice is scored in this process,
-more through one `pool.map`, a worker per slice. A slice reads each of
-its references once and keeps the rows until its last pair on it. The
-results, errors included, come back in list order, and a system whose
-pairs cannot be looked up raises after the systems before it have
-scored, so the first error is the same for every N.
+system's pairs are looked up first and listed reference by reference,
+every system's pair on the first reference, then on the next. `--jobs` N
+cuts the list into slices of whole references, ceil(n / N) of the n in
+each; one slice is scored in this process, more through one `pool.map`,
+a worker per slice. Each reference is read once per command, and a
+slice holds one reference's rows at a time. The results, errors
+included, come back in list order, so the first error, the first in
+reading order (reference, then system), is the same for every N; a
+system whose pairs cannot be looked up raises after the systems before
+it have scored.
 
 Only occupied frames are touched; empty frames and segments are counted
 arithmetically, so memory follows the rows, not the grid. A reference
@@ -319,18 +321,17 @@ MAX_BATCH_ROWS = 2 ** 14
 
 
 def read_pair(ref_path, pred_path, vocabulary: Vocabulary, config: EvaluationConfig,
-              references: dict | None = None) -> tuple:
+              references: dict) -> tuple:
     """(name, frames, reference rows, prediction rows) of one file pair. Each
     side's rows are (frame, class, unit xyz) arrays, the reference's
     stable-sorted by frame, so that a frame's rows keep their event order.
 
     Every per-file check is made here, in this order: the reference, the
-    prediction, the configured duration, the reference's length. With
-    `references`, a reference read and expanded once keeps its grid end and
-    rows there, keyed by its path, for the later pairs on it; `_score_pairs`
-    drops them after the last."""
+    prediction, the configured duration, the reference's length. A
+    reference read and expanded once keeps its grid end and rows in
+    `references`, keyed by its path, for the later pairs on it."""
     name = Path(ref_path).name
-    known = None if references is None else references.get(ref_path)
+    known = references.get(ref_path)
     if known is None:
         events = parse_reference(ref_path, vocabulary)
         spans = [frame_span(ev.onset, ev.offset, config.frame_hop) for ev in events]
@@ -350,8 +351,7 @@ def read_pair(ref_path, pred_path, vocabulary: Vocabulary, config: EvaluationCon
             spans, (np.array([vocabulary.index(e.label) for e in events], dtype=np.int64),
                     np.array([e.direction.unit for e in events]).reshape(-1, 3)),
             config.frame_hop, name)
-        if references is not None:
-            references[ref_path] = end, ref_rows
+        references[ref_path] = end, ref_rows
     return name, total, ref_rows, pred_rows
 
 
@@ -412,11 +412,8 @@ def score_batch(pairs: Sequence, vocabulary: Vocabulary, config: EvaluationConfi
 
     # Class-agnostic sums per frame, then per file.
     k = np.minimum(bm, bn)
-    totals = np.bincount(pair_frame, d, minlength=n_frames)
-    summed = (k > 2) & (lead == np.arange(len(lead)))
-    for f, at in zip(np.flatnonzero(summed), (np.cumsum(k) - k)[summed]):
-        totals[f] = sum(d[at:at + k[f]].tolist())  # sum(), as the accumulator takes it
-    totals = totals[lead]  # a repeating frame takes the total of its run's first
+    # added from 0.0 in input order, as the accumulator adds; a repeat takes its run's first
+    totals = np.bincount(pair_frame, d, minlength=n_frames)[lead]
     occ_file = file_of(occ)
     both_file = occ_file[both]
     pair_file = both_file[pair_frame]
@@ -509,24 +506,24 @@ def score_batch(pairs: Sequence, vocabulary: Vocabulary, config: EvaluationConfi
 def score_file(ref_path, pred_path, vocabulary: Vocabulary, config: EvaluationConfig) -> FileContribution:
     """Parse one file pair and accumulate every metric on its columns: the
     one-pair form of `score_batch`."""
-    return score_batch([read_pair(ref_path, pred_path, vocabulary, config)], vocabulary, config)[0]
+    return score_batch([read_pair(ref_path, pred_path, vocabulary, config, {})], vocabulary,
+                       config)[0]
 
 
 def _score_pairs(pairs: Sequence, vocabulary: Vocabulary, config: EvaluationConfig) -> list:
     """The FileContribution of each (reference, prediction) path pair, in
-    order. The pairs are read in order by `read_pair`, each reference once:
-    its rows are kept for the later pairs on it and dropped after the last.
-    They are scored by `score_batch` in batches of at most MAX_BATCH_ROWS
-    rows, a larger pair alone, whose grids rounded up to whole segments end
-    before frame 2**63. A full batch is scored before the next pair is
-    read."""
+    order. The pairs are read in order by `read_pair`, each reference once
+    when its pairs come one after another: only the current reference's
+    rows are kept, for its later pairs. They are scored by `score_batch` in
+    batches of at most MAX_BATCH_ROWS rows, a larger pair alone, whose
+    grids rounded up to whole segments end before frame 2**63. A full batch
+    is scored before the next pair is read."""
     spf = frames_per_segment(config.segment_length, config.frame_hop)
-    last = {ref_path: i for i, (ref_path, _) in enumerate(pairs)}
     references, out, batch, rows, grid = {}, [], [], 0, 0
-    for i, (ref_path, pred_path) in enumerate(pairs):
+    for ref_path, pred_path in pairs:
+        if ref_path not in references:
+            references.clear()  # the pairs on the reference before are all read
         pair = read_pair(ref_path, pred_path, vocabulary, config, references)
-        if last[ref_path] == i:
-            del references[ref_path]
         frames, size = pair[1], len(pair[2][0]) + len(pair[3][0])
         if batch and (rows + size > MAX_BATCH_ROWS or grid + frames >= 2 ** 63):
             out += score_batch(batch, vocabulary, config)
@@ -668,24 +665,23 @@ def _evaluate_systems(ref_dir, systems: Sequence, vocabulary: Vocabulary,
         except MissingPair as exc:
             missing = exc if len(systems) == 1 else MissingPair(f"system {system_id!r}: {exc}")
             break
-    pairs = [pair for paths in found for pair in paths]
-    n = len(found[0]) if found else 1  # every system pairs the same references
-    workers = -(-n // -(-n // config.jobs))  # the groups of ceil(n / jobs) references
+    n = len(found[0]) if found else 0  # every system pairs the same references
+    pairs = [pair for same_ref in zip(*found) for pair in same_ref]  # reference by reference
+    step = -(-n // config.jobs) * len(found)  # the pairs of ceil(n / jobs) references
     score = functools.partial(_score_pairs, vocabulary=vocabulary, config=config)
-    if workers == 1:
+    if len(pairs) <= step:
         contribs = score(pairs)
     else:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
-        cuts = [len(pairs) * k // workers for k in range(workers + 1)]  # a slice per worker
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            contribs = [c for part in pool.map(score, [pairs[a:b] for a, b in zip(cuts, cuts[1:])])
-                        for c in part]
+        slices = [pairs[i:i + step] for i in range(0, len(pairs), step)]  # one per worker
+        with ProcessPoolExecutor(max_workers=len(slices)) as pool:
+            contribs = [c for part in pool.map(score, slices) for c in part]
     if missing is not None:
         raise missing
-    results, contribs = [], iter(contribs)
-    for paths in found:
-        per_file = dict(zip([ref.name for ref, _ in paths], contribs))  # this system's, in turn
+    results = []
+    for s, paths in enumerate(found):
+        per_file = dict(zip([ref.name for ref, _ in paths], contribs[s::len(found)]))
         total = sum((per_file[name] for name in sorted(per_file)),
                     FileContribution.zeros(len(config.thetas), len(vocabulary)))
         results.append(EvaluationResult(config, vocabulary, per_file, total,

@@ -54,7 +54,9 @@ class LocalizationAccumulator:
         d = build_distance_matrix(pred_dirs, ref_dirs)
         dists = [d.values[i][j] for i, j in hungarian(d).pairs]
         k = len(dists)
-        total = sum(dists)
+        total = 0.0
+        for dist in dists:  # one after another from 0.0, as np.bincount adds
+            total += dist
         self.dist_sum += total
         self.k_total += k
         self.frame_le_sum += total / k

@@ -4,9 +4,11 @@ import json
 
 import pytest
 
+from seldeval import cli
 from seldeval.annotations import Vocabulary
 from seldeval.cli import main
 from seldeval.evaluation import EvaluationConfig
+from seldeval.stats import build_rank_table
 from seldeval.synth import PerturbationSpec
 from conftest import make_corpus
 from test_evaluation import make_system
@@ -210,6 +212,15 @@ class TestJackknifeCommand:
              "--format", "json", "--out", out])
         assert json.loads(out.read_text())["config"]["confidence"] == 0.9
 
+    @pytest.mark.parametrize("confidence, label", [("0.57", "57% CI"), ("0.975", "97.5% CI")])
+    def test_table_names_the_confidence(self, corpus, capsys, confidence, label):
+        # int(confidence * 100) named these 56% and 97%
+        ref_dir, pred_dir = corpus
+        assert run(["jackknife", "--ref", ref_dir, "--pred", pred_dir,
+                    "--confidence", confidence]) == 0
+        header = capsys.readouterr().out.splitlines()[1]
+        assert header == f"{'metric':<12} {'value':>12}  {label}"
+
     def test_one_file_too_few_error_json(self, tmp_path, capsys):
         ref_dir = make_corpus(tmp_path / "ref", VOCAB, 1, 6, seed=23)
         pred_dir = make_system(ref_dir, tmp_path / "pred", PerturbationSpec(seed=0))
@@ -247,6 +258,27 @@ class TestRankCommand:
         assert run(["rank", "--ref", ref_dir, "--pred", f"a={a}", "--pred", f"b={b}"]) == 0
         text = capsys.readouterr().out
         assert "system" in text and "rank" in text
+
+    def test_table_columns_fit_their_widest_entry(self, monkeypatch, tmp_path, capsys):
+        # values of 1 to 9 characters, fractional ranks, and a system id longer
+        # than the 18 characters the system column once had
+        ref_dir = make_corpus(tmp_path / "ref", VOCAB, 1, 6, seed=24)
+        systems = ["a-system-id-of-28-characters", "b", "c"]
+        values = {"er": [0.0754717, 1.0, 0.0754717], "f1": [1.0, 0.5, 0.25],
+                  "le": [3.0, 19.2374, 114.006], "ecr": [1.0, 0.539749, 1.0]}
+        table = build_rank_table(systems, values, {"er": False, "f1": True, "le": False,
+                                                   "ecr": True})
+        monkeypatch.setattr(cli, "rank_systems", lambda *args: table)
+        assert run(["rank", "--ref", ref_dir, "--pred", "x=unused", "--pred", "y=unused"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [
+            "system                                    ER       F1          LE          ECR sum rank",
+            "-" * 87,
+            "a-system-id-of-28-characters 0.0754717 (1.5)    1 (1)       3 (1)      1 (1.5)   5    1",
+            "c                            0.0754717 (1.5) 0.25 (3) 114.006 (3)      1 (1.5)   9    2",
+            "b                                      1 (3)  0.5 (2) 19.2374 (2) 0.539749 (3)  10    3",
+        ]
+        assert {len(line) for line in lines} == {len(lines[0])}
 
     def test_bad_system_syntax(self, tmp_path, capsys):
         ref_dir = make_corpus(tmp_path / "ref", VOCAB, 2, 6, seed=24)
@@ -485,7 +517,9 @@ class TestOutputBytes:
     """The rendered outputs, byte for byte, on one seeded corpus.
 
     The hashes were recorded before the renderers were merged into one
-    path per command; any change to a table or log byte shows here.
+    path per command, the rank tables' again when their columns took the
+    width of their widest entry; any change to a table or log byte shows
+    here.
     """
 
     PINNED = {  # case: (sha256, argv)
@@ -499,10 +533,10 @@ class TestOutputBytes:
              "json"]),
         "jackknife-per-class": ("e5107d2f2ad343ab9250744eb9b66d33172c3c12768276b79ed0952ed95798eb",
             ["jackknife", "--ref", "{ref}", "--pred", "{s1}", "--per-class"]),
-        "rank-official": ("b95e15b23c9a3a61847e2d3b51ae2ced3a0a94739133bb2382ed0752c35885f0",
+        "rank-official": ("ef1118fcf2540e13cdc6de759998e4515d6b6a109fd4fa250ea94d7363485f1f",
             ["rank", "--ref", "{ref}", "--pred", "a={s0}", "--pred", "b={s1}", "--pred",
              "c={s2}"]),
-        "rank-joint": ("11c9774d57655891a2c6cd3fec21e2fc4828079d6950e72c4e9ced1bb5b246da",
+        "rank-joint": ("6b95486b952ff0f305f38eeb901ead0ffd87a2fe86ad9e1178580984b2064cfc",
             ["rank", "--ref", "{ref}", "--pred", "a={s0}", "--pred", "b={s1}", "--pred", "c={s2}",
              "--metric-set", "joint"]),
         "correlate": ("3a6a5c7fb79ef5a7362209b11cc6d2cd7d002339985945e36f08560e814c1977",

@@ -219,7 +219,7 @@ def assert_batch_equals_one_pair_at_a_time(scenes, config, cap=evaluation.MAX_BA
     with tempfile.TemporaryDirectory() as tmp:
         paths = write_scenes(Path(tmp), scenes)
         want = [score_file(ref, pred, VOCAB, config) for ref, pred in paths]
-        one = evaluation.score_batch([evaluation.read_pair(ref, pred, VOCAB, config)
+        one = evaluation.score_batch([evaluation.read_pair(ref, pred, VOCAB, config, {})
                                       for ref, pred in paths], VOCAB, config)
         with mock.patch.object(evaluation, "MAX_BATCH_ROWS", cap):
             capped = evaluation._score_pairs(paths, VOCAB, config)
@@ -390,23 +390,25 @@ class TestRunReuse:
 
 
 class TestFrameTotals:
-    def test_three_pair_frame_total_is_python_sum(self):
-        # A frame with k > 2 pairs is summed by sum(), as LocalizationAccumulator
-        # does; from Python 3.12 on sum() compensates, so it differs from
-        # left-to-right addition on this frame.
+    def test_three_pair_frame_total_adds_left_to_right(self):
+        # A frame's distances are added one after another from 0.0, in the kernel
+        # as in LocalizationAccumulator, on every Python: on this frame that total
+        # differs from the correctly rounded one (math.fsum, or the compensated
+        # sum() of Python 3.12 on).
         refs = [(0.0, 0.0), (120.0, 0.0), (-120.0, 0.0)]
         for step in range(1, 1000):
             preds = [(az + 0.01 * step * (q + 1), el) for q, (az, el) in enumerate(refs)]
             d = [angular_distance(Direction(*p), Direction(*r)) for p, r in zip(preds, refs)]
-            if (d[0] + d[1]) + d[2] != math.fsum(d):
+            total = (d[0] + d[1]) + d[2]
+            if total != math.fsum(d):
                 break
         else:
-            pytest.fail("no frame whose naive and compensated sums differ")
+            pytest.fail("no frame whose left-to-right and correctly rounded sums differ")
         # frame 1 repeats frame 0 and takes its total
         events = [event(label, 0, 1, r, 0.02) for label, r in zip(VOCAB, refs)]
         got = score_both(events, [(f, q, p) for f in (0, 1) for q, p in enumerate(preds)],
                          EvaluationConfig())
-        assert got.loc_dist == sum(d) + sum(d) and got.loc_k == 6
+        assert got.loc_dist == total + total and got.loc_k == 6
 
 
 class TestPredictionColumns:

@@ -9,7 +9,9 @@ that reads the broken file must return 1 and print
 follows a valid one, so it cannot be taken for a header. The
 multi-system commands, `rank` and `correlate`, must do the same for a
 malformed, repeated or empty system and for one broken file among good
-systems. A missing or empty prediction directory is named in the message,
+systems; among several broken files, the first in reading order
+(reference, then system) is named, at every `--jobs`. A missing or empty
+prediction directory is named in the message,
 after the system's id where there are several; `synth` refuses at once a
 file expecting more than `synth.MAX_INSERTIONS` insertions. A setting given
 twice, by two flags or by a key repeated in a config file's object, is
@@ -363,6 +365,30 @@ def test_malformed_system_reported_before_a_later_missing_one(command):
         match = re.fullmatch(r"cannot parse azimuth from 'bcx' \[(?P<d>.+)[/\\]b\.csv:2\]",
                              envelope["message"])
         assert match and Path(match["d"]).name == "bad", envelope["message"]
+
+
+@pytest.mark.parametrize("command", MULTI_SYSTEM)
+def test_first_malformed_file_in_reading_order_named(tmp_path, command):
+    # Pairs are read reference by reference, every system's pair on a.csv before
+    # any on b.csv: system s2's bad a.csv is read before s1's bad b.csv, at
+    # --jobs 1 and in the first of the two slices at --jobs 2.
+    write_files(tmp_path / "ref", REF_ROW, REF_ROW.replace("dog", "cat"))
+    (tmp_path / "ref" / "vocabulary.txt").write_text("dog\ncat\n", encoding="utf-8")
+    write_files(tmp_path / "good", PRED_ROW, PRED_ROW)
+    write_files(tmp_path / "late", PRED_ROW, "1,0,bcx,0.0")  # b.csv's second row
+    write_files(tmp_path / "early", PRED_ROW, PRED_ROW)
+    (tmp_path / "early" / "a.csv").write_text(f"{PRED_ROW}\n1,0,10.0,91.0\n", encoding="utf-8")
+    systems = [f"s1={tmp_path}/late", f"s2={tmp_path}/early", f"s3={tmp_path}/good"]
+    errs = []
+    for jobs in ("1", "2"):
+        code, err = run_main([command, "--ref", str(tmp_path / "ref"), "--format", "json",
+                              "--jobs", jobs, *(f"--pred={system}" for system in systems)])
+        assert_error_envelope(code, err)
+        errs.append(err)
+    assert errs[0] == errs[1]
+    envelope = json.loads(errs[0])
+    assert envelope["error"] == "ParseError"
+    assert envelope["message"].endswith(f"[{tmp_path / 'early' / 'a.csv'}:2]"), envelope
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

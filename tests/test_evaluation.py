@@ -347,10 +347,11 @@ def pools(monkeypatch):
 
 
 class TestJobs:
-    """Every --jobs value scores contiguous slices of all systems' file pairs
-    through `_score_pairs`: one slice in this process, more through one map
-    of the command's one pool, started with one worker per slice. There are
-    as many slices as --jobs cuts the reference files into groups."""
+    """Every --jobs value scores slices of whole references, each with every
+    system's pairs on them, through `_score_pairs`: one slice in this
+    process, more through one map of the command's one pool, started with
+    one worker per slice. There are as many slices as --jobs cuts the
+    reference files into groups."""
 
     @pytest.fixture(scope="class")
     def corpus(self, tmp_path_factory):
@@ -432,8 +433,8 @@ class TestReferenceReuse:
             assert [shown(result) for result in got] == fresh
 
     def test_each_reference_read_once_per_slice(self, monkeypatch, pools, systems):
-        # --jobs 2 cuts the 9 pairs, system by system, into slices of 4 and 5 that
-        # each hold every reference: 6 reads, where one map per system read 9
+        # --jobs 2 cuts the 9 pairs, reference by reference, into slices of whole
+        # references, 2 and 1 of them: 3 reads, where system-major slices read 6
         ref_dir, pred_dirs = systems
         want = evaluation.rank_systems(ref_dir, pred_dirs, VOCAB, EvaluationConfig())
         read = []
@@ -443,8 +444,7 @@ class TestReferenceReuse:
         got = evaluation.rank_systems(ref_dir, pred_dirs, VOCAB, EvaluationConfig(jobs=2))
         assert got == want
         assert started(pools) == [2]
-        assert read == ["scene_000.csv", "scene_001.csv", "scene_002.csv",
-                        "scene_001.csv", "scene_002.csv", "scene_000.csv"]
+        assert read == ["scene_000.csv", "scene_001.csv", "scene_002.csv"]
 
     @pytest.mark.parametrize("command", ["evaluate", "rank"])
     def test_rows_cached_only_for_later_systems(self, monkeypatch, systems, command):
@@ -472,9 +472,10 @@ class TestReferenceReuse:
             assert held == [[], [a], [b]]  # the previous pair's, never a cache
         else:
             evaluation.rank_systems(ref_dir, pred_dirs, VOCAB, EvaluationConfig())
-            # kept for the later systems and freed after the last system's pair on
-            # it: a's is the 7th pair, which the batch holds until the 8th read returns
-            assert held == [[], [a], [a, b]] + [[a, b, c]] * 5 + [[b, c]]
+            # every system's pair on a reference comes before the next reference's:
+            # only the current reference is kept, and the pair before b's first
+            # read (a's last) is held until that read returns
+            assert held == [[], [a], [a], [a], [b], [b], [b], [c], [c]]
         assert len(rows) == 3 and all(r() is None for r in rows.values())
 
 
