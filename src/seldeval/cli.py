@@ -15,7 +15,9 @@ the file overrides the field's default. A config file key that names no
 field or comes twice in one object, or a value of a JSON type its field
 does not take (see `_SETTINGS`), is refused. JSON output is stable: keys
 are sorted and numbers carry 6 significant digits, so reports diff cleanly
-in CI. Exit code is 0 iff the command completed without errors;
+in CI. A table (``--format table``, the default) is a view of the JSON
+report, rendered from that report alone. Exit code is 0 iff the command
+completed without errors;
 otherwise, usage errors included, a machine-readable error summary goes
 to stderr. Importing this module suspends automatic garbage collection
 while its imports load, then freezes every object tracked at that point
@@ -63,7 +65,6 @@ try:
         LOC_MODES,
         EvaluationConfig,
         correlate_systems,
-        correlation_metric_keys,
         evaluate_directory,
         rank_systems,
         reference_files,
@@ -83,9 +84,7 @@ _VOCAB_NAME = "vocabulary.txt"
 
 
 def _round6(x):
-    if x is None:
-        return None
-    return float(f"{x:.6g}")
+    return None if x is None else float(f"{x:.6g}")
 
 
 def _dump_json(obj) -> str:
@@ -94,8 +93,7 @@ def _dump_json(obj) -> str:
 
 # A metric key's base name (before any ":θ") as tables show it.
 _DISPLAY_NAMES = {
-    "er": "ER", "f1": "F1", "le": "LE", "le_micro": "LE(micro)",
-    "le_macro": "LE(macro)", "lr": "LR", "ecr": "ECR",
+    "er": "ER", "f1": "F1", "le": "LE", "lr": "LR", "ecr": "ECR",
     "le_cd": "LE_CD", "lr_cd": "LR_CD",
     "le_cd_f": "LE_CD(f)", "lr_cd_f": "LR_CD(f)",
     "le_theta": "LE", "lr_theta": "LR", "ecr_theta": "ECR",
@@ -110,8 +108,8 @@ def _display_name(key: str) -> str:
     return f"{label}_{theta}" if theta else label
 
 
-def _fmt_value(v) -> str:
-    return "undefined" if v is None else f"{_round6(v):g}"
+def _cell(v) -> str:
+    return "undefined" if v is None else f"{v:g}"
 
 
 # ---------------------------------------------------------------------------
@@ -123,23 +121,24 @@ def _is_number(v) -> bool:
 
 
 # Every key a config file may hold, a field of EvaluationConfig or of
-# PerturbationSpec: the JSON type its value must have, and the conversion, if
-# any, that the file's or the flag's value takes on its way to the field.
+# PerturbationSpec: the JSON type its value must have, and the type that the
+# file's or the flag's value is converted to, the same from either source.
 _SETTINGS = {
-    **dict.fromkeys(("frame_hop", "segment_length", "confidence"), ("a number", _is_number, None)),
+    **dict.fromkeys(("frame_hop", "segment_length", "confidence", "doa_jitter_deg",
+                     "deletion_prob", "insertion_rate", "substitution_prob"),
+                    ("a number", _is_number, float)),
     "thetas": ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v)),
                lambda v: tuple(float(t) for t in v)),
     "theta_class": ("an object of numbers",
                     lambda v: isinstance(v, dict) and all(map(_is_number, v.values())),
                     lambda v: tuple(sorted((str(k), float(t))
                                            for k, t in (v.items() if isinstance(v, dict) else v)))),
-    **dict.fromkeys(("loc_mode", "le_mode"), ("a string", lambda v: isinstance(v, str), None)),
-    "duration": ("a number or null", lambda v: v is None or _is_number(v), None),
+    **dict.fromkeys(("loc_mode", "le_mode"), ("a string", lambda v: isinstance(v, str), str)),
+    "duration": ("a number or null", lambda v: v is None or _is_number(v),
+                 lambda v: None if v is None else float(v)),
     **dict.fromkeys(("jobs", "seed"),
-                    ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), None)),
-    **dict.fromkeys(("doa_jitter_deg", "deletion_prob", "insertion_rate", "substitution_prob"),
-                    ("a number", _is_number, float)),
-    "swap_locations": ("a boolean", lambda v: isinstance(v, bool), None),
+                    ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), int)),
+    "swap_locations": ("a boolean", lambda v: isinstance(v, bool), bool),
 }
 
 
@@ -151,7 +150,7 @@ def _settings(cls, args, file_cfg: dict, what: str):
         flag = getattr(args, f.name, None)
         values[f.name] = file_cfg.get(f.name, f.default) if flag is None else flag
     try:
-        return cls(**{name: (_SETTINGS[name][2] or (lambda v: v))(v) for name, v in values.items()})
+        return cls(**{name: _SETTINGS[name][2](v) for name, v in values.items()})
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad {what}: {exc}") from None
 
@@ -219,96 +218,93 @@ def _parse_systems(items) -> list:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each scoring command returns its JSON object and table lines
+# subcommands: each scoring command returns its JSON report, and the table of
+# that report's schema renders it from the report alone
 
 
-def _evaluate(args, config, vocabulary) -> tuple:
+def _evaluate(args, config, vocabulary) -> dict:
     result = evaluate_directory(args.ref, args.pred, vocabulary, config)
     total = result.total
-    ci = result.jackknife() if args.command == "jackknife" else {}
     echo = {**dataclasses.asdict(config), "theta_class": dict(config.theta_class)}
     del echo["jobs"]  # the report is the same for any number of workers
-    obj = {
-        "schema": REPORT_SCHEMA,
-        "config": echo,
-        "files": total.n_files,
-        "frames": total.frames,
-        "segments": total.segments,
-        "metrics": {k: _round6(v) for k, v in result.metrics.items()},
-        "warnings": list(total.warnings),
-    }
-    header = f"{'metric':<12} {'value':>12}"
-    if ci:
-        header += f"  {config.confidence * 100:g}% CI"
+    obj = {"schema": REPORT_SCHEMA, "config": echo, "files": total.n_files,
+           "frames": total.frames, "segments": total.segments,
+           "metrics": {k: _round6(v) for k, v in result.metrics.items()},
+           "warnings": list(total.warnings)}
+    if args.command == "jackknife":
         obj["ci"] = {key: {"point": _round6(est.point), "low": _round6(est.low),
                            "high": _round6(est.high), "confidence": est.confidence}
                      if isinstance(est, JackknifeEstimate) else {"error": est}
-                     for key, est in ci.items()}
-    lines = [f"files {total.n_files} | frames {total.frames} | segments {total.segments}",
-             header, "-" * len(header)]
-    # the correlation's metric keys, less the frame-level class means
-    for key in correlation_metric_keys(config):
-        if key in ("le_cd_f", "lr_cd_f"):
-            continue
-        row = f"{_display_name(key):<12} {_fmt_value(result.metrics[key]):>12}"
-        est = ci.get(key)
-        if isinstance(est, JackknifeEstimate):
-            row += f"  [{_round6(est.low):g}, {_round6(est.high):g}]"
-        elif est is not None:
-            row += f"  ({est})"
-        lines.append(row)
+                     for key, est in result.jackknife().items()}
     if args.per_class:
         obj["per_class"] = {label: {k: _round6(v) for k, v in vals.items()}
                             for label, vals in result.per_class.items()}
-        if result.per_class:
-            lines += ["", f"{'class':<20} {'LE_c':>12} {'LR_c':>12}"]
-            lines += [f"{label:<20} {_fmt_value(vals['le_c']):>12} {_fmt_value(vals['lr_c']):>12}"
-                      for label, vals in sorted(result.per_class.items())]
-    return obj, lines + [f"warning: {w}" for w in total.warnings]
+    return obj
 
 
-def _rank(args, config, vocabulary) -> tuple:
+def _report_table(obj) -> list:
+    ci = obj.get("ci", {})
+    header = f"{'metric':<12} {'value':>12}"
+    if ci:
+        header += f"  {obj['config']['confidence'] * 100:g}% CI"
+    lines = [f"files {obj['files']} | frames {obj['frames']} | segments {obj['segments']}",
+             header, "-" * len(header)]
+    # every metric in the order the report was built, less LE's micro and macro
+    # forms (LE is one of them) and the frame-level class means
+    for key, value in obj["metrics"].items():
+        if key in ("le_micro", "le_macro", "le_cd_f", "lr_cd_f"):
+            continue
+        row = f"{_display_name(key):<12} {_cell(value):>12}"
+        est = ci.get(key)
+        if est is not None:
+            row += f"  ({est['error']})" if "error" in est else f"  [{est['low']:g}, {est['high']:g}]"
+        lines.append(row)
+    if obj.get("per_class"):
+        lines += ["", f"{'class':<20} {'LE_c':>12} {'LR_c':>12}"]
+        lines += [f"{label:<20} {_cell(vals['le_c']):>12} {_cell(vals['lr_c']):>12}"
+                  for label, vals in sorted(obj["per_class"].items())]
+    return lines + [f"warning: {w}" for w in obj["warnings"]]
+
+
+def _rank(args, config, vocabulary) -> dict:
     table = rank_systems(args.ref, _parse_systems(args.pred), vocabulary, config, args.metric_set)
     keys = list(table.values)
-    obj = {
-        "schema": RANK_SCHEMA,
-        "metric_set": args.metric_set,
-        "metrics": keys,
-        "systems": [{"id": system_id,
-                     "values": {k: _round6(table.values[k][i]) for k in keys},
-                     "ranks": {k: table.ranks[k][i] for k in table.ranks},
-                     "rank_sum": table.rank_sums[i],
-                     "final_rank": table.final_ranks[i]}
-                    for i, system_id in enumerate(table.systems)],
-    }
-    order = sorted(range(len(table.systems)),
-                   key=lambda i: (table.final_ranks[i], table.systems[i]))
+    return {"schema": RANK_SCHEMA, "metric_set": args.metric_set, "metrics": keys,
+            "systems": [{"id": system_id,
+                         "values": {k: _round6(table.values[k][i]) for k in keys},
+                         "ranks": {k: table.ranks[k][i] for k in table.ranks},
+                         "rank_sum": table.rank_sums[i],
+                         "final_rank": table.final_ranks[i]}
+                        for i, system_id in enumerate(table.systems)]}
+
+
+def _rank_table(obj) -> list:
+    keys = obj["metrics"]
     cells = [["system", *map(_display_name, keys), "sum", "rank"]]
-    cells += [[table.systems[i],
-               *(f"{_fmt_value(table.values[k][i])} ({table.ranks[k][i]:g})" for k in keys),
-               f"{table.rank_sums[i]:g}", f"{table.final_ranks[i]:g}"] for i in order]
+    cells += [[s["id"], *(f"{_cell(s['values'][k])} ({s['ranks'][k]:g})" for k in keys),
+               f"{s['rank_sum']:g}", f"{s['final_rank']:g}"]
+              for s in sorted(obj["systems"], key=lambda s: (s["final_rank"], s["id"]))]
     widths = [max(map(len, column)) for column in zip(*cells)]  # each column's widest entry
     lines = [f"{row[0]:<{widths[0]}}" + "".join(f" {c:>{w}}" for c, w in zip(row[1:], widths[1:]))
              for row in cells]
-    return obj, lines[:1] + ["-" * len(lines[0])] + lines[1:]
+    return lines[:1] + ["-" * len(lines[0])] + lines[1:]
 
 
-def _correlate(args, config, vocabulary) -> tuple:
+def _correlate(args, config, vocabulary) -> dict:
     result = correlate_systems(args.ref, _parse_systems(args.pred), vocabulary, config)
-    obj = {
-        "schema": CORRELATION_SCHEMA,
-        "systems": result.systems,
-        "metrics": result.metrics,
-        "spearman": [[_round6(v) for v in row] for row in result.matrix],
-        "warnings": result.warnings,
-    }
-    names = [_display_name(k) for k in result.metrics]
+    return {"schema": CORRELATION_SCHEMA, "systems": result.systems, "metrics": result.metrics,
+            "spearman": [[_round6(v) for v in row] for row in result.matrix],
+            "warnings": result.warnings}
+
+
+def _correlation_table(obj) -> list:
+    names = [_display_name(k) for k in obj["metrics"]]
     width = max(map(len, names), default=0) + 1
     lines = [" " * width + "".join(f"{n:>{width}}" for n in names)] if names else []
-    for name, row in zip(names, result.matrix):
+    for name, row in zip(names, obj["spearman"]):
         lines.append(f"{name:<{width}}" + "".join(
-            f"{'n/a':>{width}}" if v is None else f"{_round6(v):>{width}g}" for v in row))
-    return obj, lines + [f"warning: {w}" for w in result.warnings]
+            f"{'n/a':>{width}}" if v is None else f"{v:>{width}g}" for v in row))
+    return lines + [f"warning: {w}" for w in obj["warnings"]]
 
 
 def _synth(args, config, vocabulary, file_cfg: dict) -> None:
@@ -464,6 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 _COMMANDS = {"evaluate": _evaluate, "jackknife": _evaluate, "rank": _rank,
              "correlate": _correlate}
+_TABLES = {REPORT_SCHEMA: _report_table, RANK_SCHEMA: _rank_table,
+           CORRELATION_SCHEMA: _correlation_table}
 
 
 def main(argv=None) -> int:
@@ -475,8 +473,9 @@ def main(argv=None) -> int:
         if args.command == "synth":
             _synth(args, config, vocabulary, file_cfg)
             return 0
-        obj, lines = _COMMANDS[args.command](args, config, vocabulary)
-        text = _dump_json(obj) if args.format == "json" else "\n".join(lines) + "\n"
+        obj = _COMMANDS[args.command](args, config, vocabulary)
+        text = (_dump_json(obj) if args.format == "json"
+                else "\n".join(_TABLES[obj["schema"]](obj)) + "\n")
         if args.out:
             Path(args.out).write_text(text, encoding="utf-8")
         else:

@@ -33,6 +33,9 @@ from .geometry import Direction
 
 # The most insertions one file may expect; each one is drawn and logged in turn.
 MAX_INSERTIONS = 10 ** 6
+# The direction grid's spacing and elevation limit, in whole degrees.
+GRID_STEP_DEG = 10
+GRID_ELEVATION_LIMIT_DEG = 40
 
 
 @dataclass(frozen=True)
@@ -67,18 +70,12 @@ class PerturbationSpec:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
-def grid_directions(step_deg: float = 10.0, elevation_limit: float = 40.0) -> list:
+def grid_directions() -> list:
     """Azimuth/elevation grid mirroring the measurement geometry of the
     spatialized recordings (10-degree spacing, elevations within +/-40)."""
-    out = []
-    az = -180.0
-    while az < 180.0 - 1e-9:
-        el = -elevation_limit
-        while el <= elevation_limit + 1e-9:
-            out.append(Direction(az, el))
-            el += step_deg
-        az += step_deg
-    return out
+    limit = GRID_ELEVATION_LIMIT_DEG
+    return [Direction(az, el) for az in range(-180, 180, GRID_STEP_DEG)
+            for el in range(-limit, limit + 1, GRID_STEP_DEG)]
 
 
 def _orthonormal_tangent(unit, psi: float):

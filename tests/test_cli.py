@@ -1,5 +1,6 @@
 import codecs
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -96,6 +97,25 @@ class TestEvaluate:
         run(["evaluate", "--ref", ref_dir, "--pred", pred_dir, "--config", cfg,
              "--format", "json", "--out", out])
         assert json.loads(out.read_text())["config"]["thetas"] == [2.0]
+
+    @pytest.mark.parametrize("command", ["evaluate", "jackknife"])
+    def test_flags_and_config_file_give_the_same_bytes(self, corpus, tmp_path, command):
+        # whole numbers: the config file's once echoed as 1 and 60, the flags' as 1.0 and 60.0
+        ref_dir, _ = corpus
+        pred_dir = make_system(ref_dir, tmp_path / "pred1", PerturbationSpec(seed=1), hop=1.0)
+        settings = {"segment_length": 1, "duration": 60, "frame_hop": 1}
+        flag_argv = ["--segment", "1", "--duration", "60", "--hop", "1"]
+        if command == "jackknife":
+            settings["confidence"] = 0.9
+            flag_argv += ["--confidence", "0.9"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(settings))
+        argv = [command, "--ref", ref_dir, "--pred", pred_dir, "--format", "json", "--out"]
+        flags, config = tmp_path / "flags.json", tmp_path / "config.json"
+        assert run(argv + [flags, *flag_argv]) == 0
+        assert run(argv + [config, "--config", cfg]) == 0
+        assert flags.read_bytes() == config.read_bytes()
+        assert json.loads(config.read_text())["config"]["duration"] == 60.0
 
     def test_vocab_flag(self, corpus, tmp_path):
         ref_dir, pred_dir = corpus
@@ -518,8 +538,11 @@ class TestOutputBytes:
 
     The hashes were recorded before the renderers were merged into one
     path per command, the rank tables' again when their columns took the
-    width of their widest entry; any change to a table or log byte shows
-    here.
+    width of their widest entry, and the config-file case's again when a
+    config file's whole number (``"segment_length": 1``) came to echo as
+    the float a flag gives; any change to a table or log byte shows here.
+    Each table case is also rendered from the report that ``--format json``
+    prints, which must give the same bytes.
     """
 
     PINNED = {  # case: (sha256, argv)
@@ -528,7 +551,7 @@ class TestOutputBytes:
         "evaluate-settings": ("6721c8eab9787152786c5c070c9e20f87e4c448cafef55593e6bb0c45a6aafd2",
             ["evaluate", "--ref", "{ref}", "--pred", "{s1}", "--per-class", "--theta", "20",
              "--theta-class", "cat=45", "--loc-mode", "segment-mean", "--le-mode", "macro"]),
-        "evaluate-config-json": ("dfcbdb7b2c3d42b6b743304e7fe21ef41436d45521cdd01a35459553ca2bb885",
+        "evaluate-config-json": ("1f17a1674b9fd512dd72623c46b15b7952071b4d0b97751228fd403ac990c3fd",
             ["evaluate", "--ref", "{ref}", "--pred", "{s2}", "--config", "{cfg}", "--format",
              "json"]),
         "jackknife-per-class": ("e5107d2f2ad343ab9250744eb9b66d33172c3c12768276b79ed0952ed95798eb",
@@ -565,16 +588,42 @@ class TestOutputBytes:
                                             "confidence": 0.9, "jobs": 1}))
         return paths
 
+    TABLES = sorted(case for case, (_, argv) in PINNED.items()
+                    if argv[0] != "synth" and "--format" not in argv)
+
     @pytest.mark.parametrize("case", sorted(PINNED))
     def test_sha256(self, case, paths, capsys):
-        import hashlib
-
         expected, argv = self.PINNED[case]
         assert run([a.format(**paths) for a in argv]) == 0
         out = capsys.readouterr().out
         if case == "synth-log":
             out = (paths["synth"] / "injection_log.json").read_text(encoding="utf-8")
         assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+    @pytest.mark.parametrize("case", TABLES)
+    def test_table_renders_the_json_report(self, case, paths, monkeypatch, capsys):
+        # the report that --format json prints, as plain JSON data in the order
+        # it was built, rendered by its schema's table alone
+        expected, argv = self.PINNED[case]
+        dump, dumped = cli._dump_json, []
+        monkeypatch.setattr(cli, "_dump_json", lambda obj: dumped.append(obj) or dump(obj))
+        assert run([a.format(**paths) for a in argv] + ["--format", "json"]) == 0
+        report = json.loads(json.dumps(dumped.pop()))
+        assert dumped == [] and capsys.readouterr().out == dump(report)
+        table = "\n".join(cli._TABLES[report["schema"]](report)) + "\n"
+        assert hashlib.sha256(table.encode()).hexdigest() == expected
+
+    def test_json_format_renders_no_table(self, paths, monkeypatch, capsys):
+        rendered = []
+        for schema, render in list(cli._TABLES.items()):
+            monkeypatch.setitem(cli._TABLES, schema,
+                                lambda obj, render=render: rendered.append(obj) or render(obj))
+        for case in self.TABLES:
+            argv = [a.format(**paths) for a in self.PINNED[case][1]]
+            assert run(argv + ["--format", "json"]) == 0
+        assert rendered == []
+        assert run(argv) == 0  # the spies are the renderers main calls
+        assert len(rendered) == 1
 
 
 class TestProcessExit:

@@ -39,7 +39,7 @@ from hypothesis import strategies as st
 
 from seldeval import cli
 from seldeval.cli import main
-from seldeval.evaluation import EvaluationConfig
+from seldeval.evaluation import EvaluationConfig, correlation_metric_keys
 from seldeval.synth import MAX_INSERTIONS, PerturbationSpec
 
 # every key a config file may hold
@@ -558,7 +558,7 @@ def test_correlate_with_no_metric_defined_for_every_system(tmp_path, fmt):
         assert main(argv) == 0
     assert err.getvalue() == ""
     warnings = [f"metric {key!r} undefined for some system; skipped"
-                for key in cli.correlation_metric_keys(EvaluationConfig())]
+                for key in correlation_metric_keys(EvaluationConfig())]
     warnings.append("official cumulative rank undefined for some system; skipped")
     if fmt == "json":
         report = json.loads(out.getvalue())
