@@ -14,7 +14,10 @@ csv module's limit, 131,072 characters by default, is a `ParseError`.
 
 References are rasterized onto the frame grid (an event is active in
 frame ``l`` iff ``[l*hop, (l+1)*hop)`` intersects ``[onset, offset)``)
-so that both sides of the evaluation are frame streams.
+so that both sides of the evaluation are frame streams. An event has one
+row per frame it covers; a file whose events cover more than
+`MAX_REFERENCE_ROWS` (2**22) rows in all, or reach frame 2**63, is refused
+with `ReferenceTooLong` before any row is made, whatever the host's memory.
 
 `read_prediction_columns` parses the lines of a prediction file past its
 header, less its blank rows of only commas and ASCII whitespace, in one C
@@ -281,19 +284,34 @@ def frame_span(onset: float, offset: float, frame_hop: float):
     return max(first, 0), grid_frames(offset, frame_hop) - 1
 
 
+# Rows that the spans of one file may expand to: about 23 h of one source at a
+# 20 ms hop, and 268 MB at the peak of `expand_spans`, 64 B per row. A fixed
+# count, so that whether a file is refused does not depend on the host.
+MAX_REFERENCE_ROWS = 2 ** 22
+
+
+def span_rows(spans, frame_hop: float, name: str) -> int:
+    """The number of rows `expand_spans` makes of the (first, last) spans,
+    counted without making any. Spans that reach frame 2**63, or make more
+    than `MAX_REFERENCE_ROWS` rows, raise `ReferenceTooLong` naming `name`."""
+    rows = sum(max(last - first + 1, 0) for first, last in spans)
+    end = max([last + 1 for _, last in spans], default=0)
+    if end > 2 ** 63 or rows > MAX_REFERENCE_ROWS:
+        raise ReferenceTooLong(f"{name}: reference events cover {rows} frames, up to frame "
+                               f"{end - 1} at a {frame_hop} s hop; a file may hold "
+                               f"{MAX_REFERENCE_ROWS} rows, below frame 2**63")
+    return rows
+
+
 def expand_spans(spans, columns, frame_hop: float, name: str) -> tuple:
     """The frame index of every frame that each (first, last) span covers,
     and each array in `columns` (one entry per span) repeated to match,
     stable-sorted by frame, so that a frame's rows keep the spans' order.
 
-    Spans that reach frame 2**63, or rows that numpy cannot allocate,
+    Spans that `span_rows` refuses, or rows that numpy cannot allocate,
     raise `ReferenceTooLong` naming `name`.
     """
-    rows = sum(max(last - first + 1, 0) for first, last in spans)
-    end = max([last + 1 for _, last in spans], default=0)
-    if end > 2 ** 63 or rows >= 2 ** 63:
-        raise ReferenceTooLong(f"{name}: reference events cover {rows} frames, up to frame "
-                               f"{end - 1} at a {frame_hop} s hop; both must stay below 2**63")
+    rows = span_rows(spans, frame_hop, name)
     try:
         spans = np.array(spans, dtype=np.int64).reshape(-1, 2)
         count = np.maximum(spans[:, 1] - spans[:, 0] + 1, 0)

@@ -58,7 +58,7 @@ try:
     from collections import Counter
     from pathlib import Path
 
-    from .annotations import Vocabulary, expand_spans, frame_span, grid_frames, parse_reference
+    from .annotations import Vocabulary, frame_span, grid_frames, parse_reference, span_rows
     from .errors import ConfigError, GridOverflow, SeldEvalError
     from .evaluation import (
         LE_MODES,
@@ -325,8 +325,8 @@ def _synth(args, config, vocabulary, file_cfg: dict) -> None:
         if spec.insertion_rate > 0 and config.duration is None:
             # Insertions are drawn over the references' length: refuse a file
             # that serialize_prediction could not write before counting them.
-            expand_spans([frame_span(ev.onset, ev.offset, config.frame_hop) for ev in events],
-                         (), config.frame_hop, ref_path.name)
+            span_rows([frame_span(ev.onset, ev.offset, config.frame_hop) for ev in events],
+                      config.frame_hop, ref_path.name)
         file_spec = dataclasses.replace(spec, seed=spec.seed + index)
         try:
             perturbed, entries = perturb(events, file_spec, vocabulary, config.duration)

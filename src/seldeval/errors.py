@@ -41,8 +41,9 @@ class GridOverflow(SeldEvalError, ValueError):
 
 
 class ReferenceTooLong(SeldEvalError):
-    """A reference file reaches frame 2**63, or covers more frames than memory
-    holds; or the files of one evaluation cover 2**63 frames together."""
+    """A reference file reaches frame 2**63, or its events cover more than
+    `annotations.MAX_REFERENCE_ROWS` frames in all, or more than memory holds;
+    or the files of one evaluation cover 2**63 frames together."""
 
 
 class InvalidDirection(SeldEvalError, ValueError):

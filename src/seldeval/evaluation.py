@@ -47,8 +47,9 @@ it have scored.
 Only occupied frames are touched; empty frames and segments are counted
 arithmetically, so memory follows the rows, not the grid. A reference
 event has one row per frame it covers; a file whose events reach frame
-2**63, or whose rows numpy cannot allocate, is refused with
-`ReferenceTooLong`, and any file whose rows fit in memory is scored. The
+2**63, or have more than `annotations.MAX_REFERENCE_ROWS` rows, or whose rows
+numpy cannot allocate, is refused with `ReferenceTooLong`, and any other
+file is scored. The
 result equals the per-frame definition (`LocalizationAccumulator`,
 `segmentize`, `segment_class_counts`) bit for bit: distances and segment
 means come from `angles_between` and `mean_unit_vectors` (acos, asin and
@@ -105,8 +106,8 @@ from .annotations import (
 from .assignment import THRESHOLD_EPS, assign_batch, ragged_arange
 from .errors import ConfigError, DegenerateRanks, MissingPair, ReferenceTooLong, UndefinedPartial
 from .geometry import angles_between, mean_unit_vectors, sorted_unique
-from .stats import (JackknifeEstimate, RankTable, build_rank_table, jackknife_ci, rank_correlation,
-                    rank_moments)
+from .stats import (JackknifeEstimate, RankTable, build_rank_table, cumulative_rank, jackknife_ci,
+                    metric_ranks, rank_correlation, rank_moments)
 
 LOC_MODES = ("frame-average", "segment-mean")
 LE_MODES = ("micro", "macro")
@@ -301,10 +302,8 @@ def _pairs(pu, ru, bm, bn, lead) -> tuple:
     sm, sn = bm[new], bn[new]
     g = np.repeat(np.flatnonzero(new), sm * sn)
     e = ragged_arange(sm * sn)
-    group, _, _, d = assign_batch(angles_between(pu[(np.cumsum(bm) - bm)[g] + e // bn[g]],
-                                                 ru[(np.cumsum(bn) - bn)[g] + e % bn[g]]), sm, sn)
-    if new.all():  # no repeats: d is already in problem order
-        return group, d
+    *_, d = assign_batch(angles_between(pu[(np.cumsum(bm) - bm)[g] + e // bn[g]],
+                                        ru[(np.cumsum(bn) - bn)[g] + e % bn[g]]), sm, sn)
     k = np.minimum(bm, bn)
     first = np.cumsum(k[new]) - k[new]  # in d, of each solved problem
     # Pair r of problem q is pair r of its lead, the (cumsum(new) - 1)[lead[q]]-th
@@ -753,11 +752,10 @@ def correlate_systems(
     vocabulary: Vocabulary,
     config: EvaluationConfig,
 ) -> CorrelationResult:
-    """Spearman correlation matrix between the rankings of every metric.
-
-    Each metric's values are direction-adjusted so that the correlation
-    is between challenge-style rankings (rank 1 = best); the official
-    four-metric cumulative rank is included as the last column.
+    """Spearman correlation matrix between the challenge rankings of every
+    metric: each defined metric's column is its `metric_ranks` (rank 1 =
+    best), and the last, "official_rank", is the `cumulative_rank` of the
+    er, f1, le and ecr columns when all four are defined.
     """
     if len(systems) < 3:
         raise ConfigError("correlation needs at least three systems")
@@ -771,11 +769,9 @@ def correlate_systems(
         if any(v is None for v in vals):
             warnings.append(f"metric {key!r} undefined for some system; skipped")
             continue
-        columns[key] = [v if directions[key] is False else -v for v in vals]
-    official_vals = {k: values[k] for k in OFFICIAL_METRICS}
-    if all(v is not None for vals in official_vals.values() for v in vals):
-        table = build_rank_table(ids, official_vals, {k: directions[k] for k in OFFICIAL_METRICS})
-        columns["official_rank"] = list(table.final_ranks)
+        columns[key] = metric_ranks(vals, directions[key])
+    if all(k in columns for k in OFFICIAL_METRICS):
+        columns["official_rank"] = cumulative_rank([columns[k] for k in OFFICIAL_METRICS])[1]
     else:
         warnings.append("official cumulative rank undefined for some system; skipped")
 

@@ -214,8 +214,9 @@ def serialize_prediction(
     """Write the frames the events cover in the frame-level prediction
     format, the rows of a frame sorted by class index, then DoA: the rows
     of `rasterize(events, frame_hop, total_frames)`, without building the
-    frame grid. Events that reach frame 2**63, or
-    whose rows numpy cannot allocate, raise `ReferenceTooLong`."""
+    frame grid. Events that reach frame 2**63, or have more than
+    `annotations.MAX_REFERENCE_ROWS` rows, or whose rows numpy cannot
+    allocate, raise `ReferenceTooLong`."""
     if frame_hop <= 0:
         raise ConfigError(f"frame hop must be positive, got {frame_hop}")
     spans = [frame_span(ev.onset, ev.offset, frame_hop) for ev in events]

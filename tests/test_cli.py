@@ -467,6 +467,41 @@ class TestReferenceLength:
         assert err["error"] == "ReferenceTooLong"
         assert "long.csv" in err["message"]
 
+    @pytest.fixture
+    def bound(self, monkeypatch):
+        # a row bound of 1000, and every expansion of spans into rows recorded
+        from seldeval import annotations
+
+        expanded = []
+        ragged_arange = annotations.ragged_arange
+        monkeypatch.setattr(annotations, "MAX_REFERENCE_ROWS", 1000)
+        monkeypatch.setattr(annotations, "ragged_arange",
+                            lambda counts: expanded.append(counts) or ragged_arange(counts))
+        return expanded
+
+    @pytest.mark.parametrize("command", [["evaluate"], ["synth", "--insert-rate", "1"]])
+    def test_reference_over_row_bound_refused_unexpanded(self, tmp_path, capsys, bound, command):
+        ref_dir, pred_dir = self._write(tmp_path, "dog,0.0,30.0,10,0")  # 1500 rows
+        extra = ["--pred", pred_dir] if command[0] == "evaluate" else ["--out", tmp_path / "s"]
+        assert run(command + ["--ref", ref_dir, *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ReferenceTooLong"
+        assert "long.csv" in err["message"] and "1000 rows" in err["message"]
+        assert bound == []
+
+    def test_reference_at_row_bound_scores(self, tmp_path, capsys, bound):
+        ref_dir, pred_dir = self._write(tmp_path, "dog,0.0,20.0,10,0")  # 1000 rows
+        assert run(["evaluate", "--ref", ref_dir, "--pred", pred_dir, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["frames"] == 1000
+        assert [int(counts.sum()) for counts in bound] == [1000]
+
+    def test_synth_insertions_expand_only_the_written_file(self, tmp_path, capsys, bound):
+        ref_dir, _ = self._write(tmp_path, "dog,0.0,10.0,10,0")  # 500 rows, counted unexpanded
+        assert run(["synth", "--ref", ref_dir, "--out", tmp_path / "s", "--insert-rate", "1"]) == 0
+        assert len(bound) == 1
+
     def test_long_reference_still_scores(self, tmp_path, capsys):
         ref_dir, pred_dir = self._write(tmp_path, "dog,0.0,3600,10,0")  # 180000 frames
         assert run(["evaluate", "--ref", ref_dir, "--pred", pred_dir, "--format", "json"]) == 0

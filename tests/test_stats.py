@@ -346,6 +346,25 @@ class TestSpearman:
                 else:
                     assert rank_correlation(ma, mb).hex() == spearman(a, b).hex() == want.hex()
 
+    @given(st.integers(2, 10).flatmap(lambda n: st.lists(
+        st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, 1.5, -3.0, 1e-300]),
+                           st.floats(allow_nan=False)), min_size=n, max_size=n),
+        min_size=4, max_size=4)), st.lists(st.booleans(), min_size=4, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_metric_ranks_correlate_as_direction_adjusted_values(self, columns, higher):
+        # correlate_systems correlates metric_ranks columns and their cumulative rank
+        def bits(moments):
+            return [x.hex() for x in moments[0]], moments[1].hex()
+
+        for vals, hb in zip(columns, higher):
+            adjusted = [-v if hb else v for v in vals]
+            assert bits(rank_moments(metric_ranks(vals, hb))) == bits(rank_moments(adjusted))
+        official = dict(zip(("er", "f1", "le", "ecr"), columns))
+        directions = dict(zip(official, higher))
+        final = cumulative_rank([metric_ranks(official[k], directions[k]) for k in official])[1]
+        table = build_rank_table(["s"] * len(columns[0]), official, directions)
+        assert [x.hex() for x in final] == [x.hex() for x in table.final_ranks]
+
     def test_identical_rankings(self):
         assert spearman([1, 2, 3, 4], [10, 20, 30, 40]) == pytest.approx(1.0)
 
