@@ -16,8 +16,13 @@ References are rasterized onto the frame grid (an event is active in
 frame ``l`` iff ``[l*hop, (l+1)*hop)`` intersects ``[onset, offset)``)
 so that both sides of the evaluation are frame streams. An event has one
 row per frame it covers; a file whose events cover more than
-`MAX_REFERENCE_ROWS` (2**22) rows in all, or reach frame 2**63, is refused
-with `ReferenceTooLong` before any row is made, whatever the host's memory.
+`MAX_REFERENCE_ROWS` (2**22) rows in all is refused with `ReferenceTooLong`
+before any row is made, whatever the host's memory.
+
+A file's grid holds at most `MAX_FRAMES` (2**31) frames: a prediction frame
+at or above it is a `ParseError`, a reference ending past it is
+`ReferenceTooLong`, and a duration or segment of more frames is a
+`ConfigError`. Then int64 frame counts over fewer than 2**31 files cannot wrap.
 
 `read_prediction_columns` parses the lines of a prediction file past its
 header, less its blank rows of only commas and ASCII whitespace, in one C
@@ -46,6 +51,9 @@ from .geometry import Direction, unit_vectors
 # Snap tolerance, in frame units, for onset/offset landing on a frame
 # boundary up to float rounding.
 _GRID_EPS = 1e-9
+# The frames a file's grid may hold, 1.36 years at a 20 ms hop. Rounded up to whole
+# segments, a grid stays below 2**32, so sums over < 2**31 files stay below 2**63.
+MAX_FRAMES = 2 ** 31
 _PRED_COLUMNS = np.dtype([("frame", np.int64), ("cls", np.int64), ("az", float), ("el", float)])
 
 
@@ -212,8 +220,8 @@ def _prediction_rows(text: str, path, vocabulary: Vocabulary):
             raise ParseError(f"cannot parse frame/class index from {row!r}", path, lineno) from None
         if frame < 0:
             raise ParseError(f"negative frame index {frame}", path, lineno)
-        if frame >= 2 ** 63:
-            raise ParseError(f"frame index {frame} exceeds int64", path, lineno)
+        if frame >= MAX_FRAMES:
+            raise ParseError(f"frame index {frame} is not below {MAX_FRAMES}", path, lineno)
         if not 0 <= class_index < len(vocabulary):
             raise UnknownClass(f"class index {class_index} outside vocabulary of size "
                                f"{len(vocabulary)} ({path}:{lineno})")
@@ -236,25 +244,29 @@ def parse_prediction(path, vocabulary: Vocabulary, frame_hop: float = 0.02) -> l
 
 def read_prediction_columns(path, vocabulary: Vocabulary) -> tuple:
     """Frame index, class index and unit-vector arrays, one row per
-    prediction, in file order."""
-    text = _read_text(path)
-    try:  # the lines past the header, less those of only commas and whitespace: blank rows
-        lines = [line for line in text[next(_records(text, path, (4,), 0), 0):].split("\n")
-                 if line.strip(" \t\r\f\v,")]
-        rows = np.loadtxt(lines, delimiter=",", dtype=_PRED_COLUMNS, comments=None,
-                          ndmin=1) if lines else None
-    except (ValueError, ParseError):
-        rows = None
-    if rows is not None and (
-            rows["frame"].min() >= 0 and rows["cls"].min() >= 0
-            and rows["cls"].max() < len(vocabulary)
-            and np.isfinite(rows["az"]).all()
-            and np.abs(rows["el"]).max() <= 90.0):  # NaN fails this too
-        return rows["frame"], rows["cls"], unit_vectors(rows["az"], rows["el"])
-    rows = list(_prediction_rows(text, path, vocabulary))
-    frame, cls, direction = zip(*rows) if rows else ((), (), ())
-    return (np.array(frame, dtype=np.int64), np.array(cls, dtype=np.int64),
-            np.array([d.unit for d in direction], dtype=float).reshape(-1, 3))
+    prediction, in file order. A file whose text or rows numpy cannot
+    allocate raises `ParseError` naming it."""
+    try:
+        text = _read_text(path)
+        try:  # the lines past the header, less those of only commas and whitespace: blank rows
+            lines = [line for line in text[next(_records(text, path, (4,), 0), 0):].split("\n")
+                     if line.strip(" \t\r\f\v,")]
+            rows = np.loadtxt(lines, delimiter=",", dtype=_PRED_COLUMNS, comments=None,
+                              ndmin=1) if lines else None
+        except (ValueError, ParseError):
+            rows = None
+        if rows is not None and (
+                rows["frame"].min() >= 0 and rows["frame"].max() < MAX_FRAMES
+                and rows["cls"].min() >= 0 and rows["cls"].max() < len(vocabulary)
+                and np.isfinite(rows["az"]).all()
+                and np.abs(rows["el"]).max() <= 90.0):  # NaN fails this too
+            return rows["frame"], rows["cls"], unit_vectors(rows["az"], rows["el"])
+        rows = list(_prediction_rows(text, path, vocabulary))
+        frame, cls, direction = zip(*rows) if rows else ((), (), ())
+        return (np.array(frame, dtype=np.int64), np.array(cls, dtype=np.int64),
+                np.array([d.unit for d in direction], dtype=float).reshape(-1, 3))
+    except MemoryError:
+        raise ParseError("more prediction rows than memory holds", path) from None
 
 
 def write_reference(path, events: Iterable[EventRecord]) -> None:
@@ -292,14 +304,14 @@ MAX_REFERENCE_ROWS = 2 ** 22
 
 def span_rows(spans, frame_hop: float, name: str) -> int:
     """The number of rows `expand_spans` makes of the (first, last) spans,
-    counted without making any. Spans that reach frame 2**63, or make more
+    counted without making any. Spans past frame `MAX_FRAMES` - 1, or of more
     than `MAX_REFERENCE_ROWS` rows, raise `ReferenceTooLong` naming `name`."""
     rows = sum(max(last - first + 1, 0) for first, last in spans)
     end = max([last + 1 for _, last in spans], default=0)
-    if end > 2 ** 63 or rows > MAX_REFERENCE_ROWS:
-        raise ReferenceTooLong(f"{name}: reference events cover {rows} frames, up to frame "
-                               f"{end - 1} at a {frame_hop} s hop; a file may hold "
-                               f"{MAX_REFERENCE_ROWS} rows, below frame 2**63")
+    if end > MAX_FRAMES or rows > MAX_REFERENCE_ROWS:
+        raise ReferenceTooLong(f"{name}: events cover {rows} frames, up to frame {end - 1} at a "
+                               f"{frame_hop} s hop; a file may hold {MAX_REFERENCE_ROWS} rows, "
+                               f"below frame {MAX_FRAMES}")
     return rows
 
 
@@ -321,8 +333,8 @@ def expand_spans(spans, columns, frame_hop: float, name: str) -> tuple:
         ev = ev[order]
         return (frame[order], *(col[ev] for col in columns))
     except MemoryError:
-        raise ReferenceTooLong(f"{name}: reference events cover {rows} frames at a "
-                               f"{frame_hop} s hop, more rows than memory holds") from None
+        raise ReferenceTooLong(f"{name}: events cover {rows} frames at a {frame_hop} s hop, "
+                               "more rows than memory holds") from None
 
 
 def rasterize(events: Sequence[EventRecord], frame_hop: float, total_frames: int) -> list:
@@ -358,9 +370,9 @@ def frames_per_segment(segment_length: float, frame_hop: float) -> int:
         raise ConfigError(
             f"segment length {segment_length} is not a multiple of the frame hop {frame_hop}"
         )
-    if spf >= 2 ** 63:  # segment indices and frame offsets are int64
-        raise ConfigError(f"segment length {segment_length} s holds 2**63 frames or more at a "
-                          f"{frame_hop} s hop")
+    if spf > MAX_FRAMES:
+        raise ConfigError(f"segment length {segment_length} s holds more than {MAX_FRAMES} "
+                          f"frames at a {frame_hop} s hop")
     return spf
 
 

@@ -322,21 +322,21 @@ def _synth(args, config, vocabulary, file_cfg: dict) -> None:
     log = {"schema": INJECTION_SCHEMA, "seed": settings.pop("seed"), "spec": settings, "files": {}}
     for index, ref_path in enumerate(refs):
         events = parse_reference(ref_path, vocabulary)
-        if spec.insertion_rate > 0 and config.duration is None:
-            # Insertions are drawn over the references' length: refuse a file
-            # that serialize_prediction could not write before counting them.
-            span_rows([frame_span(ev.onset, ev.offset, config.frame_hop) for ev in events],
-                      config.frame_hop, ref_path.name)
+        # A reference too long to score is refused as such, before insertions
+        # are drawn over its length; one that fits can fail only through them.
+        span_rows([frame_span(ev.onset, ev.offset, config.frame_hop) for ev in events],
+                  config.frame_hop, ref_path.name)
         file_spec = dataclasses.replace(spec, seed=spec.seed + index)
         try:
             perturbed, entries = perturb(events, file_spec, vocabulary, config.duration)
+        except ConfigError as exc:  # too many insertions expected
+            raise ConfigError(f"{ref_path}: {exc}") from None
+        try:  # a prediction too long to write names its own file
             serialize_prediction(
                 perturbed, config.frame_hop, vocabulary, out_dir / ref_path.name, total_frames
             )
         except GridOverflow as exc:
             raise ConfigError(f"{ref_path}: {exc} (--duration {config.duration} s)") from None
-        except ConfigError as exc:  # too many insertions expected
-            raise ConfigError(f"{ref_path}: {exc}") from None
         log["files"][ref_path.name] = {"seed": file_spec.seed, "injections": entries}
     (out_dir / "injection_log.json").write_text(_dump_json(log), encoding="utf-8")
     sys.stdout.write(

@@ -41,9 +41,8 @@ class GridOverflow(SeldEvalError, ValueError):
 
 
 class ReferenceTooLong(SeldEvalError):
-    """A reference file reaches frame 2**63, or its events cover more than
-    `annotations.MAX_REFERENCE_ROWS` frames in all, or more than memory holds;
-    or the files of one evaluation cover 2**63 frames together."""
+    """A reference file ends past frame `annotations.MAX_FRAMES` - 1, or its events
+    cover more than `annotations.MAX_REFERENCE_ROWS` frames, or than memory holds."""
 
 
 class InvalidDirection(SeldEvalError, ValueError):

@@ -27,10 +27,10 @@ one-pair result.
 
 `_score_pairs` reads a list of pairs in order and scores them in
 batches of at most `MAX_BATCH_ROWS` rows; a larger pair is scored alone,
-a batch whose offset grids would reach frame 2**63 is closed first, and
-a full batch is scored before the next pair is read. The batch core
-raises no error, so the first error is the one that reading the pairs
-one after another raises.
+and a full batch is scored before the next pair is read: each file's grid
+holds at most `annotations.MAX_FRAMES` frames, so no int64 frame offset or
+sum wraps for fewer than 2**31 files. The batch core raises no error, so
+the first error is the one that reading the pairs one after another raises.
 
 A command scores its file pairs as one list, `_evaluate_systems`: every
 system's pairs are looked up first and listed reference by reference,
@@ -46,10 +46,7 @@ it have scored.
 
 Only occupied frames are touched; empty frames and segments are counted
 arithmetically, so memory follows the rows, not the grid. A reference
-event has one row per frame it covers; a file whose events reach frame
-2**63, or have more than `annotations.MAX_REFERENCE_ROWS` rows, or whose rows
-numpy cannot allocate, is refused with `ReferenceTooLong`, and any other
-file is scored. The
+event has one row per frame it covers (`annotations.expand_spans`). The
 result equals the per-frame definition (`LocalizationAccumulator`,
 `segmentize`, `segment_class_counts`) bit for bit: distances and segment
 means come from `angles_between` and `mean_unit_vectors` (acos, asin and
@@ -88,6 +85,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -95,6 +93,7 @@ from typing import Sequence
 import numpy as np
 
 from .annotations import (
+    MAX_FRAMES,
     Vocabulary,
     expand_spans,
     frame_span,
@@ -104,7 +103,7 @@ from .annotations import (
     read_prediction_columns,
 )
 from .assignment import THRESHOLD_EPS, assign_batch, ragged_arange
-from .errors import ConfigError, DegenerateRanks, MissingPair, ReferenceTooLong, UndefinedPartial
+from .errors import ConfigError, DegenerateRanks, MissingPair, UndefinedPartial
 from .geometry import angles_between, mean_unit_vectors, sorted_unique
 from .stats import (JackknifeEstimate, RankTable, build_rank_table, cumulative_rank, jackknife_ci,
                     metric_ranks, rank_correlation, rank_moments)
@@ -150,12 +149,11 @@ class EvaluationConfig:
             raise ConfigError(f"LE mode must be one of {LE_MODES}")
         if not 0.0 < self.confidence < 1.0:
             raise ConfigError(f"confidence must be in (0, 1), got {self.confidence}")
-        if self.duration is not None and self.duration <= 0:
-            raise ConfigError(f"duration must be positive, got {self.duration}")
-        # the frame grid's length, as score_file takes it, must stay below 2**63
-        if self.duration is not None and not self.duration / self.frame_hop < 2 ** 63:
-            raise ConfigError(f"duration {self.duration} s is not finite or reaches frame "
-                              f"2**63 at a {self.frame_hop} s hop")
+        if self.duration is not None and not (
+                self.duration > 0 and math.isfinite(self.duration / self.frame_hop)
+                and grid_frames(self.duration, self.frame_hop) <= MAX_FRAMES):
+            raise ConfigError(f"duration must be positive and hold at most {MAX_FRAMES} frames "
+                              f"at a {self.frame_hop} s hop, got {self.duration}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
 
@@ -238,9 +236,6 @@ class FileContribution:
             a = getattr(self, f.name)
             b = getattr(other, f.name)
             setattr(out, f.name, a + b if sign > 0 else a - b)
-        if out.frames >= 2 ** 63:  # loc_eq_t counts frames in int64 and would have wrapped
-            raise ReferenceTooLong(f"the files together cover {out.frames} frames, "
-                                   "which reaches 2**63")
         out.warnings = (self.warnings + other.warnings if sign > 0
                         else tuple(w for w in self.warnings if w not in other.warnings))
         return out
@@ -360,8 +355,8 @@ def score_batch(pairs: Sequence, vocabulary: Vocabulary, config: EvaluationConfi
     Each file's frames are offset by the grids of the files before it, each
     rounded up to whole segments, so that no association problem, (frame,
     class) slice or segment spans two files. Each file's sums are split
-    from the batch's with `np.bincount` over a file index. The grids must
-    end before frame 2**63."""
+    from the batch's with `np.bincount` over a file index. Each grid holds
+    at most `annotations.MAX_FRAMES` frames; the batch has fewer than 2**31."""
     n_cls, n_files, n_t = len(vocabulary), len(pairs), len(config.thetas)
     spf = frames_per_segment(config.segment_length, config.frame_hop)
     names, grids, ref_sides, pred_sides = zip(*pairs)
@@ -514,24 +509,22 @@ def _score_pairs(pairs: Sequence, vocabulary: Vocabulary, config: EvaluationConf
     order. The pairs are read in order by `read_pair`, each reference once
     when its pairs come one after another: only the current reference's
     rows are kept, for its later pairs. They are scored by `score_batch` in
-    batches of at most MAX_BATCH_ROWS rows, a larger pair alone, whose
-    grids rounded up to whole segments end before frame 2**63. A full batch
-    is scored before the next pair is read."""
-    spf = frames_per_segment(config.segment_length, config.frame_hop)
-    references, out, batch, rows, grid = {}, [], [], 0, 0
+    batches of at most MAX_BATCH_ROWS rows, a larger pair alone, and a full
+    batch is scored before the next pair is read."""
+    references, out, batch, rows = {}, [], [], 0
     for ref_path, pred_path in pairs:
         if ref_path not in references:
             references.clear()  # the pairs on the reference before are all read
         pair = read_pair(ref_path, pred_path, vocabulary, config, references)
-        frames, size = pair[1], len(pair[2][0]) + len(pair[3][0])
-        if batch and (rows + size > MAX_BATCH_ROWS or grid + frames >= 2 ** 63):
+        size = len(pair[2][0]) + len(pair[3][0])
+        if batch and rows + size > MAX_BATCH_ROWS:
             out += score_batch(batch, vocabulary, config)
-            batch, rows, grid = [], 0, 0
+            batch, rows = [], 0
         batch.append(pair)
-        rows, grid = rows + size, grid + -(-frames // spf) * spf
+        rows += size
         if rows >= MAX_BATCH_ROWS:
             out += score_batch(batch, vocabulary, config)
-            batch, rows, grid = [], 0, 0
+            batch, rows = [], 0
     return out + (score_batch(batch, vocabulary, config) if batch else [])
 
 

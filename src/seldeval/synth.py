@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .annotations import EventRecord, Vocabulary, expand_spans, frame_span, write_prediction_rows
-from .errors import ConfigError, GridOverflow
+from .errors import ConfigError, GridOverflow, ReferenceTooLong
 from .geometry import Direction
 
 # The most insertions one file may expect; each one is drawn and logged in turn.
@@ -214,9 +213,9 @@ def serialize_prediction(
     """Write the frames the events cover in the frame-level prediction
     format, the rows of a frame sorted by class index, then DoA: the rows
     of `rasterize(events, frame_hop, total_frames)`, without building the
-    frame grid. Events that reach frame 2**63, or have more than
-    `annotations.MAX_REFERENCE_ROWS` rows, or whose rows numpy cannot
-    allocate, raise `ReferenceTooLong`."""
+    frame grid. Events that `expand_spans` refuses for a reference (past frame
+    `annotations.MAX_FRAMES` - 1, more than `annotations.MAX_REFERENCE_ROWS`
+    rows, or more than memory holds) raise `ConfigError` naming `path`."""
     if frame_hop <= 0:
         raise ConfigError(f"frame hop must be positive, got {frame_hop}")
     spans = [frame_span(ev.onset, ev.offset, frame_hop) for ev in events]
@@ -227,7 +226,10 @@ def serialize_prediction(
     columns = (np.array([vocabulary.index(ev.label) for ev in events], dtype=np.int64),
                np.array([ev.direction.azimuth for ev in events], dtype=float),
                np.array([ev.direction.elevation for ev in events], dtype=float))
-    rows = expand_spans(spans, columns, frame_hop, Path(path).name)
+    try:
+        rows = expand_spans(spans, columns, frame_hop, f"prediction {path}")
+    except ReferenceTooLong as exc:  # the file to write, not a reference, is too long
+        raise ConfigError(str(exc)) from None
     order = np.lexsort(rows[::-1])  # stable: equal rows keep the events' order
     try:
         write_prediction_rows(path, zip(*(col[order].tolist() for col in rows)))

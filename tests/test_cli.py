@@ -6,7 +6,7 @@ import json
 import pytest
 
 from seldeval import cli
-from seldeval.annotations import Vocabulary
+from seldeval.annotations import MAX_FRAMES, Vocabulary
 from seldeval.cli import main
 from seldeval.evaluation import EvaluationConfig
 from seldeval.stats import build_rank_table
@@ -497,6 +497,35 @@ class TestReferenceLength:
         assert json.loads(capsys.readouterr().out)["frames"] == 1000
         assert [int(counts.sum()) for counts in bound] == [1000]
 
+    def test_synth_insertions_past_the_row_bound_name_the_prediction(self, tmp_path, capsys,
+                                                                      bound):
+        # the reference's 1,000 rows fit; those that its insertions add do not
+        ref_dir, _ = self._write(tmp_path, "dog,0.0,20.0,10,0")
+        out = tmp_path / "out"
+        assert run(["synth", "--ref", ref_dir, "--out", out, "--insert-rate", "30"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(f"prediction {out / 'long.csv'}: events cover ")
+        assert "1000 rows" in err["message"]
+        assert not (out / "long.csv").exists()
+
+    @pytest.mark.parametrize("row, code", [
+        ("dog,42949672.94,42949672.96,10,0", 0),   # ends in frame MAX_FRAMES - 1
+        ("dog,42949672.96,42949672.98,10,0", 1),   # frame MAX_FRAMES alone
+    ])
+    def test_reference_ending_at_the_frame_bound(self, tmp_path, capsys, row, code):
+        ref_dir, pred_dir = self._write(tmp_path, row)
+        assert run(["evaluate", "--ref", ref_dir, "--pred", pred_dir, "--format", "json"]) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert json.loads(captured.out)["frames"] == MAX_FRAMES
+        else:
+            err = json.loads(captured.err)
+            assert err["error"] == "ReferenceTooLong"
+            assert f"long.csv: events cover 1 frames, up to frame {MAX_FRAMES} " in err["message"]
+
     def test_synth_insertions_expand_only_the_written_file(self, tmp_path, capsys, bound):
         ref_dir, _ = self._write(tmp_path, "dog,0.0,10.0,10,0")  # 500 rows, counted unexpanded
         assert run(["synth", "--ref", ref_dir, "--out", tmp_path / "s", "--insert-rate", "1"]) == 0
@@ -508,6 +537,30 @@ class TestReferenceLength:
         report = json.loads(capsys.readouterr().out)
         assert report["frames"] == 180_000
         assert report["metrics"]["lr"] == pytest.approx(1 / 180_000)
+
+
+@pytest.mark.parametrize("where", ["loadtxt", "text"])
+def test_prediction_out_of_memory_error_json(corpus, capsys, monkeypatch, where):
+    # once a MemoryError traceback out of main
+    from seldeval import annotations
+
+    ref_dir, pred_dir = corpus
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    if where == "loadtxt":
+        monkeypatch.setattr(annotations.np, "loadtxt", no_memory)
+    else:
+        read_text = annotations._read_text
+        monkeypatch.setattr(annotations, "_read_text", lambda path: no_memory()
+                            if path.parent == pred_dir else read_text(path))
+    assert run(["evaluate", "--ref", ref_dir, "--pred", pred_dir]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "ParseError",
+        "message": f"more prediction rows than memory holds [{pred_dir / 'scene_000.csv'}]"}
 
 
 class TestUsageErrors:
@@ -540,17 +593,22 @@ class TestUsageErrors:
             assert f"{MAX_INSERTIONS:,}" in " ".join(text.split())
 
 
+# one hop past the bound of MAX_FRAMES frames at the default 0.02 s hop
+PAST_THE_BOUND = repr((MAX_FRAMES + 1) * 0.02)
+
+
 class TestDuration:
-    # each was once a traceback: OverflowError, ValueError, or numpy's `lam value too large`
-    @pytest.mark.parametrize("value", ["1e20", "1e30", "inf", "nan"])
+    # each was once a traceback: OverflowError, ValueError, or numpy's `lam value too large`;
+    # a grid one frame past the bound was once scored
+    @pytest.mark.parametrize("value", ["1e20", "1e30", "inf", "nan", PAST_THE_BOUND])
     def test_evaluate_unusable_duration_error_json(self, corpus, capsys, value):
         ref_dir, pred_dir = corpus
         assert run(["evaluate", "--ref", ref_dir, "--pred", pred_dir, "--duration", value]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
-        assert "2**63" in err["message"]
+        assert f"at most {MAX_FRAMES} frames" in err["message"]
 
-    @pytest.mark.parametrize("value", ["1e20", "1e30", "inf", "nan"])
+    @pytest.mark.parametrize("value", ["1e20", "1e30", "inf", "nan", PAST_THE_BOUND])
     def test_synth_unusable_duration_error_json(self, tmp_path, capsys, value):
         ref_dir = make_corpus(tmp_path / "ref", VOCAB, 1, 4, seed=35)
         code = run(["synth", "--ref", ref_dir, "--out", tmp_path / "synth",

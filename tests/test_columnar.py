@@ -16,9 +16,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seldeval.annotations import EventRecord, Vocabulary, parse_prediction, read_prediction_columns, write_reference
+from seldeval.annotations import (MAX_FRAMES, EventRecord, Vocabulary, parse_prediction,
+                                  read_prediction_columns, write_reference)
 from seldeval import annotations, assignment, evaluation
 from seldeval.assignment import CHUNK_TOTALS, DistanceMatrix, assign_batch, hungarian
+from seldeval.errors import ParseError
 from seldeval.evaluation import EvaluationConfig, FileContribution, evaluate_directory, score_file
 from seldeval.geometry import Direction, angles_between, angular_distance, unit_vectors
 from scalar_oracle import score_file_oracle
@@ -318,13 +320,18 @@ class TestBatchEqualsOnePairAtATime:
             evaluation._score_pairs(paths, VOCAB, EvaluationConfig())
         assert "".join(log) == steps
 
-    @pytest.mark.parametrize("duration, sizes", [(9.2e16, [2]), (1e17, [1, 1])])
-    def test_grids_reaching_2_63_split_the_batch(self, duration, sizes):
-        # 4.6e18 frames each fit twice below frame 2**63; 5e18 frames do not
-        config = EvaluationConfig(duration=duration)
+    @pytest.mark.parametrize("cap, sizes", [(evaluation.MAX_BATCH_ROWS, [4]), (800, [2, 2])],
+                             ids=["one-batch", "row-cap"])
+    def test_max_frame_grids_batch_by_rows(self, monkeypatch, cap, sizes):
+        # four grids of MAX_FRAMES frames share a batch, offset up to about frame 3 * 2**31;
+        # only the rows close one
+        config = EvaluationConfig(duration=MAX_FRAMES * 0.02)
+        monkeypatch.setattr(evaluation, "MAX_BATCH_ROWS", cap)
         with tempfile.TemporaryDirectory() as tmp:
-            paths = write_scenes(Path(tmp), [CASES["tie_2x2"]] * 2)
+            paths = write_scenes(Path(tmp), [STATIC] * 4)
             assert batch_sizes(paths, config) == sizes
+        for got in assert_batch_equals_one_pair_at_a_time([STATIC] * 4, config, cap):
+            assert got.frames == MAX_FRAMES
 
 
 class TestSubtractionAndWarnings:
@@ -425,7 +432,7 @@ class TestPredictionColumns:
     @pytest.mark.parametrize("head", ["frame,class,az,el\n", "\n \nframe,class,az,el\n",
                                       '"frame\n",class,az,el\r\n', "\ufeff frame , class,az,el\n"])
     def test_header_files_take_the_fast_path(self, tmp_path, monkeypatch, head):
-        body = "3,1,10.5,-20\n0,0,-190,90\n\n9223372036854775807,2,359.9,0\n1,0,0,-0.0\n"
+        body = f"3,1,10.5,-20\n0,0,-190,90\n\n{MAX_FRAMES - 1},2,359.9,0\n1,0,0,-0.0\n"
         plain, header = tmp_path / "plain.csv", tmp_path / "header.csv"
         plain.write_text(body)
         header.write_text(head + body, encoding="utf-8")
@@ -436,7 +443,25 @@ class TestPredictionColumns:
         want = read_prediction_columns(plain, VOCAB)
         for x, y in zip(read_prediction_columns(header, VOCAB), want):
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
-        assert want[0].tolist() == [3, 0, 2 ** 63 - 1, 1]
+        assert want[0].tolist() == [3, 0, MAX_FRAMES - 1, 1]
+
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["fast", "per-row"])
+    def test_frame_bound_on_both_paths(self, tmp_path, monkeypatch, quote):
+        # np.loadtxt refuses a quoted field, so the per-row parser reads those files
+        read = []
+        per_row = annotations._prediction_rows
+        monkeypatch.setattr(annotations, "_prediction_rows",
+                            lambda text, path, vocabulary: read.append(path) or per_row(
+                                text, path, vocabulary))
+        ref, last, over = (tmp_path / name for name in ("ref.csv", "last.csv", "over.csv"))
+        write_reference(ref, [EventRecord("dog", 0.0, 1.0, Direction(10, 0))])
+        last.write_text(f"0,0,10,0\n{quote}{MAX_FRAMES - 1}{quote},1,20,0\n")
+        over.write_text(f"0,0,10,0\n{quote}{MAX_FRAMES}{quote},1,20,0\n")
+        got = score_file(ref, last, VOCAB, EvaluationConfig())
+        assert (got.frames, got.det_fp) == (MAX_FRAMES, 1)
+        with pytest.raises(ParseError, match=re.escape(f"not below {MAX_FRAMES} [{over}:2]")):
+            read_prediction_columns(over, VOCAB)
+        assert read == ([last, over] if quote else [over])
 
     def test_quoted_first_row_is_data(self, tmp_path):
         # the csv module reads "0" as 0, so the row is data; np.loadtxt refuses the
@@ -451,7 +476,8 @@ class TestPredictionColumns:
 
     @pytest.mark.parametrize("text", ["", "\n\n", "0,0,0,0\n0,5,0,0\n", "0,0,nan,0\n",
                                       "0,0,0,91\n", "1.0,0,0,0\n", f"{2 ** 63},0,0,0\n",
-                                      f"{2 ** 63 - 1},0,0,0\n",
+                                      f"{2 ** 63 - 1},0,0,0\n", f"{MAX_FRAMES - 1},0,0,0\n",
+                                      f"{MAX_FRAMES},0,0,0\n",
                                       # a quoted blank row is skipped, a quoted quote is one field;
                                       # np.loadtxt refuses both, and the per-row parser reads them
                                       '0,0,10,0\n"",""\n1,0,20,0\n', '0,0,10,0\n""""\n'])

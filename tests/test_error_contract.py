@@ -16,7 +16,7 @@ after the system's id where there are several; `synth` refuses at once a
 file expecting more than `synth.MAX_INSERTIONS` insertions. A setting given
 twice, by two flags or by a key repeated in a config file's object, is
 refused too, as is every single-valued flag given twice, as are a negative `synth` seed (before `--out` is made) and a
-segment of 2**63 frames or more; `correlate` with no metric defined for
+segment of more than `annotations.MAX_FRAMES` frames; `correlate` with no metric defined for
 every system still reports, with its warnings. A prediction class index
 outside the vocabulary is refused naming its file and line.
 """
@@ -38,8 +38,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seldeval import cli
+from seldeval.annotations import MAX_FRAMES, Vocabulary
 from seldeval.cli import main
-from seldeval.evaluation import EvaluationConfig, correlation_metric_keys
+from seldeval.evaluation import EvaluationConfig, correlation_metric_keys, evaluate_directory
 from seldeval.synth import MAX_INSERTIONS, PerturbationSpec
 
 # every key a config file may hold
@@ -81,6 +82,10 @@ def ref_row(label=st.just("dog"), onset=st.just("0.0"), offset=st.just("1.0"),
     return st.tuples(label, onset, offset, az, el).map(",".join)
 
 
+# An event of one or two frames that ends past frame MAX_FRAMES - 1 at a 0.02 s hop.
+past_the_grid = st.floats(min_value=(MAX_FRAMES + 1) * 0.02, max_value=1e300).flatmap(
+    lambda t: ref_row(onset=st.just(repr(math.nextafter(t, 0))), offset=st.just(repr(t))))
+
 bad_reference_rows = st.one_of(
     wrong_width((5, 6)),
     ref_row(label=garbage),
@@ -92,8 +97,7 @@ bad_reference_rows = st.one_of(
     ref_row(onset=st.floats(min_value=-1e9, max_value=-1e-9).map(repr)),
     offsets.flatmap(lambda t: ref_row(onset=st.just(repr(t)),
                                       offset=st.floats(0.0, t).map(repr))),
-    # reaches past frame 2**63 at a 0.02 s hop
-    ref_row(offset=st.floats(min_value=1e18, max_value=1e300).map(repr)),
+    past_the_grid,
     ref_row(label=overlong),
     undecodable(REF_ROW),
 )
@@ -106,7 +110,7 @@ def pred_row(frame=st.just("1"), cls=st.just("0"), az=st.just("10.0"), el=st.jus
 bad_prediction_rows = st.one_of(
     wrong_width((4,)),
     pred_row(frame=garbage | st.integers(max_value=-1).map(str) | st.just("1.5")
-             | st.integers(min_value=2 ** 63).map(str)),
+             | st.integers(min_value=MAX_FRAMES).map(str)),
     pred_row(cls=garbage | st.integers(max_value=-1).map(str)
              | st.integers(min_value=2).map(str)),
     pred_row(az=bad_number),
@@ -133,9 +137,10 @@ bad_configs = st.one_of(
     setting("loc_mode", st.text().filter(lambda t: t not in ("frame-average", "segment-mean"))),
     setting("le_mode", st.text().filter(lambda t: t not in ("micro", "macro"))),
     setting("confidence", st.floats(max_value=0.0) | st.floats(min_value=1.0)),
-    # not positive, not finite, or a grid reaching frame 2**63 at the default 0.02 s hop
+    # not positive, not finite, or a grid of more than MAX_FRAMES frames at a 0.02 s hop
     setting("duration", st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf])
-            | st.floats(min_value=2 ** 63 * 0.02) | st.integers(min_value=2 ** 63 // 50 + 1)),
+            | st.floats(min_value=(MAX_FRAMES + 1) * 0.02)
+            | st.integers(min_value=MAX_FRAMES // 50 + 1)),
     setting("jobs", st.integers(max_value=0) | garbage),
     undecodable('{"thetas": [10.0]}'),
     # a key that names no setting, or a value of a JSON type its setting does not take
@@ -259,8 +264,7 @@ def test_config_naming_every_setting_accepted():
         assert run_in_corpus(command, ref=cat, config=json.dumps(config)) == (0, ""), command
 
 
-@given(st.floats(min_value=0.01, max_value=60.0),
-       ref_row(offset=st.floats(min_value=1e18, max_value=1e300).map(repr)))
+@given(st.floats(min_value=0.01, max_value=60.0), past_the_grid)
 @settings(max_examples=50, deadline=None)
 def test_synth_insertions_over_long_reference(rate, row):
     # insertions are drawn over the reference's length, so it is checked first
@@ -269,16 +273,28 @@ def test_synth_insertions_over_long_reference(rate, row):
     assert json.loads(err)["error"] == "ReferenceTooLong"
 
 
-def test_merged_frame_count_reaching_2_63_refused():
-    # Each file is accepted alone, but loc_eq_t, an int64 count of frames per
-    # threshold, wrapped in the merge: `ecr_theta:10` read -0.844674.
-    cat = REF_ROW.replace("dog", "cat")
-    code, err = run_in_corpus("evaluate", ref=cat, extra=("--duration", "1e17"))
-    assert_error_envelope(code, err)
-    assert json.loads(err)["error"] == "ReferenceTooLong"
-    # 2 x 4.6e18 frames stay below 2**63
+def test_two_files_at_the_frame_bound_count_exactly(tmp_path):
+    # loc_eq_t, an int64 count of frames per threshold, once wrapped in the merge of
+    # two longer grids (`ecr_theta:10` read -0.844674); grids of MAX_FRAMES add exactly
+    cat, at_bound = REF_ROW.replace("dog", "cat"), MAX_FRAMES * 0.02
+    write_files(tmp_path / "ref", REF_ROW, cat)
+    write_files(tmp_path / "pred", PRED_ROW, PRED_ROW)
+    small, large = (evaluate_directory(tmp_path / "ref", tmp_path / "pred",
+                                       Vocabulary(["dog", "cat"]), EvaluationConfig(duration=d))
+                    for d in (60.0, at_bound))
+    missed = small.total.frames - int(small.total.loc_eq_t[0])
+    assert large.total.frames == 2 * MAX_FRAMES and missed > 0
+    assert int(large.total.loc_eq_t[0]) == 2 * MAX_FRAMES - missed
+    ecr = (2 * MAX_FRAMES - missed) / (2 * MAX_FRAMES)
+    assert large.metrics["ecr_theta:10"] == ecr
     for command in ("evaluate", "jackknife"):
-        assert run_in_corpus(command, ref=cat, extra=("--duration", "9.2e16")) == (0, "")
+        out = tmp_path / f"{command}.json"
+        extra = ("--duration", repr(at_bound), "--out", str(out))
+        assert run_in_corpus(command, ref=cat, extra=extra) == (0, "")
+        report = json.loads(out.read_text())
+        assert report["frames"] == 2 ** 32
+        assert report["metrics"]["ecr_theta:10"] == float(f"{ecr:.6g}")
+
 
 
 @pytest.mark.parametrize("command", MULTI_SYSTEM)
@@ -327,7 +343,7 @@ def test_system_without_predictions_refused(command, directory):
 
 
 def test_synth_expecting_too_many_insertions_returns_at_once(tmp_path):
-    # 1 insertion per minute over 1e12 s expects 1.7e10 of them, each drawn in turn;
+    # 60 insertions per minute over 4e7 s expect 4e7 of them, each drawn in turn;
     # in a process of its own, so that a loop fails the test instead of hanging it
     write_files(tmp_path / "ref", REF_ROW, REF_ROW)
     (tmp_path / "ref" / "vocabulary.txt").write_text("dog\n", encoding="utf-8")
@@ -336,7 +352,7 @@ def test_synth_expecting_too_many_insertions_returns_at_once(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", "import sys; from seldeval.cli import main; sys.exit(main())",
          "synth", "--ref", str(tmp_path / "ref"), "--out", str(tmp_path / "out"),
-         "--insert-rate", "1", "--duration", "1e12"],
+         "--insert-rate", "60", "--duration", "4e7"],
         capture_output=True, text=True, timeout=30, env={**os.environ, "PYTHONPATH": path})
     code, err = proc.returncode, proc.stderr
     assert_error_envelope(code, err)
@@ -444,13 +460,13 @@ def test_synth_negative_seed_refused(tmp_path, where):
 
 @pytest.mark.parametrize("extra, config, message", [
     (("--segment", "2e17"), "{}",
-     "segment length 2e+17 s holds 2**63 frames or more at a 0.02 s hop"),
+     f"segment length 2e+17 s holds more than {MAX_FRAMES} frames at a 0.02 s hop"),
     (("--segment", "1e300"), "{}",
-     "segment length 1e+300 s holds 2**63 frames or more at a 0.02 s hop"),
+     f"segment length 1e+300 s holds more than {MAX_FRAMES} frames at a 0.02 s hop"),
     ((), '{"segment_length": 1e300}',
-     "segment length 1e+300 s holds 2**63 frames or more at a 0.02 s hop"),
+     f"segment length 1e+300 s holds more than {MAX_FRAMES} frames at a 0.02 s hop"),
     (("--hop", "1e-300"), "{}",
-     "segment length 1.0 s holds 2**63 frames or more at a 1e-300 s hop"),
+     f"segment length 1.0 s holds more than {MAX_FRAMES} frames at a 1e-300 s hop"),
 ], ids=["2e17", "1e300", "config", "hop"])
 def test_segment_of_2_63_frames_refused(extra, config, message):
     # segment indices are int64: such a segment once ended in an OverflowError traceback

@@ -4,7 +4,7 @@ Hypothesis writes a valid reference and prediction file, then puts one
 harmful line into one of them, at a drawn row after a valid row or after a
 header: a wrong field count, a frame or class that is not an integer, an
 angle that is NaN or infinite, |elevation| > 90, a class outside the
-vocabulary, a frame of 2**63 or more, or bytes that are not UTF-8.
+vocabulary, a frame of `annotations.MAX_FRAMES` or more, or bytes that are not UTF-8.
 `cli.main(["evaluate", ...])` must exit 1 with the JSON envelope of the
 exception that `parse_prediction` (or `parse_reference`) raises on that file,
 its message and line number included, whichever path
@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seldeval import cli
-from seldeval.annotations import parse_prediction, parse_reference
+from seldeval.annotations import MAX_FRAMES, parse_prediction, parse_reference
 from seldeval.errors import SeldEvalError
 from test_error_contract import non_finite, steep, undecodable, wrong_width
 from test_file_rewrites import HEADERS, VOCAB, reference_rows, report_prediction_rows
@@ -47,7 +47,8 @@ harmful = {
         with_field(PRED_ROW, 3, not_finite | steep.map(repr)),
         with_field(PRED_ROW, 1, (st.integers(len(VOCAB), 2 ** 70)
                                  | st.integers(-2 ** 70, -1)).map(str)),
-        with_field(PRED_ROW, 0, st.integers(2 ** 63, 2 ** 70).map(str) | st.just(str(2 ** 63))),
+        with_field(PRED_ROW, 0, st.integers(MAX_FRAMES, 2 ** 70).map(str)
+                   | st.just(str(MAX_FRAMES))),
         undecodable(",".join(PRED_ROW)),
     ),
     "ref": st.one_of(
