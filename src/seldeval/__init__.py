@@ -2,8 +2,8 @@
 
 Every metric is computed from one counting core: `evaluation.read_pair`
 reads each file pair into columns, `evaluation.score_batch` sums each
-file's counts, and `evaluation.compute_metrics` forms every metric from
-them. The `localization`, `detection` and `joint` modules keep only the
+file's counts into a row of a table, and `evaluation.compute_metrics`
+forms every metric from a row, the rows' total or the total less a row. The `localization`, `detection` and `joint` modules keep only the
 per-frame and per-segment definitions that core reproduces, for the
 scalar test oracle and the benchmark tracer.
 

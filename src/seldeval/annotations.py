@@ -192,19 +192,24 @@ def _records(text: str, path, fields, key_column):
 
 
 def parse_reference(path, vocabulary: Vocabulary) -> list:
-    """Read an event-level reference file into validated EventRecords."""
+    """Validated EventRecords of an event-level reference file (ParseError if out of memory)."""
     events = []
-    records = _records(_read_text(path), path, (5, 6), 1)
-    next(records, 0)  # past the header
-    for lineno, row in records:
-        label = row[0]
-        if label not in vocabulary:
-            raise UnknownClass(f"class label {label!r} not in vocabulary ({path}:{lineno})")
-        onset = _parse_float(row[1], "onset", path, lineno)
-        offset = _parse_float(row[2], "offset", path, lineno)
-        if onset < 0 or onset >= offset:
-            raise InvalidInterval(f"need 0 <= onset < offset, got [{onset}, {offset}) ({path}:{lineno})")
-        events.append(EventRecord(label, onset, offset, _direction(row[3], row[4], path, lineno)))
+    try:
+        records = _records(_read_text(path), path, (5, 6), 1)
+        next(records, 0)  # past the header
+        for lineno, row in records:
+            label = row[0]
+            if label not in vocabulary:
+                raise UnknownClass(f"class label {label!r} not in vocabulary ({path}:{lineno})")
+            onset = _parse_float(row[1], "onset", path, lineno)
+            offset = _parse_float(row[2], "offset", path, lineno)
+            if onset < 0 or onset >= offset:
+                raise InvalidInterval(f"need 0 <= onset < offset, got [{onset}, {offset}) "
+                                      f"({path}:{lineno})")
+            events.append(EventRecord(label, onset, offset,
+                                      _direction(row[3], row[4], path, lineno)))
+    except MemoryError:
+        raise ParseError("more reference rows than memory holds", path) from None
     return events
 
 
@@ -286,13 +291,13 @@ def write_prediction_rows(path, rows: Iterable[tuple]) -> None:
 
 def grid_frames(duration: float, frame_hop: float) -> int:
     """The number of frames whose window starts before `duration` s: the
-    grid of a file that long."""
-    return math.ceil(duration / frame_hop - _GRID_EPS)
+    grid of a file that long, or `MAX_FRAMES` + 1 for any longer grid."""
+    return math.ceil(min(duration / frame_hop - _GRID_EPS, MAX_FRAMES + 1))
 
 
 def frame_span(onset: float, offset: float, frame_hop: float):
-    """First and last frame index whose window intersects [onset, offset)."""
-    first = math.floor(onset / frame_hop + _GRID_EPS)
+    """First and last frame index whose window intersects [onset, offset), each <= MAX_FRAMES."""
+    first = math.floor(min(onset / frame_hop + _GRID_EPS, MAX_FRAMES))
     return max(first, 0), grid_frames(offset, frame_hop) - 1
 
 

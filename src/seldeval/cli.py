@@ -227,7 +227,7 @@ def _evaluate(args, config, vocabulary) -> dict:
     total = result.total
     echo = {**dataclasses.asdict(config), "theta_class": dict(config.theta_class)}
     del echo["jobs"]  # the report is the same for any number of workers
-    obj = {"schema": REPORT_SCHEMA, "config": echo, "files": total.n_files,
+    obj = {"schema": REPORT_SCHEMA, "config": echo, "files": len(result.files),
            "frames": total.frames, "segments": total.segments,
            "metrics": {k: _round6(v) for k, v in result.metrics.items()},
            "warnings": list(total.warnings)}

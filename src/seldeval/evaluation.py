@@ -1,16 +1,16 @@
 """Batch evaluation pipeline: per-file scoring, mergeable accumulators,
 metrics, confidence intervals, ranking, and correlation.
 
-Every file contributes a bundle of commutative sums (FileContribution),
-each stored once: a sum that others give, such as deletions, insertions
-or a class's joint FP and FN, is derived where it is used, in integers
-(the field comments say from what). Datasets merge associatively; each
-jackknife partial is the total minus one file's contribution.
-`compute_metrics` forms every metric from the sums, under the keys
-`metric_keys` lists, and `evaluate_directory` keeps the total's metrics
-on its result, once.
-Every per-threshold count reads `class_thresholds`. Files are merged in
-sorted filename order, whatever the worker scheduling.
+A system's result is one table of commutative sums (FileContribution), a
+row per file in sorted filename order, whatever the worker scheduling;
+each sum is stored once: a sum that others give, such as deletions,
+insertions or a class's joint FP and FN, is derived where it is used, in
+integers (the field comments say from what). The total adds the rows left
+to right; the jackknife's partials are the total less each row, at once.
+`compute_metrics` forms every metric from one file's form of the sums,
+under the keys `metric_keys` lists, and `evaluate_directory` keeps the
+total's metrics on its result, once. Every per-threshold count reads
+`class_thresholds`.
 
 Scoring works on columns: `read_pair` reads one file pair, makes every
 per-file check, and gives each side as rows (frame, class, unit xyz);
@@ -22,11 +22,10 @@ spans two files. The rows are stable-sorted by frame, so that a frame's
 rows keep their file or event order. Each file's sums are split from the
 batch's with `np.bincount` over a file index, which adds a file's values
 in input order, one after another from 0.0: the same additions as
-scoring that file alone, so every FileContribution is bit for bit the
-one-pair result.
+scoring that file alone, so every row is bit for bit the one-pair result.
 
-`_score_pairs` reads a list of pairs in order and scores them in
-batches of at most `MAX_BATCH_ROWS` rows; a larger pair is scored alone,
+`_score_pairs` reads a list of pairs in order and concatenates the tables
+of batches of at most `MAX_BATCH_ROWS` rows; a larger pair is scored alone,
 and a full batch is scored before the next pair is read: each file's grid
 holds at most `annotations.MAX_FRAMES` frames, so no int64 frame offset or
 sum wraps for fewer than 2**31 files. The batch core raises no error, so
@@ -38,11 +37,11 @@ every system's pair on the first reference, then on the next. `--jobs` N
 cuts the list into slices of whole references, ceil(n / N) of the n in
 each; one slice is scored in this process, more through one `pool.map`,
 a worker per slice. Each reference is read once per command, and a
-slice holds one reference's rows at a time. The results, errors
-included, come back in list order, so the first error, the first in
-reading order (reference, then system), is the same for every N; a
-system whose pairs cannot be looked up raises after the systems before
-it have scored.
+slice holds one reference's rows at a time. The slices' tables, errors
+included, come back in list order and are concatenated, so system s of
+S has rows s, s + S, ...; the first error, the first in reading order
+(reference, then system), is the same for every N; a system whose pairs
+cannot be looked up raises after the systems before it have scored.
 
 Only occupied frames are touched; empty frames and segments are counted
 arithmetically, so memory follows the rows, not the grid. A reference
@@ -85,8 +84,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -150,8 +148,7 @@ class EvaluationConfig:
         if not 0.0 < self.confidence < 1.0:
             raise ConfigError(f"confidence must be in (0, 1), got {self.confidence}")
         if self.duration is not None and not (
-                self.duration > 0 and math.isfinite(self.duration / self.frame_hop)
-                and grid_frames(self.duration, self.frame_hop) <= MAX_FRAMES):
+                self.duration > 0 and grid_frames(self.duration, self.frame_hop) <= MAX_FRAMES):
             raise ConfigError(f"duration must be positive and hold at most {MAX_FRAMES} frames "
                               f"at a {self.frame_hop} s hop, got {self.duration}")
         if self.jobs < 1:
@@ -180,71 +177,70 @@ def metric_keys(thetas: Sequence[float]) -> list:
             + [f"{base}:{deg}" for deg in degs for base in ("er_theta", "f_theta")])
 
 
-def _array(shape: str, dtype=np.int64):
-    # A FileContribution array: per threshold ("t"), per class ("c") or both ("tc").
-    return field(default=None, metadata={"shape": shape, "dtype": dtype})
-
-
 @dataclass
 class FileContribution:
-    """Commutative sums contributed by one file (or a merge of files).
+    """A table of commutative sums, one row per file: each field's first axis
+    is the file, and `warnings` holds a tuple per row. `table[i]` and
+    `total()` give one file's form: Python ints and floats, and arrays per
+    threshold ("t"), class ("c") or both ("tc"). `+` and `-` combine the
+    sums, not the warnings, one file's form broadcast over a table."""
 
-    Supports + and - so that leave-one-out subsets can be formed by
-    subtracting a single file from the grand total.
-    """
-
-    n_files: int = 0
-    frames: int = 0
-    segments: int = 0
+    frames: np.ndarray
+    segments: np.ndarray
     # class-agnostic localization, frame level
-    loc_dist: float = 0.0
-    loc_k: int = 0
-    loc_eq: int = 0
-    loc_frame_le_sum: float = 0.0
-    loc_frame_le_count: int = 0
-    loc_dist_t: np.ndarray = _array("t", float)
-    loc_k_t: np.ndarray = _array("t")
-    loc_eq_t: np.ndarray = _array("t")
+    loc_dist: np.ndarray
+    loc_k: np.ndarray
+    loc_eq: np.ndarray
+    loc_frame_le_sum: np.ndarray
+    loc_frame_le_count: np.ndarray
+    loc_dist_t: np.ndarray   # t
+    loc_k_t: np.ndarray      # t
+    loc_eq_t: np.ndarray     # t
     # location-agnostic detection, segment level, binary activity; D = FN - S, I = FP - S
-    det_tp: int = 0
-    det_fp: int = 0
-    det_fn: int = 0
-    det_s: int = 0   # substitutions, min(FN, FP) of each segment
+    det_tp: np.ndarray
+    det_fp: np.ndarray
+    det_fn: np.ndarray
+    det_s: np.ndarray   # substitutions, min(FN, FP) of each segment
     # joint metrics, per class; FN_c = N_c - min(M_c, N_c) and FP_c = M_c - K_theta
-    j_dist_f: np.ndarray = _array("c", float)   # frame-pair distance sums
-    j_pairs_f: np.ndarray = _array("c")   # frame-pair counts (= frame-level K_c)
-    j_n_f: np.ndarray = _array("c")       # frame-level reference counts
-    j_k_seg: np.ndarray = _array("c")     # segment-level min(M_c, N_c)
-    j_n_seg: np.ndarray = _array("c")     # segment-level N_c
-    j_m_seg: np.ndarray = _array("c")     # segment-level M_c
-    j_dist_mean: np.ndarray = _array("c", float)  # segment-mean LE_c sums over K_c; else 0
-    j_tp: np.ndarray = _array("tc")       # K_theta
-    j_s: np.ndarray = _array("t")         # min(FN, FP) of each segment, over classes
+    j_dist_f: np.ndarray     # c: frame-pair distance sums
+    j_pairs_f: np.ndarray    # c: frame-pair counts (= frame-level K_c)
+    j_n_f: np.ndarray        # c: frame-level reference counts
+    j_k_seg: np.ndarray      # c: segment-level min(M_c, N_c)
+    j_n_seg: np.ndarray      # c: segment-level N_c
+    j_m_seg: np.ndarray      # c: segment-level M_c
+    j_dist_mean: np.ndarray  # c: segment-mean LE_c sums over K_c; else 0
+    j_tp: np.ndarray         # tc: K_theta
+    j_s: np.ndarray          # t: min(FN, FP) of each segment, over classes
     warnings: tuple = ()
 
-    @classmethod
-    def zeros(cls, n_thetas: int, n_classes: int) -> "FileContribution":
-        shapes = {"t": n_thetas, "c": n_classes, "tc": (n_thetas, n_classes)}
-        return cls(**{f.name: np.zeros(shapes[f.metadata["shape"]], f.metadata["dtype"])
-                      for f in dataclasses.fields(cls) if f.metadata})
+    def _sums(self):  # (name, value) of every field but the warnings
+        return ((f.name, getattr(self, f.name)) for f in dataclasses.fields(self)
+                if f.name != "warnings")
 
-    def _combine(self, other: "FileContribution", sign: int) -> "FileContribution":
-        out = FileContribution()
-        for f in dataclasses.fields(self):
-            if f.name == "warnings":
-                continue
-            a = getattr(self, f.name)
-            b = getattr(other, f.name)
-            setattr(out, f.name, a + b if sign > 0 else a - b)
-        out.warnings = (self.warnings + other.warnings if sign > 0
-                        else tuple(w for w in self.warnings if w not in other.warnings))
-        return out
+    def __getitem__(self, rows) -> "FileContribution":
+        """One row's sums (an int) in one file's form, or a table of rows (a slice)."""
+        picked = ((name, v[rows]) for name, v in self._sums())
+        return FileContribution(**{name: v if v.ndim else v.item() for name, v in picked},
+                                warnings=self.warnings[rows] if self.warnings else ())
+
+    def total(self) -> "FileContribution":
+        """The rows' sums added left to right (`np.cumsum`; `np.sum` adds
+        pairwise), and every row's warnings in row order."""
+        last = {name: np.cumsum(v, axis=0)[-1:] for name, v in self._sums()}
+        return FileContribution(**last, warnings=(tuple(itertools.chain(*self.warnings)),))[0]
 
     def __add__(self, other: "FileContribution") -> "FileContribution":
-        return self._combine(other, +1)
+        return FileContribution(**{name: v + getattr(other, name) for name, v in self._sums()})
 
     def __sub__(self, other: "FileContribution") -> "FileContribution":
-        return self._combine(other, -1)
+        return FileContribution(**{name: v - getattr(other, name) for name, v in self._sums()})
+
+
+def _concat(tables: Sequence) -> FileContribution:
+    """The rows of every table, one table after another."""
+    return FileContribution(**{name: np.concatenate([getattr(t, name) for t in tables])
+                               for name, _ in tables[0]._sums()},
+                            warnings=tuple(itertools.chain(*(t.warnings for t in tables))))
 
 
 def _problems(p_key, r_key) -> tuple:
@@ -349,8 +345,8 @@ def read_pair(ref_path, pred_path, vocabulary: Vocabulary, config: EvaluationCon
     return name, total, ref_rows, pred_rows
 
 
-def score_batch(pairs: Sequence, vocabulary: Vocabulary, config: EvaluationConfig) -> list:
-    """The FileContribution of each pair that `read_pair` gives, scored at once.
+def score_batch(pairs, vocabulary: Vocabulary, config: EvaluationConfig) -> FileContribution:
+    """The table of the pairs that `read_pair` gives, a row per pair, scored at once.
 
     Each file's frames are offset by the grids of the files before it, each
     rounded up to whole segments, so that no association problem, (frame,
@@ -360,8 +356,8 @@ def score_batch(pairs: Sequence, vocabulary: Vocabulary, config: EvaluationConfi
     n_cls, n_files, n_t = len(vocabulary), len(pairs), len(config.thetas)
     spf = frames_per_segment(config.segment_length, config.frame_hop)
     names, grids, ref_sides, pred_sides = zip(*pairs)
-    start = np.array(list(itertools.accumulate((-(-g // spf) * spf for g in grids[:-1]),
-                                               initial=0)), dtype=np.int64)
+    grids = np.array(grids, dtype=np.int64)
+    start = np.concatenate([[0], np.cumsum(-(-grids[:-1] // spf) * spf)])
 
     def rows(sides):  # one side's rows of every file, frames offset by the file's start
         frame, cls, unit = zip(*sides)
@@ -371,8 +367,8 @@ def score_batch(pairs: Sequence, vocabulary: Vocabulary, config: EvaluationConfi
     def file_of(frame):
         return np.searchsorted(start, frame, "right") - 1
 
-    def per_file(at, x=None):  # the sum over each file's entries, added in input order
-        return np.bincount(at, x, minlength=n_files)
+    def per_file(at, x=None, dtype=np.int64):  # the sum over each file's entries, in input order
+        return np.bincount(at, x, minlength=n_files).astype(dtype, copy=False)
 
     rf, rc, ru = rows(ref_sides)
     pf, pc, pu = rows(pred_sides)
@@ -411,19 +407,20 @@ def score_batch(pairs: Sequence, vocabulary: Vocabulary, config: EvaluationConfi
     occ_file = file_of(occ)
     both_file = occ_file[both]
     pair_file = both_file[pair_frame]
-    n_occ, n_eq, n_ref = per_file(occ_file), per_file(occ_file[m == n]), per_file(occ_file[n > 0])
-    ints = dict(loc_k=per_file(both_file, k), loc_frame_le_count=per_file(both_file))
     # bincount adds a file's frame totals one after another from 0.0, as the accumulator
-    floats = dict(loc_dist=per_file(both_file, totals),
-                  loc_frame_le_sum=per_file(both_file, totals / k))
-    arrays = dict(loc_dist_t=np.zeros((n_files, n_t)), loc_k_t=np.zeros((n_files, n_t), np.int64))
-    eq_t = np.zeros((n_files, n_t), np.int64)
+    sums = dict(frames=grids, segments=-(-grids // spf), loc_k=per_file(both_file, k),
+                loc_eq=grids - per_file(occ_file) + per_file(occ_file[m == n]),
+                loc_frame_le_count=per_file(both_file), loc_dist=per_file(both_file, totals, float),
+                loc_frame_le_sum=per_file(both_file, totals / k, float),
+                loc_dist_t=np.zeros((n_files, n_t)), loc_k_t=np.zeros((n_files, n_t), np.int64),
+                loc_eq_t=np.repeat((grids - per_file(occ_file[n > 0]))[:, None], n_t, axis=1))
     for t, theta in enumerate(config.thetas):
         hit = d <= theta + THRESHOLD_EPS
-        arrays["loc_k_t"][:, t] = per_file(pair_file[hit])
-        arrays["loc_dist_t"][:, t] = per_file(
-            both_file, np.bincount(pair_frame[hit], d[hit], minlength=n_frames))
-        eq_t[:, t] = per_file(both_file[np.bincount(pair_frame, hit, minlength=n_frames) == bn])
+        sums["loc_k_t"][:, t] = per_file(pair_file[hit])
+        sums["loc_dist_t"][:, t] = per_file(
+            both_file, np.bincount(pair_frame[hit], d[hit], minlength=n_frames), float)
+        sums["loc_eq_t"][:, t] += per_file(
+            both_file[np.bincount(pair_frame, hit, minlength=n_frames) == bn])
 
     # Per-class sums per (segment, class), then per (file, class).
     d = dist[cut:]
@@ -449,13 +446,13 @@ def score_batch(pairs: Sequence, vocabulary: Vocabulary, config: EvaluationConfi
 
     ref_on, pred_on = rmax > 0, pmax > 0
     fp_seg, fn_seg = pred_on & ~ref_on, ref_on & ~pred_on
-    ints.update(zip(("det_tp", "det_fp", "det_fn"), (
+    sums.update(zip(("det_tp", "det_fp", "det_fn"), (
         per_file(sc_file[x]) for x in (ref_on & pred_on, fp_seg, fn_seg))))
-    ints.update(det_s=substitutions(fp_seg, fn_seg))
+    sums.update(det_s=substitutions(fp_seg, fn_seg))
     kk = np.minimum(pmax, rmax)
-    arrays.update(j_dist_f=per_class(pair_sum, float), j_pairs_f=per_class(n_pairs),
-                  j_n_f=per_class(np.bincount(sc_of_key, nc, minlength=len(sc))))
-    arrays.update(zip(("j_k_seg", "j_n_seg", "j_m_seg"), (per_class(x) for x in (kk, rmax, pmax))))
+    sums.update(j_dist_f=per_class(pair_sum, float), j_pairs_f=per_class(n_pairs),
+                j_n_f=per_class(np.bincount(sc_of_key, nc, minlength=len(sc))))
+    sums.update(zip(("j_k_seg", "j_n_seg", "j_m_seg"), (per_class(x) for x in (kk, rmax, pmax))))
 
     # Joint counts (segment_class_counts), in the configured mode only.
     warned = [set() for _ in pairs]
@@ -476,25 +473,17 @@ def score_batch(pairs: Sequence, vocabulary: Vocabulary, config: EvaluationConfi
             means.append(mean)
         rep = np.zeros(len(sc))  # 0 where a side is off, as kk is
         rep[q] = angles_between(*means)
-        arrays.update(j_dist_mean=per_class(rep * kk, float))
+        sums.update(j_dist_mean=per_class(rep * kk, float))
     else:
         evidence = n_pairs > 0
         rep = pair_sum / np.maximum(n_pairs, 1)
-        arrays.update(j_dist_mean=np.zeros((n_files, n_cls)))
+        sums.update(j_dist_mean=np.zeros((n_files, n_cls)))
     j_tp, j_s = np.zeros((n_files, n_t, n_cls), np.int64), np.zeros((n_files, n_t), np.int64)
     for t, theta in enumerate(class_thresholds(config, vocabulary)[:, sc_cls]):
         k_theta = np.where((theta >= 180.0) | (evidence & (rep <= theta + THRESHOLD_EPS)), kk, 0)
         j_tp[:, t], j_s[:, t] = per_class(k_theta), substitutions(pmax - k_theta, rmax - kk)
-    arrays.update(j_tp=j_tp, j_s=j_s)
-    return [FileContribution(
-        n_files=1, frames=total, segments=(total + spf - 1) // spf,
-        loc_eq=total - int(n_occ[i]) + int(n_eq[i]),
-        loc_eq_t=np.array([total - int(n_ref[i]) + int(x) for x in eq_t[i]], dtype=np.int64),
-        warnings=tuple(f"{name}: {w}" for w in sorted(warned[i])),
-        **{key: int(v[i]) for key, v in ints.items()},
-        **{key: float(v[i]) for key, v in floats.items()},
-        **{key: v[i] for key, v in arrays.items()})
-        for i, (name, total) in enumerate(zip(names, grids))]
+    return FileContribution(j_tp=j_tp, j_s=j_s, **sums, warnings=tuple(
+        tuple(f"{name}: {w}" for w in sorted(ws)) for name, ws in zip(names, warned)))
 
 
 def score_file(ref_path, pred_path, vocabulary: Vocabulary, config: EvaluationConfig) -> FileContribution:
@@ -504,28 +493,28 @@ def score_file(ref_path, pred_path, vocabulary: Vocabulary, config: EvaluationCo
                        config)[0]
 
 
-def _score_pairs(pairs: Sequence, vocabulary: Vocabulary, config: EvaluationConfig) -> list:
-    """The FileContribution of each (reference, prediction) path pair, in
-    order. The pairs are read in order by `read_pair`, each reference once
-    when its pairs come one after another: only the current reference's
-    rows are kept, for its later pairs. They are scored by `score_batch` in
-    batches of at most MAX_BATCH_ROWS rows, a larger pair alone, and a full
-    batch is scored before the next pair is read."""
-    references, out, batch, rows = {}, [], [], 0
+def _score_pairs(pairs, vocabulary: Vocabulary, config: EvaluationConfig) -> FileContribution:
+    """The table of a non-empty list of (reference, prediction) path pairs, a
+    row per pair in order. The pairs are read in order by `read_pair`, each
+    reference once when its pairs come one after another: only the current
+    reference's rows are kept, for its later pairs. They are scored by
+    `score_batch` in batches of at most MAX_BATCH_ROWS rows, a larger pair
+    alone, and a full batch is scored before the next pair is read."""
+    references, tables, batch, rows = {}, [], [], 0
     for ref_path, pred_path in pairs:
         if ref_path not in references:
             references.clear()  # the pairs on the reference before are all read
         pair = read_pair(ref_path, pred_path, vocabulary, config, references)
         size = len(pair[2][0]) + len(pair[3][0])
         if batch and rows + size > MAX_BATCH_ROWS:
-            out += score_batch(batch, vocabulary, config)
+            tables.append(score_batch(batch, vocabulary, config))
             batch, rows = [], 0
         batch.append(pair)
         rows += size
         if rows >= MAX_BATCH_ROWS:
-            out += score_batch(batch, vocabulary, config)
+            tables.append(score_batch(batch, vocabulary, config))
             batch, rows = [], 0
-    return out + (score_batch(batch, vocabulary, config) if batch else [])
+    return _concat(tables + ([score_batch(batch, vocabulary, config)] if batch else []))
 
 
 def _ratio(num, den):
@@ -612,24 +601,25 @@ def discover_pairs(ref_dir, pred_dir) -> list:
 class EvaluationResult:
     config: EvaluationConfig
     vocabulary: Vocabulary
-    per_file: dict            # name -> FileContribution, insertion-sorted
-    total: FileContribution
-    metrics: dict             # compute_metrics of the total
+    files: list                  # the reference file names, sorted
+    per_file: FileContribution   # the table: one row per file, in `files` order
+    total: FileContribution      # per_file.total()
+    metrics: dict                # compute_metrics of the total
     per_class: dict
 
     def jackknife(self, keys: Sequence[str] | None = None) -> dict:
         """Leave-one-out confidence intervals for the given metric keys.
 
         The point estimate is `metrics`, and the metrics are computed once
-        per leave-one-out subset (the total minus one file's contribution);
+        per leave-one-out subset (the total less one file's row of the table);
         every key reads its values from those n + 1 metric maps.
         Returns {key: JackknifeEstimate} for metrics where the interval
         exists; undefined metrics and undefined partials map to an error
         string instead of being silently skipped.
         """
-        partials = {name: compute_metrics(self.total - self.per_file[name], self.config,
-                                          self.vocabulary)[0]
-                    for name in sorted(self.per_file)}
+        rest = self.total - self.per_file  # row i: every file but file i
+        partials = {name: compute_metrics(rest[i], self.config, self.vocabulary)[0]
+                    for i, name in enumerate(self.files)}
         out: dict = {}
         for key in self.metrics if keys is None else keys:
             if self.metrics.get(key) is None:
@@ -657,26 +647,28 @@ def _evaluate_systems(ref_dir, systems: Sequence, vocabulary: Vocabulary,
         except MissingPair as exc:
             missing = exc if len(systems) == 1 else MissingPair(f"system {system_id!r}: {exc}")
             break
-    n = len(found[0]) if found else 0  # every system pairs the same references
+    if not found:
+        raise missing
+    n = len(found[0])  # every system pairs the same references
     pairs = [pair for same_ref in zip(*found) for pair in same_ref]  # reference by reference
     step = -(-n // config.jobs) * len(found)  # the pairs of ceil(n / jobs) references
     score = functools.partial(_score_pairs, vocabulary=vocabulary, config=config)
     if len(pairs) <= step:
-        contribs = score(pairs)
+        table = score(pairs)
     else:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
         slices = [pairs[i:i + step] for i in range(0, len(pairs), step)]  # one per worker
         with ProcessPoolExecutor(max_workers=len(slices)) as pool:
-            contribs = [c for part in pool.map(score, slices) for c in part]
+            table = _concat(list(pool.map(score, slices)))
     if missing is not None:
         raise missing
     results = []
     for s, paths in enumerate(found):
-        per_file = dict(zip([ref.name for ref, _ in paths], contribs[s::len(found)]))
-        total = sum((per_file[name] for name in sorted(per_file)),
-                    FileContribution.zeros(len(config.thetas), len(vocabulary)))
-        results.append(EvaluationResult(config, vocabulary, per_file, total,
+        per_file = table[s::len(found)]
+        total = per_file.total()
+        results.append(EvaluationResult(config, vocabulary, [ref.name for ref, _ in paths],
+                                        per_file, total,
                                         *compute_metrics(total, config, vocabulary)))
     return results
 

@@ -50,8 +50,15 @@ def _grid_length(events, sparse_pred, config) -> int:
 
 def score_file_oracle(ref_path, pred_path, vocabulary, config) -> FileContribution:
     thresholds = class_thresholds(config, vocabulary)
-    contrib = FileContribution.zeros(len(config.thetas), len(vocabulary))
-    contrib.n_files = 1
+    n_t, n_cls = thresholds.shape
+    contrib = FileContribution(
+        frames=0, segments=0, loc_dist=0.0, loc_k=0, loc_eq=0, loc_frame_le_sum=0.0,
+        loc_frame_le_count=0, loc_dist_t=np.zeros(n_t), loc_k_t=np.zeros(n_t, np.int64),
+        loc_eq_t=np.zeros(n_t, np.int64), det_tp=0, det_fp=0, det_fn=0, det_s=0,
+        **{name: np.zeros(n_cls, np.int64) for name in (
+            "j_pairs_f", "j_n_f", "j_k_seg", "j_n_seg", "j_m_seg")},
+        j_dist_f=np.zeros(n_cls), j_dist_mean=np.zeros(n_cls),
+        j_tp=np.zeros((n_t, n_cls), np.int64), j_s=np.zeros(n_t, np.int64))
 
     events = parse_reference(ref_path, vocabulary)
     sparse = parse_prediction(pred_path, vocabulary, config.frame_hop)
@@ -87,7 +94,6 @@ def score_file_oracle(ref_path, pred_path, vocabulary, config) -> FileContributi
     # compute_metrics: S + D + I = FN + FP - S
     assert det_d + det_i == contrib.det_fn + contrib.det_fp - 2 * contrib.det_s
 
-    n_t, n_cls = thresholds.shape
     j_fn = np.zeros(n_cls, dtype=np.int64)
     j_fp = np.zeros((n_t, n_cls), dtype=np.int64)
     j_d, j_i = np.zeros((2, n_t), dtype=np.int64)

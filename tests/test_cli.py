@@ -526,6 +526,24 @@ class TestReferenceLength:
             assert err["error"] == "ReferenceTooLong"
             assert f"long.csv: events cover 1 frames, up to frame {MAX_FRAMES} " in err["message"]
 
+    @pytest.mark.parametrize("command, row, flags", [
+        *((command, row, []) for command in ("evaluate", "synth") for row in (
+            "dog,0,1e308,10,0",           # the offset's frame index is inf as a float
+            "dog,1e308,1.5e308,10,0")),   # the onset's as well
+        ("evaluate", "dog,0,1e300,10,0", ["--hop", "1e-10", "--segment", "1e-10"]),
+    ])
+    def test_infinite_frame_index_error_json(self, tmp_path, capsys, command, row, flags):
+        # once an OverflowError traceback out of main
+        ref_dir, pred_dir = self._write(tmp_path, row)
+        extra = ["--pred", pred_dir] if command == "evaluate" else ["--out", tmp_path / "s"]
+        assert run([command, "--ref", ref_dir, *extra, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ReferenceTooLong"
+        assert err["message"].startswith("long.csv: events cover ")
+        assert f"below frame {MAX_FRAMES}" in err["message"]
+
     def test_synth_insertions_expand_only_the_written_file(self, tmp_path, capsys, bound):
         ref_dir, _ = self._write(tmp_path, "dog,0.0,10.0,10,0")  # 500 rows, counted unexpanded
         assert run(["synth", "--ref", ref_dir, "--out", tmp_path / "s", "--insert-rate", "1"]) == 0
@@ -561,6 +579,27 @@ def test_prediction_out_of_memory_error_json(corpus, capsys, monkeypatch, where)
     assert json.loads(captured.err) == {
         "error": "ParseError",
         "message": f"more prediction rows than memory holds [{pred_dir / 'scene_000.csv'}]"}
+
+
+def test_reference_out_of_memory_error_json(corpus, capsys, monkeypatch):
+    # once a MemoryError traceback out of main
+    from seldeval import annotations
+
+    ref_dir, pred_dir = corpus
+    read_text = annotations._read_text
+
+    def text(path):
+        if path.parent == ref_dir:
+            raise MemoryError
+        return read_text(path)
+
+    monkeypatch.setattr(annotations, "_read_text", text)
+    assert run(["evaluate", "--ref", ref_dir, "--pred", pred_dir]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "ParseError",
+        "message": f"more reference rows than memory holds [{ref_dir / 'scene_000.csv'}]"}
 
 
 class TestUsageErrors:

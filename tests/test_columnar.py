@@ -217,7 +217,8 @@ def write_scenes(root, scenes):
 
 def assert_batch_equals_one_pair_at_a_time(scenes, config, cap=evaluation.MAX_BATCH_ROWS):
     """Every scene scored in one batch, and in batches of at most `cap`
-    rows, gives score_file's FileContribution; returns those."""
+    rows, gives a table whose rows are score_file's FileContributions;
+    returns those."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = write_scenes(Path(tmp), scenes)
         want = [score_file(ref, pred, VOCAB, config) for ref, pred in paths]
@@ -226,9 +227,9 @@ def assert_batch_equals_one_pair_at_a_time(scenes, config, cap=evaluation.MAX_BA
         with mock.patch.object(evaluation, "MAX_BATCH_ROWS", cap):
             capped = evaluation._score_pairs(paths, VOCAB, config)
     for got in (one, capped):
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert_same(a, b)
+        assert len(got.frames) == len(want)
+        for i, b in enumerate(want):
+            assert_same(got[i], b)
     return want
 
 
@@ -354,12 +355,18 @@ class TestSubtractionAndWarnings:
         seg = evaluate_directory(ref, pred, VOCAB, EvaluationConfig(loc_mode="segment-mean"))
         assert [w.split(":")[0] for w in seg.total.warnings] == ["f0.csv", "f1.csv"]
 
-    def test_subtraction_keeps_the_other_files_warnings(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_table_rows_keep_each_files_warnings(self, tmp_path, monkeypatch, jobs):
+        # one batch per file, so the table is concatenated from batches (and workers)
+        monkeypatch.setattr(evaluation, "MAX_BATCH_ROWS", 1)
         ref, pred = self._scene(tmp_path, antipodal=True)
-        result = evaluate_directory(ref, pred, VOCAB, EvaluationConfig(loc_mode="segment-mean"))
-        rest = result.total - result.per_file["f0.csv"]
-        assert rest.warnings == result.per_file["f1.csv"].warnings
-        assert (result.total - result.per_file["f2.csv"]).warnings == result.total.warnings
+        result = evaluate_directory(ref, pred, VOCAB,
+                                    EvaluationConfig(loc_mode="segment-mean", jobs=jobs))
+        assert result.files == ["f0.csv", "f1.csv", "f2.csv"] and len(result.per_file.frames) == 3
+        rows = [result.per_file[i].warnings for i in range(3)]
+        assert [len(w) for w in rows] == [1, 1, 0]
+        assert all(w.startswith(f"{name}: ") for name, ws in zip(result.files, rows) for w in ws)
+        assert result.total.warnings == rows[0] + rows[1]
 
 
 class TestLargeFrameIndex:

@@ -10,7 +10,6 @@ from seldeval.annotations import EventRecord, Vocabulary, parse_reference
 from seldeval.errors import ConfigError, MissingPair
 from seldeval.evaluation import (
     EvaluationConfig,
-    FileContribution,
     class_thresholds,
     compute_metrics,
     evaluate_directory,
@@ -41,7 +40,7 @@ def make_system(ref_dir, out_dir, spec, vocab=VOCAB, hop=0.02):
 def shown(result):
     """Everything an `evaluate` report shows of a result."""
     total = result.total
-    return (total.n_files, total.frames, total.segments, result.metrics, result.per_class,
+    return (len(result.files), total.frames, total.segments, result.metrics, result.per_class,
             total.warnings)
 
 
@@ -119,15 +118,8 @@ class TestPipeline:
         )
         config = EvaluationConfig()
         result = evaluate_directory(ref_dir, pred_dir, VOCAB, config)
-        names = sorted(result.per_file)
-        half_a = sum(
-            (result.per_file[n] for n in names[:2]),
-            FileContribution.zeros(len(config.thetas), len(VOCAB)),
-        )
-        half_b = sum(
-            (result.per_file[n] for n in names[2:]),
-            FileContribution.zeros(len(config.thetas), len(VOCAB)),
-        )
+        half_a = result.per_file[:2].total()
+        half_b = result.per_file[2:].total()
         merged, _ = compute_metrics(half_a + half_b, config, VOCAB)
         full, _ = compute_metrics(result.total, config, VOCAB)
         for key, value in full.items():
@@ -143,13 +135,8 @@ class TestPipeline:
         )
         config = EvaluationConfig()
         result = evaluate_directory(ref_dir, pred_dir, VOCAB, config)
-        names = sorted(result.per_file)
-        left_out = names[1]
-        by_sub = result.total - result.per_file[left_out]
-        by_sum = sum(
-            (result.per_file[n] for n in names if n != left_out),
-            FileContribution.zeros(len(config.thetas), len(VOCAB)),
-        )
+        by_sub = result.total - result.per_file[1]
+        by_sum = result.per_file[:1].total() + result.per_file[2:].total()
         m_sub, _ = compute_metrics(by_sub, config, VOCAB)
         m_sum, _ = compute_metrics(by_sum, config, VOCAB)
         for key, value in m_sum.items():
