@@ -11,7 +11,10 @@ The public names below are imported from their submodule on first
 access, not when the package is: every command starts with
 ``import seldeval.cli``, which then loads only the modules the scoring
 pipeline uses: not ``joint``, ``localization`` or ``detection``, and
-``synth`` only in the ``synth`` command.
+``synth`` only in the ``synth`` command. Nor does it load ``dataclasses``:
+the types on that path are plain classes and ``typing.NamedTuple``s, which
+take far less to create than dataclasses, whose methods are generated and
+compiled when their module loads.
 """
 
 from importlib import import_module

@@ -17,7 +17,9 @@ frame ``l`` iff ``[l*hop, (l+1)*hop)`` intersects ``[onset, offset)``)
 so that both sides of the evaluation are frame streams. An event has one
 row per frame it covers; a file whose events cover more than
 `MAX_REFERENCE_ROWS` (2**22) rows in all is refused with `ReferenceTooLong`
-before any row is made, whatever the host's memory.
+before any row is made, whatever the host's memory. A prediction file of
+more than `MAX_PREDICTION_BYTES` (2**25) bytes is a `ParseError` before it
+is read.
 
 A file's grid holds at most `MAX_FRAMES` (2**31) frames: a prediction frame
 at or above it is a `ParseError`, a reference ending past it is
@@ -37,9 +39,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -90,8 +91,7 @@ class Vocabulary:
         return iter(self.labels)
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(NamedTuple):
     """One annotated sound event with a fixed location."""
 
     label: str
@@ -100,7 +100,6 @@ class EventRecord:
     direction: Direction
 
 
-@dataclass
 class FrameSnapshot:
     """Class/direction instances active in one analysis frame.
 
@@ -108,29 +107,34 @@ class FrameSnapshot:
     (two simultaneous events of the same class).
     """
 
-    index: int
-    instances: list = field(default_factory=list)
+    __slots__ = ("index", "instances")
+
+    def __init__(self, index: int, instances: list | None = None):
+        self.index = index
+        self.instances = [] if instances is None else instances
 
 
-@dataclass
 class SegmentClassStats:
     """Per-class activity and frame-pair evidence inside one segment."""
 
-    ref_active: bool = False
-    pred_active: bool = False
-    ref_max: int = 0   # max simultaneous reference instances over member frames
-    pred_max: int = 0
-    ref_frame_count: int = 0   # sum of per-frame reference instance counts
-    pair_count: int = 0        # frame-level associated pairs within the class
-    pair_dist_sum: float = 0.0
-    ref_dirs: list = field(default_factory=list)   # pooled over member frames
-    pred_dirs: list = field(default_factory=list)
+    __slots__ = ("ref_active", "pred_active", "ref_max", "pred_max", "ref_frame_count",
+                 "pair_count", "pair_dist_sum", "ref_dirs", "pred_dirs")
+
+    def __init__(self, ref_active: bool = False, pred_active: bool = False):
+        self.ref_active, self.pred_active = ref_active, pred_active
+        self.ref_max = self.pred_max = 0  # max simultaneous instances over member frames
+        self.ref_frame_count = 0  # sum of per-frame reference instance counts
+        self.pair_count = 0       # frame-level associated pairs within the class
+        self.pair_dist_sum = 0.0
+        self.ref_dirs, self.pred_dirs = [], []  # pooled over member frames
 
 
-@dataclass
 class SegmentView:
-    index: int
-    classes: dict = field(default_factory=dict)  # label -> SegmentClassStats
+    __slots__ = ("index", "classes")
+
+    def __init__(self, index: int):
+        self.index = index
+        self.classes = {}  # label -> SegmentClassStats
 
 
 def _parse_float(text: str, what: str, path, lineno: int) -> float:
@@ -249,8 +253,13 @@ def parse_prediction(path, vocabulary: Vocabulary, frame_hop: float = 0.02) -> l
 
 def read_prediction_columns(path, vocabulary: Vocabulary) -> tuple:
     """Frame index, class index and unit-vector arrays, one row per
-    prediction, in file order. A file whose text or rows numpy cannot
+    prediction, in file order. A file of more than `MAX_PREDICTION_BYTES`
+    bytes, refused before it is read, or whose text or rows numpy cannot
     allocate raises `ParseError` naming it."""
+    size = Path(path).stat().st_size
+    if size > MAX_PREDICTION_BYTES:
+        raise ParseError(f"file of {size} bytes; a prediction file may hold "
+                         f"{MAX_PREDICTION_BYTES}", path)
     try:
         text = _read_text(path)
         try:  # the lines past the header, less those of only commas and whitespace: blank rows
@@ -305,18 +314,25 @@ def frame_span(onset: float, offset: float, frame_hop: float):
 # 20 ms hop, and 268 MB at the peak of `expand_spans`, 64 B per row. A fixed
 # count, so that whether a file is refused does not depend on the host.
 MAX_REFERENCE_ROWS = 2 ** 22
+# Bytes that one prediction file may hold, checked before it is read. At the peak of
+# `read_prediction_columns`, rows of 19-46 B took 6.7-11.2 B of memory per byte,
+# 225-376 MB at the bound, near the reference bound's 268 MB; rows of 8 B took 24 B.
+# A 60 s DCASE2019 file holds about 150 kB.
+MAX_PREDICTION_BYTES = 2 ** 25
 
 
 def span_rows(spans, frame_hop: float, name: str) -> int:
     """The number of rows `expand_spans` makes of the (first, last) spans,
     counted without making any. Spans past frame `MAX_FRAMES` - 1, or of more
     than `MAX_REFERENCE_ROWS` rows, raise `ReferenceTooLong` naming `name`."""
-    rows = sum(max(last - first + 1, 0) for first, last in spans)
     end = max([last + 1 for _, last in spans], default=0)
-    if end > MAX_FRAMES or rows > MAX_REFERENCE_ROWS:
+    if end > MAX_FRAMES:  # `frame_span` capped the spans there: no count is the file's
+        raise ReferenceTooLong(f"{name}: events cover frames past frame {MAX_FRAMES - 1} at a "
+                               f"{frame_hop} s hop; a file's frames lie below frame {MAX_FRAMES}")
+    rows = sum(max(last - first + 1, 0) for first, last in spans)
+    if rows > MAX_REFERENCE_ROWS:
         raise ReferenceTooLong(f"{name}: events cover {rows} frames, up to frame {end - 1} at a "
-                               f"{frame_hop} s hop; a file may hold {MAX_REFERENCE_ROWS} rows, "
-                               f"below frame {MAX_FRAMES}")
+                               f"{frame_hop} s hop; a file may hold {MAX_REFERENCE_ROWS} rows")
     return rows
 
 

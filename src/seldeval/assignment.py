@@ -41,8 +41,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -88,8 +87,7 @@ class DistanceMatrix:
                     raise ValueError(f"distance entry {v} outside [0, 180]")
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     """Binary matching between predictions and references.
 
     `pairs` holds (pred_index, ref_index) tuples sorted by prediction

@@ -24,6 +24,13 @@ while its imports load, then freezes every object tracked at that point
 (`gc.freeze`), which is never collected; objects created afterwards are
 collected as usual.
 
+Importing this module loads numpy and, of the package, `annotations`,
+`assignment`, `errors`, `evaluation`, `geometry` and `stats`; it loads no
+scipy, `dataclasses` or `multiprocessing`. The rest loads in the command
+that needs it: the `synth` module in ``synth``, the process pool with
+``--jobs`` above 1, and scipy in a jackknife at a level other than 0.95 or
+of more than 201 files.
+
 Importing this module also sets ``OPENBLAS_NUM_THREADS=1`` in the
 environment, unless it is already set: a value the user sets wins. The
 OpenBLAS that numpy's wheels bundle reads it once, when numpy loads, and
@@ -52,7 +59,8 @@ try:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
     import argparse
-    import dataclasses
+    import functools
+    import inspect
     import json
     import sys
     from collections import Counter
@@ -142,13 +150,21 @@ _SETTINGS = {
 }
 
 
+@functools.cache  # the parser reads EvaluationConfig's about ten times
+def _fields(cls) -> dict:
+    """Each field of the settings class `cls`, EvaluationConfig or
+    PerturbationSpec, and its default: its constructor's parameters. An
+    instance's values are `vars(instance)`."""
+    return {name: p.default for name, p in inspect.signature(cls).parameters.items()}
+
+
 def _settings(cls, args, file_cfg: dict, what: str):
     """A `cls` whose every field comes from its flag, else from the config
     file's key of the same name, else from the field's default."""
     values = {}
-    for f in dataclasses.fields(cls):
-        flag = getattr(args, f.name, None)
-        values[f.name] = file_cfg.get(f.name, f.default) if flag is None else flag
+    for name, default in _fields(cls).items():
+        flag = getattr(args, name, None)
+        values[name] = file_cfg.get(name, default) if flag is None else flag
     try:
         return cls(**{name: _SETTINGS[name][2](v) for name, v in values.items()})
     except (TypeError, ValueError, OverflowError) as exc:
@@ -225,7 +241,7 @@ def _parse_systems(items) -> list:
 def _evaluate(args, config, vocabulary) -> dict:
     result = evaluate_directory(args.ref, args.pred, vocabulary, config)
     total = result.total
-    echo = {**dataclasses.asdict(config), "theta_class": dict(config.theta_class)}
+    echo = {**vars(config), "theta_class": dict(config.theta_class)}
     del echo["jobs"]  # the report is the same for any number of workers
     obj = {"schema": REPORT_SCHEMA, "config": echo, "files": len(result.files),
            "frames": total.frames, "segments": total.segments,
@@ -318,7 +334,7 @@ def _synth(args, config, vocabulary, file_cfg: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     total_frames = (None if config.duration is None
                     else grid_frames(config.duration, config.frame_hop))
-    settings = dataclasses.asdict(spec)
+    settings = dict(vars(spec))
     log = {"schema": INJECTION_SCHEMA, "seed": settings.pop("seed"), "spec": settings, "files": {}}
     for index, ref_path in enumerate(refs):
         events = parse_reference(ref_path, vocabulary)
@@ -326,7 +342,7 @@ def _synth(args, config, vocabulary, file_cfg: dict) -> None:
         # are drawn over its length; one that fits can fail only through them.
         span_rows([frame_span(ev.onset, ev.offset, config.frame_hop) for ev in events],
                   config.frame_hop, ref_path.name)
-        file_spec = dataclasses.replace(spec, seed=spec.seed + index)
+        file_spec = PerturbationSpec(**{**vars(spec), "seed": spec.seed + index})
         try:
             perturbed, entries = perturb(events, file_spec, vocabulary, config.duration)
         except ConfigError as exc:  # too many insertions expected
@@ -379,14 +395,14 @@ def _add_inputs(p, config_keys: str, duration_help: str) -> None:
     p.add_argument("--config", help=f"JSON config file keyed by field name ({config_keys}); "
                                     "flags override its values")
     p.add_argument("--hop", dest="frame_hop", type=float,
-                   help=f"frame hop in seconds (default {EvaluationConfig.frame_hop})")
+                   help=f"frame hop in seconds (default {_fields(EvaluationConfig)['frame_hop']})")
     p.add_argument("--duration", type=float, help=duration_help)
 
 
 def _add_scoring(p, multi_system: bool = False) -> None:
     """The flags of the commands that score predictions."""
-    d = EvaluationConfig
-    _add_inputs(p, "EvaluationConfig: " + ", ".join(f.name for f in dataclasses.fields(d)),
+    d = _fields(EvaluationConfig)
+    _add_inputs(p, "EvaluationConfig: " + ", ".join(d),
                 "fixed file duration in seconds (default: derived per file)")
     if multi_system:
         p.add_argument("--pred", required=True, action="append", metavar="NAME=DIR",
@@ -394,21 +410,21 @@ def _add_scoring(p, multi_system: bool = False) -> None:
     else:
         p.add_argument("--pred", required=True, help="directory of prediction CSV files")
     p.add_argument("--segment", dest="segment_length", type=float,
-                   help=f"segment length in seconds (default {d.segment_length})")
+                   help=f"segment length in seconds (default {d['segment_length']})")
     p.add_argument("--theta", dest="thetas", type=float, action="append",
                    help="angular threshold in degrees (repeatable; default "
-                        + " and ".join(f"{t:g}" for t in d.thetas) + ")")
+                        + " and ".join(f"{t:g}" for t in d['thetas']) + ")")
     p.add_argument("--theta-class", type=_theta_class, action="append", metavar="CLASS=DEG",
                    help="per-class threshold override, applied within every --theta profile")
     p.add_argument("--loc-mode", choices=LOC_MODES,
-                   help=f"segment localization evidence (default {d.loc_mode})")
+                   help=f"segment localization evidence (default {d['loc_mode']})")
     p.add_argument("--le-mode", choices=LE_MODES,
-                   help=f"multi-frame LE accumulation reported as LE (default {d.le_mode})")
+                   help=f"multi-frame LE accumulation reported as LE (default {d['le_mode']})")
     p.add_argument("--jobs", type=int,
                    help="score the file pairs in at most this many slices of whole reference "
                         "files, each in a worker process of its own when there are several; "
                         "a slice reads each reference once and holds one reference's rows at a "
-                        f"time (default {d.jobs})")
+                        f"time (default {d['jobs']})")
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.add_argument("--out", help="write output to this file instead of stdout")
 
@@ -428,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "jackknife":
             p.add_argument("--confidence", type=float,
                            help="confidence level for the intervals "
-                                f"(default {EvaluationConfig.confidence})")
+                                f"(default {_fields(EvaluationConfig)['confidence']})")
 
     p = sub.add_parser("rank", help="rank several systems by cumulative metric ranks")
     _add_scoring(p, multi_system=True)

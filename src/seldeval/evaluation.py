@@ -81,12 +81,10 @@ pairs, so batching keeps this bit-identity too.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -110,19 +108,17 @@ LOC_MODES = ("frame-average", "segment-mean")
 LE_MODES = ("micro", "macro")
 
 
-@dataclass(frozen=True)
 class EvaluationConfig:
-    frame_hop: float = 0.02
-    segment_length: float = 1.0
-    thetas: tuple = (10.0, 30.0)
-    theta_class: tuple = ()  # ((label, theta), ...), each label at most once
-    loc_mode: str = "frame-average"
-    le_mode: str = "micro"
-    confidence: float = 0.95
-    duration: float | None = None
-    jobs: int = 1
+    """Every evaluation setting, checked on construction (ConfigError)."""
 
-    def __post_init__(self):
+    def __init__(self, frame_hop: float = 0.02, segment_length: float = 1.0,
+                 thetas: tuple = (10.0, 30.0),
+                 theta_class: tuple = (),  # ((label, theta), ...), each label at most once
+                 loc_mode: str = "frame-average", le_mode: str = "micro",
+                 confidence: float = 0.95, duration: float | None = None, jobs: int = 1):
+        self.frame_hop, self.segment_length, self.thetas = frame_hop, segment_length, thetas
+        self.theta_class, self.loc_mode, self.le_mode = theta_class, loc_mode, le_mode
+        self.confidence, self.duration, self.jobs = confidence, duration, jobs
         if self.frame_hop <= 0:
             raise ConfigError(f"frame hop must be positive, got {self.frame_hop}")
         frames_per_segment(self.segment_length, self.frame_hop)
@@ -154,6 +150,9 @@ class EvaluationConfig:
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
 
+    def __repr__(self) -> str:
+        return f"EvaluationConfig({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+
 
 def class_thresholds(config: EvaluationConfig, vocabulary: Vocabulary) -> np.ndarray:
     """The (threshold x class) angular thresholds: row t holds config.thetas[t]
@@ -177,45 +176,43 @@ def metric_keys(thetas: Sequence[float]) -> list:
             + [f"{base}:{deg}" for deg in degs for base in ("er_theta", "f_theta")])
 
 
-@dataclass
 class FileContribution:
-    """A table of commutative sums, one row per file: each field's first axis
+    """A table of commutative sums, one row per file: each sum's first axis
     is the file, and `warnings` holds a tuple per row. `table[i]` and
     `total()` give one file's form: Python ints and floats, and arrays per
     threshold ("t"), class ("c") or both ("tc"). `+` and `-` combine the
     sums, not the warnings, one file's form broadcast over a table."""
 
-    frames: np.ndarray
-    segments: np.ndarray
-    # class-agnostic localization, frame level
-    loc_dist: np.ndarray
-    loc_k: np.ndarray
-    loc_eq: np.ndarray
-    loc_frame_le_sum: np.ndarray
-    loc_frame_le_count: np.ndarray
-    loc_dist_t: np.ndarray   # t
-    loc_k_t: np.ndarray      # t
-    loc_eq_t: np.ndarray     # t
-    # location-agnostic detection, segment level, binary activity; D = FN - S, I = FP - S
-    det_tp: np.ndarray
-    det_fp: np.ndarray
-    det_fn: np.ndarray
-    det_s: np.ndarray   # substitutions, min(FN, FP) of each segment
-    # joint metrics, per class; FN_c = N_c - min(M_c, N_c) and FP_c = M_c - K_theta
-    j_dist_f: np.ndarray     # c: frame-pair distance sums
-    j_pairs_f: np.ndarray    # c: frame-pair counts (= frame-level K_c)
-    j_n_f: np.ndarray        # c: frame-level reference counts
-    j_k_seg: np.ndarray      # c: segment-level min(M_c, N_c)
-    j_n_seg: np.ndarray      # c: segment-level N_c
-    j_m_seg: np.ndarray      # c: segment-level M_c
-    j_dist_mean: np.ndarray  # c: segment-mean LE_c sums over K_c; else 0
-    j_tp: np.ndarray         # tc: K_theta
-    j_s: np.ndarray          # t: min(FN, FP) of each segment, over classes
-    warnings: tuple = ()
+    SUMS = (
+        "frames", "segments",
+        # class-agnostic localization, frame level; "_t": per threshold
+        "loc_dist", "loc_k", "loc_eq", "loc_frame_le_sum", "loc_frame_le_count",
+        "loc_dist_t", "loc_k_t", "loc_eq_t",
+        # location-agnostic detection, segment level, binary activity; D = FN - S, I = FP - S
+        "det_tp", "det_fp", "det_fn",
+        "det_s",        # substitutions, min(FN, FP) of each segment
+        # joint metrics, per class; FN_c = N_c - min(M_c, N_c) and FP_c = M_c - K_theta
+        "j_dist_f",     # c: frame-pair distance sums
+        "j_pairs_f",    # c: frame-pair counts (= frame-level K_c)
+        "j_n_f",        # c: frame-level reference counts
+        "j_k_seg",      # c: segment-level min(M_c, N_c)
+        "j_n_seg",      # c: segment-level N_c
+        "j_m_seg",      # c: segment-level M_c
+        "j_dist_mean",  # c: segment-mean LE_c sums over K_c; else 0
+        "j_tp",         # tc: K_theta
+        "j_s",          # t: min(FN, FP) of each segment, over classes
+    )
+    __slots__ = (*SUMS, "warnings")
 
-    def _sums(self):  # (name, value) of every field but the warnings
-        return ((f.name, getattr(self, f.name)) for f in dataclasses.fields(self)
-                if f.name != "warnings")
+    def __init__(self, warnings: tuple = (), **sums):
+        if sums.keys() != set(self.SUMS):
+            raise TypeError(f"FileContribution takes every one of {self.SUMS}, got {tuple(sums)}")
+        for name, value in sums.items():
+            setattr(self, name, value)
+        self.warnings = warnings
+
+    def _sums(self):  # (name, value) of every sum
+        return ((name, getattr(self, name)) for name in self.SUMS)
 
     def __getitem__(self, rows) -> "FileContribution":
         """One row's sums (an int) in one file's form, or a table of rows (a slice)."""
@@ -597,8 +594,7 @@ def discover_pairs(ref_dir, pred_dir) -> list:
     return [(p, pred_dir / p.name) for p in refs]
 
 
-@dataclass
-class EvaluationResult:
+class EvaluationResult(NamedTuple):
     config: EvaluationConfig
     vocabulary: Vocabulary
     files: list                  # the reference file names, sorted
@@ -723,8 +719,7 @@ def correlation_metric_keys(config: EvaluationConfig) -> list:
     return [k for k in metric_keys(config.thetas) if k not in ("le_micro", "le_macro")]
 
 
-@dataclass
-class CorrelationResult:
+class CorrelationResult(NamedTuple):
     systems: list
     metrics: list            # metric keys, plus "official_rank" last
     matrix: list             # rho values; None where undefined

@@ -21,8 +21,7 @@ scipy at start-up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     DegenerateRanks,
@@ -33,8 +32,7 @@ from .errors import (
 )
 
 
-@dataclass
-class JackknifeEstimate:
+class JackknifeEstimate(NamedTuple):
     """Leave-one-out confidence interval around a metric."""
 
     point: float
@@ -153,8 +151,7 @@ def rank_correlation(a: tuple, b: tuple) -> float:
     return cov / math.sqrt(var_a * var_b)
 
 
-@dataclass
-class RankTable:
+class RankTable(NamedTuple):
     """Per-metric values and ranks plus the cumulative final ranking."""
 
     systems: list

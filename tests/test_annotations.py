@@ -146,6 +146,18 @@ class TestParsePrediction:
             parse_prediction(f, vocab)
 
 
+class TestEventRecord:
+    def test_equal_by_value_and_hashable(self):
+        # as perturb and its tests compare events: equal fields, equal records
+        a = EventRecord("dog", 0.5, 1.5, Direction(30, 10))
+        b = EventRecord("dog", 0.5, 1.5, Direction(30 + 360, 10))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != EventRecord("cat", 0.5, 1.5, Direction(30, 10))
+        assert a != EventRecord("dog", 0.5, 1.5, Direction(31, 10))
+        with pytest.raises(AttributeError):
+            a.onset = 0.0
+
+
 class TestRoundTrips:
     def test_reference_roundtrip(self, tmp_path, vocab):
         events = [

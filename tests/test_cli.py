@@ -1,6 +1,6 @@
 import codecs
-import dataclasses
 import hashlib
+import inspect
 import json
 
 import pytest
@@ -514,6 +514,8 @@ class TestReferenceLength:
     @pytest.mark.parametrize("row, code", [
         ("dog,42949672.94,42949672.96,10,0", 0),   # ends in frame MAX_FRAMES - 1
         ("dog,42949672.96,42949672.98,10,0", 1),   # frame MAX_FRAMES alone
+        ("dog,1e308,1.5e308,10,0", 1),             # frame indices infinite as floats
+        ("dog,0,1e308,10,0", 1),
     ])
     def test_reference_ending_at_the_frame_bound(self, tmp_path, capsys, row, code):
         ref_dir, pred_dir = self._write(tmp_path, row)
@@ -524,7 +526,10 @@ class TestReferenceLength:
         else:
             err = json.loads(captured.err)
             assert err["error"] == "ReferenceTooLong"
-            assert f"long.csv: events cover 1 frames, up to frame {MAX_FRAMES} " in err["message"]
+            # the spans are capped at the bound, so no count of them is the file's
+            assert err["message"] == (f"long.csv: events cover frames past frame {MAX_FRAMES - 1} "
+                                      f"at a 0.02 s hop; a file's frames lie below frame "
+                                      f"{MAX_FRAMES}")
 
     @pytest.mark.parametrize("command, row, flags", [
         *((command, row, []) for command in ("evaluate", "synth") for row in (
@@ -581,6 +586,32 @@ def test_prediction_out_of_memory_error_json(corpus, capsys, monkeypatch, where)
         "message": f"more prediction rows than memory holds [{pred_dir / 'scene_000.csv'}]"}
 
 
+@pytest.mark.parametrize("over", [0, 1])
+def test_prediction_byte_bound_error_json(corpus, capsys, monkeypatch, over):
+    # a file one byte over the bound is refused by its size, before its text is read
+    from seldeval import annotations
+
+    ref_dir, pred_dir = corpus
+    largest = max(p.stat().st_size for p in pred_dir.glob("*.csv"))
+    monkeypatch.setattr(annotations, "MAX_PREDICTION_BYTES", largest - over)
+    read, read_text = [], annotations._read_text
+    monkeypatch.setattr(annotations, "_read_text",
+                        lambda path: read.append(path) or read_text(path))
+    code = run(["evaluate", "--ref", ref_dir, "--pred", pred_dir, "--format", "json"])
+    captured = capsys.readouterr()
+    if not over:
+        assert code == 0 and json.loads(captured.out)["files"] == 3
+        return
+    # the first pair whose prediction is over the bound is named
+    first = next(p for p in sorted(pred_dir.glob("*.csv")) if p.stat().st_size == largest)
+    assert code == 1
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "ParseError",
+        "message": f"file of {largest} bytes; a prediction file may hold {largest - 1} [{first}]"}
+    assert first not in read
+
+
 def test_reference_out_of_memory_error_json(corpus, capsys, monkeypatch):
     # once a MemoryError traceback out of main
     from seldeval import annotations
@@ -625,7 +656,7 @@ class TestUsageErrors:
         assert exc.value.code == 0
         text = capsys.readouterr().out
         settings = PerturbationSpec if command == "synth" else EvaluationConfig
-        assert all(f.name in text for f in dataclasses.fields(settings))
+        assert all(name in text for name in inspect.signature(settings).parameters)
         if command == "synth":  # --insert-rate names the per-file cap
             from seldeval.synth import MAX_INSERTIONS
 

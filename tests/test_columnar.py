@@ -1,6 +1,5 @@
 """The columnar scoring kernel against its scalar oracle and building blocks."""
 
-import dataclasses
 import math
 import os
 import random
@@ -38,8 +37,8 @@ CONFIGS = [
 
 
 def assert_same(got: FileContribution, want: FileContribution) -> None:
-    for f in dataclasses.fields(FileContribution):
-        a, b = getattr(got, f.name), getattr(want, f.name)
+    for name in FileContribution.__slots__:
+        a, b = getattr(got, name), getattr(want, name)
         if isinstance(b, np.ndarray):
             assert isinstance(a, np.ndarray) and (a.dtype, a.shape) == (b.dtype, b.shape), f.name
             assert a.tobytes() == b.tobytes(), (f.name, a, b)

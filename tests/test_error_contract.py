@@ -22,7 +22,7 @@ outside the vocabulary is refused naming its file and line.
 """
 
 import contextlib
-import dataclasses
+import inspect
 import io
 import json
 import math
@@ -44,7 +44,8 @@ from seldeval.evaluation import EvaluationConfig, correlation_metric_keys, evalu
 from seldeval.synth import MAX_INSERTIONS, PerturbationSpec
 
 # every key a config file may hold
-SETTINGS = {f.name for cls in (EvaluationConfig, PerturbationSpec) for f in dataclasses.fields(cls)}
+SETTINGS = {name for cls in (EvaluationConfig, PerturbationSpec)
+            for name in inspect.signature(cls).parameters}
 
 REF_ROW = "dog,0.0,1.0,10.0,0.0"
 PRED_ROW = "0,0,10.0,0.0"

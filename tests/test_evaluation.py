@@ -67,6 +67,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             EvaluationConfig(confidence=1.0)
 
+    @pytest.mark.parametrize("bad", [
+        dict(frame_hop=0.0), dict(frame_hop=0.02, segment_length=0.03), dict(thetas=()),
+        dict(thetas=(0.0,)), dict(thetas=(181.0,)), dict(thetas=(10.0, 10.0)),
+        dict(theta_class=(("dog", 0.0),)), dict(theta_class=(("dog", 5.0), ("dog", 6.0))),
+        dict(loc_mode="bogus"), dict(le_mode="bogus"), dict(confidence=0.0),
+        dict(duration=0.0), dict(duration=1e12), dict(jobs=0),
+    ])
+    def test_every_check_runs_on_construction(self, bad):
+        # the checks are the constructor's: no value of the list makes a config
+        with pytest.raises(ConfigError):
+            EvaluationConfig(**bad)
+
     def test_per_class_override(self):
         cfg = EvaluationConfig(theta_class=(("dog", 5.0),))
         thresholds = class_thresholds(cfg, VOCAB)

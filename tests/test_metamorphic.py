@@ -4,12 +4,17 @@ Every metric is a ratio of counts summed over every frame and segment of
 the evaluation set, so splitting a file at a segment boundary into two
 files changes no count: every count metric stays exactly equal, and the
 localization errors (LE, LE_theta, LE_CD, summed in another order) stay
-equal within summation-order rounding.
+equal within summation-order rounding. Permuting the vocabulary, with the
+prediction class indices remapped, changes no count of any class either:
+each class's LE_c and LR_c stay exactly equal, and so does every metric but
+the means over classes, which add the classes in another order and stay
+within a few ulps.
 
 Times lie on whole 0.25 s hops, so that shifting the second half back to
 0 s is exact.
 """
 
+import math
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -56,12 +61,16 @@ def splits(draw):
     # first half's grid there, as the whole file's grid goes on past it.
     rows = rows + [(cut - 1, draw(st.integers(0, 2)), draw(st.sampled_from(GRID)))]
     corpus[which] = frames, events, rows
-    config = EvaluationConfig(
-        frame_hop=HOP, thetas=draw(st.sampled_from([(10.0, 30.0), (20.0,), (180.0,)])),
-        theta_class=draw(st.sampled_from([(), (("dog", 45.0),)])),
-        loc_mode=draw(st.sampled_from(["frame-average", "segment-mean"])),
-        le_mode=draw(st.sampled_from(["micro", "macro"])))
-    return corpus, which, cut, config
+    return corpus, which, cut, draw(configs())
+
+
+def configs():
+    return st.builds(
+        EvaluationConfig, frame_hop=st.just(HOP),
+        thetas=st.sampled_from([(10.0, 30.0), (20.0,), (180.0,)]),
+        theta_class=st.sampled_from([(), (("dog", 45.0),)]),
+        loc_mode=st.sampled_from(["frame-average", "segment-mean"]),
+        le_mode=st.sampled_from(["micro", "macro"]))
 
 
 def split_scene(events, rows, cut):
@@ -131,3 +140,31 @@ def test_splitting_a_file_at_a_segment_boundary_keeps_every_metric(jobs, cap, sp
             split = evaluate_directory(*write_files(Path(tmp) / "split", split_files), VOCAB,
                                        EvaluationConfig(**{**vars(config), "jobs": jobs}))
     assert_split_invariant(whole, split)
+
+
+# The class means: LE_CD, LR_CD and their frame-level forms, each a left-to-right
+# sum over the classes in vocabulary order, divided by their number.
+CLASS_MEANS = ("le_cd", "lr_cd", "le_cd_f", "lr_cd_f")
+
+
+@given(corpus=st.lists(scenes(), min_size=1, max_size=3),
+       order=st.permutations(range(len(VOCAB))), config=configs())
+@settings(max_examples=60, deadline=None)
+def test_permuting_the_vocabulary_keeps_every_metric(corpus, order, config):
+    # class i of the permuted vocabulary is class order[i] of VOCAB; the
+    # reference files name classes by label and stay as they are
+    vocabulary = Vocabulary([VOCAB.labels[i] for i in order])
+    files = [(f"f{i}.csv", events, rows) for i, (_, events, rows) in enumerate(corpus)]
+    permuted = [(name, events, [(frame, order.index(cls), d) for frame, cls, d in rows])
+                for name, events, rows in files]
+    with tempfile.TemporaryDirectory() as tmp:
+        want = evaluate_directory(*write_files(Path(tmp) / "a", files), VOCAB, config)
+        got = evaluate_directory(*write_files(Path(tmp) / "b", permuted), vocabulary, config)
+    assert got.per_class == want.per_class
+    assert got.total.warnings == want.total.warnings
+    assert got.metrics.keys() == want.metrics.keys()
+    for key, value in want.metrics.items():
+        if key in CLASS_MEANS and value is not None:  # classes added in another order
+            assert abs(got.metrics[key] - value) <= 4 * math.ulp(value), key
+        else:
+            assert got.metrics[key] == value, key

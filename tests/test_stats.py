@@ -190,7 +190,7 @@ class TestStartup:
     modules the scoring pipeline runs, and no BLAS worker threads."""
 
     NOT_LOADED = ("scipy", "concurrent.futures", "multiprocessing", "seldeval.synth",
-                  "seldeval.joint", "seldeval.localization", "seldeval.detection")
+                  "seldeval.joint", "seldeval.localization", "seldeval.detection", "dataclasses")
     # what `seldeval` exported when it imported every submodule eagerly, less
     # the names deleted since
     EXPORTED = """
