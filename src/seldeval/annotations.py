@@ -28,10 +28,12 @@ at or above it is a `ParseError`, a reference ending past it is
 
 `read_prediction_columns` parses the lines of a prediction file past its
 header, less its blank rows of only commas and ASCII whitespace, in one C
-pass (`np.loadtxt`, whose floats equal `float()`'s) into frame, class and
-unit-vector columns. A file it refuses, or with a value that fails
-validation, is read row by row, as `parse_prediction` reads it: the same
-rows, or the same error.
+pass (`np.loadtxt`, whose floats equal `float()`'s). A file it refuses, or
+with a value that fails validation, is read row by row, as `parse_prediction`
+reads it: the same rows, or the same error. Row by row, a field, quoted or
+not, is what `int()` or `float()` takes, `_` separators and non-ASCII digits
+included. Both paths fill one `_PRED_COLUMNS` array, whose angles one
+`unit_vectors` call turns into the unit-vector column.
 """
 
 from __future__ import annotations
@@ -147,12 +149,13 @@ def _parse_float(text: str, what: str, path, lineno: int) -> float:
     return value
 
 
-def _direction(azimuth: str, elevation: str, path, lineno: int) -> Direction:
-    try:
-        return Direction(_parse_float(azimuth, "azimuth", path, lineno),
-                         _parse_float(elevation, "elevation", path, lineno))
-    except ValueError as exc:
-        raise ParseError(str(exc), path, lineno) from None
+def _angles(azimuth: str, elevation: str, path, lineno: int) -> tuple:
+    """The (azimuth, elevation) floats of a valid `Direction`, as parsed."""
+    azimuth = _parse_float(azimuth, "azimuth", path, lineno)
+    elevation = _parse_float(elevation, "elevation", path, lineno)
+    if abs(elevation) > 90.0:
+        raise ParseError(f"elevation {elevation} outside [-90, 90]", path, lineno)
+    return azimuth, elevation
 
 
 def _read_text(path) -> str:
@@ -211,14 +214,14 @@ def parse_reference(path, vocabulary: Vocabulary) -> list:
                 raise InvalidInterval(f"need 0 <= onset < offset, got [{onset}, {offset}) "
                                       f"({path}:{lineno})")
             events.append(EventRecord(label, onset, offset,
-                                      _direction(row[3], row[4], path, lineno)))
+                                      Direction(*_angles(row[3], row[4], path, lineno))))
     except MemoryError:
         raise ParseError("more reference rows than memory holds", path) from None
     return events
 
 
 def _prediction_rows(text: str, path, vocabulary: Vocabulary):
-    """(frame, class index, Direction) of each prediction row, in file order."""
+    """(frame, class index, azimuth, elevation) of each prediction row, in file order."""
     records = _records(text, path, (4,), 0)
     next(records, 0)  # past the header
     for lineno, row in records:
@@ -234,7 +237,7 @@ def _prediction_rows(text: str, path, vocabulary: Vocabulary):
         if not 0 <= class_index < len(vocabulary):
             raise UnknownClass(f"class index {class_index} outside vocabulary of size "
                                f"{len(vocabulary)} ({path}:{lineno})")
-        yield frame, class_index, _direction(row[2], row[3], path, lineno)
+        yield frame, class_index, *_angles(row[2], row[3], path, lineno)
 
 
 def parse_prediction(path, vocabulary: Vocabulary, frame_hop: float = 0.02) -> list:
@@ -246,8 +249,8 @@ def parse_prediction(path, vocabulary: Vocabulary, frame_hop: float = 0.02) -> l
     if frame_hop <= 0:
         raise ConfigError(f"frame hop must be positive, got {frame_hop}")
     by_frame: dict = {}
-    for frame, class_index, direction in _prediction_rows(_read_text(path), path, vocabulary):
-        by_frame.setdefault(frame, []).append((vocabulary.labels[class_index], direction))
+    for frame, class_index, az, el in _prediction_rows(_read_text(path), path, vocabulary):
+        by_frame.setdefault(frame, []).append((vocabulary.labels[class_index], Direction(az, el)))
     return [FrameSnapshot(idx, by_frame[idx]) for idx in sorted(by_frame)]
 
 
@@ -262,23 +265,22 @@ def read_prediction_columns(path, vocabulary: Vocabulary) -> tuple:
                          f"{MAX_PREDICTION_BYTES}", path)
     try:
         text = _read_text(path)
-        try:  # the lines past the header, less those of only commas and whitespace: blank rows
-            lines = [line for line in text[next(_records(text, path, (4,), 0), 0):].split("\n")
-                     if line.strip(" \t\r\f\v,")]
+        # the lines past the header, less those of only commas and whitespace: blank rows
+        lines = [line for line in text[next(_records(text, path, (4,), 0), 0):].split("\n")
+                 if line.strip(" \t\r\f\v,")]
+        try:
             rows = np.loadtxt(lines, delimiter=",", dtype=_PRED_COLUMNS, comments=None,
                               ndmin=1) if lines else None
-        except (ValueError, ParseError):
+        except ValueError:
             rows = None
-        if rows is not None and (
+        if rows is None or not (
                 rows["frame"].min() >= 0 and rows["frame"].max() < MAX_FRAMES
                 and rows["cls"].min() >= 0 and rows["cls"].max() < len(vocabulary)
                 and np.isfinite(rows["az"]).all()
                 and np.abs(rows["el"]).max() <= 90.0):  # NaN fails this too
-            return rows["frame"], rows["cls"], unit_vectors(rows["az"], rows["el"])
-        rows = list(_prediction_rows(text, path, vocabulary))
-        frame, cls, direction = zip(*rows) if rows else ((), (), ())
-        return (np.array(frame, dtype=np.int64), np.array(cls, dtype=np.int64),
-                np.array([d.unit for d in direction], dtype=float).reshape(-1, 3))
+            del lines  # the per-row peak holds no list of lines
+            rows = np.fromiter(_prediction_rows(text, path, vocabulary), dtype=_PRED_COLUMNS)
+        return rows["frame"], rows["cls"], unit_vectors(rows["az"], rows["el"])
     except MemoryError:
         raise ParseError("more prediction rows than memory holds", path) from None
 
@@ -315,8 +317,9 @@ def frame_span(onset: float, offset: float, frame_hop: float):
 # count, so that whether a file is refused does not depend on the host.
 MAX_REFERENCE_ROWS = 2 ** 22
 # Bytes that one prediction file may hold, checked before it is read. At the peak of
-# `read_prediction_columns`, rows of 19-46 B took 6.7-11.2 B of memory per byte,
-# 225-376 MB at the bound, near the reference bound's 268 MB; rows of 8 B took 24 B.
+# `read_prediction_columns`, rows of 19-46 B took 6.7-11.2 B of memory per byte through
+# `np.loadtxt`, 225-376 MB at the bound, near the reference bound's 268 MB; rows of 8 B
+# took 24 B. Rows of 9-82 B that only the per-row path reads took 15.1-4.0 B.
 # A 60 s DCASE2019 file holds about 150 kB.
 MAX_PREDICTION_BYTES = 2 ** 25
 

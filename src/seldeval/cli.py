@@ -195,7 +195,7 @@ def _load_config_file(path) -> dict:
 
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8-sig"), object_pairs_hook=unique)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")

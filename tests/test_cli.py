@@ -151,10 +151,14 @@ class TestEvaluate:
         assert err["error"] == "ConfigError"
         assert "'typo'" in err["message"]
 
-    def test_bad_config_value_error_json(self, corpus, tmp_path, capsys):
+    # a mistyped value, and JSON nested deeper than the decoder recurses
+    @pytest.mark.parametrize("text", ['{"frame_hop": "fast"}', "[" * 100_000,
+                                      '{"thetas": ' + "[" * 100_000],
+                             ids=["mistyped", "deep-array", "deep-thetas"])
+    def test_bad_config_value_error_json(self, corpus, tmp_path, capsys, text):
         ref_dir, pred_dir = corpus
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"frame_hop": "fast"}))
+        cfg.write_text(text)
         code = run(["evaluate", "--ref", ref_dir, "--pred", pred_dir, "--config", cfg])
         assert code == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"

@@ -429,7 +429,10 @@ class TestPredictionColumns:
         body = "3,1,10.5,-20\n0,0,-190,90\n3,2,359.9,0\n\n1,0,0,-0.0\n"
         fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
         fast.write_text(body)
-        slow.write_text("frame,class,az,el\n" + body.replace("3,1", '"3",1'))
+        # np.loadtxt refuses a quoted field, a `_` separator and a non-ASCII digit (here
+        # ARABIC-INDIC DIGIT ZERO), which the csv module, int() and float() take
+        slow.write_text("frame,class,az,el\n" + body.replace("3,1", '"3",1')
+                        .replace("10.5,-20", "1_0.5,-2\u0660"), encoding="utf-8")
         a, b = read_prediction_columns(fast, VOCAB), read_prediction_columns(slow, VOCAB)
         assert a[0].tolist() == [3, 0, 3, 1] and a[1].tolist() == [1, 0, 2, 0]
         for x, y in zip(a, b):
@@ -486,10 +489,12 @@ class TestPredictionColumns:
                                       f"{MAX_FRAMES},0,0,0\n",
                                       # a quoted blank row is skipped, a quoted quote is one field;
                                       # np.loadtxt refuses both, and the per-row parser reads them
-                                      '0,0,10,0\n"",""\n1,0,20,0\n', '0,0,10,0\n""""\n'])
+                                      '0,0,10,0\n"",""\n1,0,20,0\n', '0,0,10,0\n""""\n',
+                                      # int() and float() take `_` separators and non-ASCII digits
+                                      "1_0,0,10,0\n", "0,0,0,\u0660\n"])
     def test_rejected_files_behave_as_parse_prediction(self, tmp_path, text):
         path = tmp_path / "p.csv"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         try:
             expected = parse_prediction(path, VOCAB)
         except Exception as exc:  # noqa: BLE001 - the same error must come back
@@ -498,6 +503,29 @@ class TestPredictionColumns:
         else:
             frame, _, unit = read_prediction_columns(path, VOCAB)
             assert len(frame) == sum(len(s.instances) for s in expected) and unit.shape[1] == 3
+
+    def test_per_row_files_peak_no_higher_than_the_fast_path(self, tmp_path, monkeypatch):
+        # The per-row path fills the same column array as np.loadtxt, with no object
+        # per row, so MAX_PREDICTION_BYTES bounds both paths' peaks alike.
+        read = []
+        per_row = annotations._prediction_rows
+        monkeypatch.setattr(annotations, "_prediction_rows",
+                            lambda text, path, vocabulary: read.append(path.stem) or per_row(
+                                text, path, vocabulary))
+        peaks = {}
+        for name, row in [("ascii", "0,0,0,0\n"), ("underscore", "1_0,0,10,0\n"),
+                          ("arabic", "0,0,0,\u0660\n")]:
+            path = tmp_path / f"{name}.csv"
+            path.write_text(row * 50_000, encoding="utf-8")
+            tracemalloc.start()
+            try:
+                frame, _, _ = read_prediction_columns(path, VOCAB)
+                peaks[name] = tracemalloc.get_traced_memory()[1] / path.stat().st_size
+            finally:
+                tracemalloc.stop()
+            assert len(frame) == 50_000
+        assert read == ["underscore", "arabic"]
+        assert max(peaks["underscore"], peaks["arabic"]) <= peaks["ascii"], peaks
 
 
 angles = st.floats(-720, 720, allow_nan=False) | st.sampled_from([-180.0, 180.0, 1e-300, -0.0])
