@@ -1,6 +1,7 @@
 """Event-list data model, file formats, and the frame/segment grid.
 
-Reference files are event-level CSV rows
+A directory's reference files are its ``*.csv`` files, sorted
+(`reference_files`), of event-level CSV rows
 ``class_label,onset_s,offset_s,azimuth_deg,elevation_deg[,distance_m]``
 (the distance column is accepted and ignored). Prediction files are
 frame-level CSV rows ``frame_index,class_index,azimuth_deg,elevation_deg``.
@@ -273,16 +274,21 @@ def read_prediction_columns(path, vocabulary: Vocabulary) -> tuple:
                               ndmin=1) if lines else None
         except ValueError:
             rows = None
+        del lines  # not held through the peak of `unit_vectors` or of the per-row path
         if rows is None or not (
                 rows["frame"].min() >= 0 and rows["frame"].max() < MAX_FRAMES
                 and rows["cls"].min() >= 0 and rows["cls"].max() < len(vocabulary)
                 and np.isfinite(rows["az"]).all()
                 and np.abs(rows["el"]).max() <= 90.0):  # NaN fails this too
-            del lines  # the per-row peak holds no list of lines
             rows = np.fromiter(_prediction_rows(text, path, vocabulary), dtype=_PRED_COLUMNS)
         return rows["frame"], rows["cls"], unit_vectors(rows["az"], rows["el"])
     except MemoryError:
         raise ParseError("more prediction rows than memory holds", path) from None
+
+
+def reference_files(ref_dir) -> list:
+    """The reference files of a directory: its *.csv files, sorted."""
+    return sorted(Path(ref_dir).glob("*.csv"))
 
 
 def write_reference(path, events: Iterable[EventRecord]) -> None:
@@ -317,9 +323,9 @@ def frame_span(onset: float, offset: float, frame_hop: float):
 # count, so that whether a file is refused does not depend on the host.
 MAX_REFERENCE_ROWS = 2 ** 22
 # Bytes that one prediction file may hold, checked before it is read. At the peak of
-# `read_prediction_columns`, rows of 19-46 B took 6.7-11.2 B of memory per byte through
-# `np.loadtxt`, 225-376 MB at the bound, near the reference bound's 268 MB; rows of 8 B
-# took 24 B. Rows of 9-82 B that only the per-row path reads took 15.1-4.0 B.
+# `read_prediction_columns`, rows of 15-46 B took 5.0-8.9 B of memory per byte through
+# `np.loadtxt`, 168-298 MB at the bound, near the reference bound's 268 MB; rows of 8 B
+# took 16 B. Rows of 9-82 B that only the per-row path reads took 15.1-4.0 B.
 # A 60 s DCASE2019 file holds about 150 kB.
 MAX_PREDICTION_BYTES = 2 ** 25
 

@@ -3,7 +3,7 @@
 Subcommands: ``evaluate`` (score one system), ``jackknife`` (evaluate
 with confidence intervals), ``rank`` (cumulative ranking of several
 systems), ``correlate`` (Spearman matrix between metric rankings), and
-``synth`` (derive perturbed prediction files from references).
+``synth`` (`synth.synthesize`, then the injection log of what it did).
 
 Every setting is a field of `EvaluationConfig` (frame_hop,
 segment_length, thetas, theta_class, loc_mode, le_mode, confidence,
@@ -66,17 +66,10 @@ try:
     from collections import Counter
     from pathlib import Path
 
-    from .annotations import Vocabulary, frame_span, grid_frames, parse_reference, span_rows
-    from .errors import ConfigError, GridOverflow, SeldEvalError
-    from .evaluation import (
-        LE_MODES,
-        LOC_MODES,
-        EvaluationConfig,
-        correlate_systems,
-        evaluate_directory,
-        rank_systems,
-        reference_files,
-    )
+    from .annotations import Vocabulary
+    from .errors import ConfigError, SeldEvalError
+    from .evaluation import (LE_MODES, LOC_MODES, EvaluationConfig, correlate_systems,
+                             evaluate_directory, rank_systems)
     from .stats import JackknifeEstimate
 finally:
     gc.freeze()
@@ -324,40 +317,16 @@ def _correlation_table(obj) -> list:
 
 
 def _synth(args, config, vocabulary, file_cfg: dict) -> None:
-    from .synth import PerturbationSpec, perturb, serialize_prediction  # only synth needs it
+    from .synth import PerturbationSpec, synthesize  # only synth needs it
 
     spec = _settings(PerturbationSpec, args, file_cfg, "perturbation parameter")
-    refs = reference_files(args.ref)
-    if not refs:
-        raise ConfigError(f"no reference files found in {Path(args.ref)}")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    total_frames = (None if config.duration is None
-                    else grid_frames(config.duration, config.frame_hop))
+    files = synthesize(args.ref, args.out, spec, vocabulary, config.frame_hop, config.duration)
     settings = dict(vars(spec))
-    log = {"schema": INJECTION_SCHEMA, "seed": settings.pop("seed"), "spec": settings, "files": {}}
-    for index, ref_path in enumerate(refs):
-        events = parse_reference(ref_path, vocabulary)
-        # A reference too long to score is refused as such, before insertions
-        # are drawn over its length; one that fits can fail only through them.
-        span_rows([frame_span(ev.onset, ev.offset, config.frame_hop) for ev in events],
-                  config.frame_hop, ref_path.name)
-        file_spec = PerturbationSpec(**{**vars(spec), "seed": spec.seed + index})
-        try:
-            perturbed, entries = perturb(events, file_spec, vocabulary, config.duration)
-        except ConfigError as exc:  # too many insertions expected
-            raise ConfigError(f"{ref_path}: {exc}") from None
-        try:  # a prediction too long to write names its own file
-            serialize_prediction(
-                perturbed, config.frame_hop, vocabulary, out_dir / ref_path.name, total_frames
-            )
-        except GridOverflow as exc:
-            raise ConfigError(f"{ref_path}: {exc} (--duration {config.duration} s)") from None
-        log["files"][ref_path.name] = {"seed": file_spec.seed, "injections": entries}
+    log = {"schema": INJECTION_SCHEMA, "seed": settings.pop("seed"), "spec": settings,
+           "files": files}
+    out_dir = Path(args.out)
     (out_dir / "injection_log.json").write_text(_dump_json(log), encoding="utf-8")
-    sys.stdout.write(
-        f"wrote {len(refs)} prediction file(s) and injection_log.json to {out_dir}\n"
-    )
+    sys.stdout.write(f"wrote {len(files)} prediction file(s) and injection_log.json to {out_dir}\n")
 
 
 # ---------------------------------------------------------------------------

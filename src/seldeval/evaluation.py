@@ -97,6 +97,7 @@ from .annotations import (
     grid_frames,
     parse_reference,
     read_prediction_columns,
+    reference_files,
 )
 from .assignment import THRESHOLD_EPS, assign_batch, ragged_arange
 from .errors import ConfigError, DegenerateRanks, MissingPair, UndefinedPartial
@@ -566,11 +567,6 @@ def metric_directions(config: EvaluationConfig) -> dict:
     """True = higher is better, for every metric key the report emits: ER and
     LE in all their forms are errors, every other metric a success rate."""
     return {key: not key.startswith(("er", "le")) for key in metric_keys(config.thetas)}
-
-
-def reference_files(ref_dir) -> list:
-    """The reference files of a directory: its *.csv files, sorted."""
-    return sorted(Path(ref_dir).glob("*.csv"))
 
 
 def discover_pairs(ref_dir, pred_dir) -> list:

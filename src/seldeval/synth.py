@@ -17,16 +17,22 @@ Every injected error is logged so tests can compute expected metric
 deltas from the log. A file may expect at most `MAX_INSERTIONS`
 insertions (rate x duration / 60); a larger expectation is refused
 before the Poisson draw, whatever the host's memory.
+
+`synthesize` is the ``synth`` command's work: it perturbs each reference
+file of a directory, file i with seed ``spec.seed + i``, writes the result
+with `serialize_prediction`, and returns each file's injection log.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
-from .annotations import EventRecord, Vocabulary, expand_spans, frame_span, write_prediction_rows
+from .annotations import (EventRecord, Vocabulary, expand_spans, frame_span, grid_frames,
+                          parse_reference, reference_files, span_rows, write_prediction_rows)
 from .errors import ConfigError, GridOverflow, ReferenceTooLong
 from .geometry import Direction
 
@@ -235,3 +241,37 @@ def serialize_prediction(
         write_prediction_rows(path, zip(*(col[order].tolist() for col in rows)))
     except OSError as exc:
         raise OSError(f"cannot write prediction file {path}: {exc}") from exc
+
+
+def synthesize(ref_dir, out_dir, spec: PerturbationSpec, vocabulary: Vocabulary,
+               frame_hop: float, duration: float | None = None) -> dict:
+    """Write `out_dir`/NAME for the i-th reference NAME of `ref_dir`, perturbed
+    by `spec` with seed ``spec.seed + i``; return {NAME: {"seed", "injections"}}.
+    Insertions fall within `duration` (else the last offset), rows on its grid.
+    No references is a `ConfigError` before `out_dir` is made; a reference too
+    long to score is `ReferenceTooLong` before insertions are drawn over it; too
+    many expected insertions, or a row past the `duration` grid, is a
+    `ConfigError` naming the reference."""
+    refs = reference_files(ref_dir)
+    if not refs:
+        raise ConfigError(f"no reference files found in {Path(ref_dir)}")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    total_frames = None if duration is None else grid_frames(duration, frame_hop)
+    files = {}
+    for index, ref_path in enumerate(refs):
+        events = parse_reference(ref_path, vocabulary)
+        span_rows([frame_span(ev.onset, ev.offset, frame_hop) for ev in events],
+                  frame_hop, ref_path.name)
+        file_spec = replace(spec, seed=spec.seed + index)
+        try:
+            perturbed, entries = perturb(events, file_spec, vocabulary, duration)
+        except ConfigError as exc:  # too many insertions expected
+            raise ConfigError(f"{ref_path}: {exc}") from None
+        try:  # a prediction too long to write names its own file
+            serialize_prediction(perturbed, frame_hop, vocabulary, out_dir / ref_path.name,
+                                 total_frames)
+        except GridOverflow as exc:
+            raise ConfigError(f"{ref_path}: {exc} (--duration {duration} s)") from None
+        files[ref_path.name] = {"seed": file_spec.seed, "injections": entries}
+    return files

@@ -10,8 +10,12 @@ each class's LE_c and LR_c stay exactly equal, and so does every metric but
 the means over classes, which add the classes in another order and stay
 within a few ulps.
 
-Times lie on whole 0.25 s hops, so that shifting the second half back to
-0 s is exact.
+On corpora whose predictions `synthesize` makes, negating every elevation
+on both sides keeps every value exactly, and so does permuting the systems
+of `rank` and `correlate`, each system keeping its own values and ranks.
+
+In the split and vocabulary relations, times lie on whole 0.25 s hops, so
+that shifting the second half back to 0 s is exact.
 """
 
 import math
@@ -24,8 +28,11 @@ from hypothesis import given, settings, strategies as st
 
 from seldeval import evaluation
 from seldeval.annotations import EventRecord, Vocabulary, write_prediction_rows, write_reference
-from seldeval.evaluation import EvaluationConfig, evaluate_directory
+from seldeval.evaluation import (EvaluationConfig, correlate_systems, evaluate_directory,
+                                 rank_systems)
+from seldeval.errors import SeldEvalError
 from seldeval.geometry import Direction
+from seldeval.synth import PerturbationSpec, synthesize
 
 VOCAB = Vocabulary(["dog", "cat", "speech"])
 HOP, SPF = 0.25, 4  # 1 s segments
@@ -168,3 +175,96 @@ def test_permuting_the_vocabulary_keeps_every_metric(corpus, order, config):
             assert abs(got.metrics[key] - value) <= 4 * math.ulp(value), key
         else:
             assert got.metrics[key] == value, key
+
+
+# Synth-made corpora: 2-3 reference files of any directions and times on a 0.01 s
+# grid within 4 s, whose predictions `synthesize` draws from a perturbation spec.
+SYNTH_HOP = 0.02
+elevations = st.floats(-90, 90) | st.sampled_from([-90.0, -0.0, 0.0, 90.0])
+events = st.builds(lambda label, onset, length, az, el: EventRecord(
+    label, onset / 100, (onset + length) / 100, Direction(az, el)),
+    st.sampled_from(VOCAB.labels), st.integers(0, 350), st.integers(1, 150),
+    st.floats(-180, 180), elevations)
+specs = st.builds(PerturbationSpec, doa_jitter_deg=st.sampled_from([0.0, 5.0, 30.0]),
+                  deletion_prob=st.sampled_from([0.0, 0.3]),
+                  insertion_rate=st.sampled_from([0.0, 40.0]),
+                  substitution_prob=st.sampled_from([0.0, 0.3]),
+                  swap_locations=st.booleans(), seed=st.integers(0, 2 ** 16))
+references = st.lists(st.lists(events, max_size=5), min_size=2, max_size=3)
+
+
+def write_synth_corpus(root, refs, systems: dict) -> Path:
+    """ref/f{i}.csv under `root` for each event list of `refs`, and beside it one
+    prediction directory per system, made by `synthesize` from its spec."""
+    (root / "ref").mkdir(parents=True)
+    for i, events in enumerate(refs):
+        write_reference(root / "ref" / f"f{i}.csv", events)
+    for name, spec in systems.items():
+        synthesize(root / "ref", root / name, spec, VOCAB, SYNTH_HOP)
+    return root / "ref"
+
+
+def mirror_elevations(src: Path, dst: Path) -> Path:
+    """`dst` holding each CSV file of `src` with its rows' last field, the
+    elevation in either format, negated."""
+    dst.mkdir()
+    for path in src.glob("*.csv"):
+        rows = (line.rsplit(",", 1) for line in path.read_text().splitlines())
+        (dst / path.name).write_text("".join(f"{head},{-float(el)!r}\n" for head, el in rows))
+    return dst
+
+
+@pytest.mark.parametrize("loc_mode", ["frame-average", "segment-mean"])
+@given(refs=references, spec=specs, thetas=st.sampled_from([(10.0, 30.0), (20.0,)]),
+       le_mode=st.sampled_from(["micro", "macro"]))
+@settings(max_examples=60, deadline=None)
+def test_negating_every_elevation_keeps_every_value(loc_mode, refs, spec, thetas, le_mode):
+    # sin is odd and cos even, so every unit vector's z flips sign on both sides and
+    # every dot product, chord and segment mean's norm keeps its bits
+    config = EvaluationConfig(thetas=thetas, loc_mode=loc_mode, le_mode=le_mode)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        ref = write_synth_corpus(root, refs, {"pred": spec})
+        want = evaluate_directory(ref, root / "pred", VOCAB, config)
+        got = evaluate_directory(mirror_elevations(ref, root / "ref_m"),
+                                 mirror_elevations(root / "pred", root / "pred_m"), VOCAB, config)
+    assert got.metrics == want.metrics
+    assert got.per_class == want.per_class
+    assert got.total.warnings == want.total.warnings
+    assert got.jackknife() == want.jackknife()
+
+
+def by_system(table) -> dict:
+    """Each system's values, ranks, rank sum and final rank in a `RankTable`."""
+    return {system: ({k: v[i] for k, v in table.values.items()},
+                     {k: r[i] for k, r in table.ranks.items()},
+                     table.rank_sums[i], table.final_ranks[i])
+            for i, system in enumerate(table.systems)}
+
+
+@given(refs=st.lists(st.lists(events, min_size=1, max_size=5), min_size=2, max_size=3),
+       systems=st.lists(specs, min_size=3, max_size=4), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_permuting_the_systems_keeps_each_systems_ranks(refs, systems, data):
+    # a system's values, ranks and rank sum are its own, and Spearman's samples are
+    # the systems, so their order changes neither the matrix nor its warnings; a
+    # ranking refused in one order is refused with the same error in the other
+    config = EvaluationConfig()
+    names = [f"s{k}" for k in range(len(systems))]
+    order = data.draw(st.permutations(names))
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        ref = write_synth_corpus(root, refs, dict(zip(names, systems)))
+        for ids in (names, order):
+            pairs = [(name, root / name) for name in ids]
+            try:
+                runs.append(by_system(rank_systems(ref, pairs, VOCAB, config)))
+            except SeldEvalError as exc:
+                runs.append((type(exc), str(exc)))
+            runs.append(correlate_systems(ref, pairs, VOCAB, config))
+    want_rank, want_corr, got_rank, got_corr = runs
+    assert got_rank == want_rank
+    assert (want_corr.systems, got_corr.systems) == (names, order)
+    assert (got_corr.metrics, got_corr.matrix, got_corr.warnings) == (
+        want_corr.metrics, want_corr.matrix, want_corr.warnings)
