@@ -1,5 +1,6 @@
 """The columnar scoring kernel against its scalar oracle and building blocks."""
 
+import itertools
 import math
 import os
 import random
@@ -40,11 +41,11 @@ def assert_same(got: FileContribution, want: FileContribution) -> None:
     for name in FileContribution.__slots__:
         a, b = getattr(got, name), getattr(want, name)
         if isinstance(b, np.ndarray):
-            assert isinstance(a, np.ndarray) and (a.dtype, a.shape) == (b.dtype, b.shape), f.name
-            assert a.tobytes() == b.tobytes(), (f.name, a, b)
+            assert isinstance(a, np.ndarray) and (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), (name, a, b)
         else:
-            assert type(a) is type(b), (f.name, a, b)
-            assert (a.hex() == b.hex()) if isinstance(b, float) else a == b, (f.name, a, b)
+            assert type(a) is type(b), (name, a, b)
+            assert (a.hex() == b.hex()) if isinstance(b, float) else a == b, (name, a, b)
 
 
 def score_both(ref_events, pred_rows, config, header=False):
@@ -198,6 +199,52 @@ class TestKernelEqualsOracle:
         got = score_both(ref_events, pred_rows, EvaluationConfig(thetas=(10.0,)))
         assert got.loc_k == 62 and got.loc_dist == 31 * 180.0
         assert got.loc_k_t.tolist() == [31] and got.loc_dist_t.tolist() == [0.0]
+
+
+# The rows of the exhaustive scenes: 2 classes x directions at exact pair
+# distances (0, 90 and 180 deg) of one another.
+TIE_ROWS = [(c, d) for c in (0, 1) for d in ((0.0, 0.0), (180.0, 0.0), (90.0, 0.0), (0.0, 90.0))]
+
+
+def frame_sides(max_rows):
+    """Every multiset of at most `max_rows` TIE_ROWS, the empty one first."""
+    return [side for k in range(max_rows + 1)
+            for side in itertools.combinations_with_replacement(TIE_ROWS, k)]
+
+
+def frames_scene(frames):
+    """The (reference events, prediction rows) of a file holding each
+    (frame, reference side, prediction side) of `frames`."""
+    return ([event(VOCAB.labels[c], f, f, d, HOP) for f, ref, _ in frames for c, d in ref],
+            [(f, c, d) for f, _, pred in frames for c, d in pred])
+
+
+def small_scenes(max_rows=2):
+    """Every one-frame scene of at most `max_rows` rows a side and a reference
+    row; and every two-frame scene of at most one row a side, whose second
+    frame repeats the first or changes one side of it, in frames 0-1 (one
+    2-frame segment) and 1-2 (across a segment boundary)."""
+    sides = frame_sides(max_rows)
+    scenes = [frames_scene([(0, ref, pred)]) for ref in sides[1:] for pred in sides]
+    one = frame_sides(1)
+    for f, ref, pred in itertools.product((0, 1), one, one):
+        nexts = [(ref, pred), *((r, pred) for r in one if r != ref),
+                 *((ref, p) for p in one if p != pred)]
+        scenes += [frames_scene([(f, ref, pred), (f + 1, *nxt)]) for nxt in nexts]
+    return scenes
+
+
+@pytest.mark.parametrize("loc_mode", ["frame-average", "segment-mean"])
+def test_every_small_scene_equals_the_oracle(tmp_path, monkeypatch, loc_mode):
+    # scored as files of a few batches, with batch boundaries among the scenes
+    config = EvaluationConfig(thetas=(90.0, 180.0), theta_class=(("dog", 45.0),),
+                              loc_mode=loc_mode, segment_length=2 * HOP)
+    monkeypatch.setattr(evaluation, "MAX_BATCH_ROWS", 1000)
+    paths = write_scenes(tmp_path, small_scenes())
+    got = evaluation._score_pairs(paths, VOCAB, config)
+    assert len(got.frames) == len(paths)
+    for i, (ref, pred) in enumerate(paths):
+        assert_same(got[i], score_file_oracle(ref, pred, VOCAB, config))
 
 
 def write_scenes(root, scenes):

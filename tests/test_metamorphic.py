@@ -13,13 +13,18 @@ within a few ulps.
 On corpora whose predictions `synthesize` makes, negating every elevation
 on both sides keeps every value exactly, and so does permuting the systems
 of `rank` and `correlate`, each system keeping its own values and ranks.
+Negating every azimuth keeps every value within rounding, and exactly on
+quarter-degree azimuths under frame-average. The table's total less one
+file's row, the jackknife's partial, scores as the corpus without that file.
 
 In the split and vocabulary relations, times lie on whole 0.25 s hops, so
 that shifting the second half back to 0 s is exact.
 """
 
 import math
+import shutil
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -28,8 +33,8 @@ from hypothesis import given, settings, strategies as st
 
 from seldeval import evaluation
 from seldeval.annotations import EventRecord, Vocabulary, write_prediction_rows, write_reference
-from seldeval.evaluation import (EvaluationConfig, correlate_systems, evaluate_directory,
-                                 rank_systems)
+from seldeval.evaluation import (EvaluationConfig, compute_metrics, correlate_systems,
+                                 evaluate_directory, rank_systems)
 from seldeval.errors import SeldEvalError
 from seldeval.geometry import Direction
 from seldeval.synth import PerturbationSpec, synthesize
@@ -108,7 +113,9 @@ def write_files(root, files):
     return root / "ref", root / "pred"
 
 
-def assert_split_invariant(whole, split):
+def assert_equal_but_le_sums(whole, split):
+    """Two results' frames and metrics equal, but their LE forms within
+    summation-order rounding."""
     assert split.total.frames == whole.total.frames
     assert split.metrics.keys() == whole.metrics.keys()
     for key, want in whole.metrics.items():
@@ -146,7 +153,7 @@ def test_splitting_a_file_at_a_segment_boundary_keeps_every_metric(jobs, cap, sp
         with mock.patch.object(evaluation, "MAX_BATCH_ROWS", cap):
             split = evaluate_directory(*write_files(Path(tmp) / "split", split_files), VOCAB,
                                        EvaluationConfig(**{**vars(config), "jobs": jobs}))
-    assert_split_invariant(whole, split)
+    assert_equal_but_le_sums(whole, split)
 
 
 # The class means: LE_CD, LR_CD and their frame-level forms, each a left-to-right
@@ -181,10 +188,16 @@ def test_permuting_the_vocabulary_keeps_every_metric(corpus, order, config):
 # grid within 4 s, whose predictions `synthesize` draws from a perturbation spec.
 SYNTH_HOP = 0.02
 elevations = st.floats(-90, 90) | st.sampled_from([-90.0, -0.0, 0.0, 90.0])
-events = st.builds(lambda label, onset, length, az, el: EventRecord(
-    label, onset / 100, (onset + length) / 100, Direction(az, el)),
-    st.sampled_from(VOCAB.labels), st.integers(0, 350), st.integers(1, 150),
-    st.floats(-180, 180), elevations)
+
+
+def events_at(azimuths):
+    return st.builds(lambda label, onset, length, az, el: EventRecord(
+        label, onset / 100, (onset + length) / 100, Direction(az, el)),
+        st.sampled_from(VOCAB.labels), st.integers(0, 350), st.integers(1, 150),
+        azimuths, elevations)
+
+
+events = events_at(st.floats(-180, 180))
 specs = st.builds(PerturbationSpec, doa_jitter_deg=st.sampled_from([0.0, 5.0, 30.0]),
                   deletion_prob=st.sampled_from([0.0, 0.3]),
                   insertion_rate=st.sampled_from([0.0, 40.0]),
@@ -204,13 +217,15 @@ def write_synth_corpus(root, refs, systems: dict) -> Path:
     return root / "ref"
 
 
-def mirror_elevations(src: Path, dst: Path) -> Path:
-    """`dst` holding each CSV file of `src` with its rows' last field, the
-    elevation in either format, negated."""
+def mirror(src: Path, dst: Path, field: int) -> Path:
+    """`dst` holding each CSV file of `src` with its rows' `field` negated: -1
+    the elevation, -2 the azimuth, in either format."""
     dst.mkdir()
     for path in src.glob("*.csv"):
-        rows = (line.rsplit(",", 1) for line in path.read_text().splitlines())
-        (dst / path.name).write_text("".join(f"{head},{-float(el)!r}\n" for head, el in rows))
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        for row in rows:
+            row[field] = repr(-float(row[field]))
+        (dst / path.name).write_text("".join(",".join(row) + "\n" for row in rows))
     return dst
 
 
@@ -226,12 +241,98 @@ def test_negating_every_elevation_keeps_every_value(loc_mode, refs, spec, thetas
         root = Path(tmp)
         ref = write_synth_corpus(root, refs, {"pred": spec})
         want = evaluate_directory(ref, root / "pred", VOCAB, config)
-        got = evaluate_directory(mirror_elevations(ref, root / "ref_m"),
-                                 mirror_elevations(root / "pred", root / "pred_m"), VOCAB, config)
+        got = evaluate_directory(mirror(ref, root / "ref_m", -1),
+                                 mirror(root / "pred", root / "pred_m", -1), VOCAB, config)
     assert got.metrics == want.metrics
     assert got.per_class == want.per_class
     assert got.total.warnings == want.total.warnings
     assert got.jackknife() == want.jackknife()
+
+
+def quarter_degrees(directory: Path) -> bool:
+    """Whether every azimuth of the CSV files of `directory` is a multiple of
+    0.25 deg strictly inside (-180, 180)."""
+    return all(-180 < az < 180 and (4 * az).is_integer()
+               for path in directory.glob("*.csv")
+               for az in (float(line.split(",")[-2]) for line in path.read_text().splitlines()))
+
+
+def assert_close(got, want, tol, key=()):
+    """`got` equal to `want`, but each float within `tol` (relative,
+    absolute) of its counterpart."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), key
+        for k, value in want.items():
+            assert_close(got[k], value, tol, (*key, k))
+    elif isinstance(want, tuple):
+        assert type(got) is type(want) and len(got) == len(want), key
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert_close(a, b, tol, (*key, i))
+    elif isinstance(want, float):
+        assert type(got) is float and math.isclose(got, want, rel_tol=tol[0],
+                                                    abs_tol=tol[1]), (key, got, want)
+    else:
+        assert got == want, key
+
+
+# Quarter-degree azimuths, which `unit_vectors` wraps to themselves and their
+# negations to theirs; with no jitter and no insertions the predictions keep them.
+quarter_corpora = st.tuples(
+    st.lists(st.lists(events_at(st.integers(-719, 719).map(lambda q: q / 4)), max_size=5),
+             min_size=2, max_size=3),
+    specs.map(lambda spec: replace(spec, doa_jitter_deg=0.0, insertion_rate=0.0)))
+# (relative, absolute) rounding of a value, and of a jackknife entry. The acos of
+# an LE scales an ulp of a dot product by 1 / sin(angle): up to about 2e-13 deg
+# here. A jackknife bound scales its partials' by up to n * t(0.975, n - 1) < 40.
+ROUNDING, JACKKNIFE_ROUNDING = (1e-13, 1e-12), (1e-13, 1e-10)
+
+
+@pytest.mark.parametrize("loc_mode", ["frame-average", "segment-mean"])
+@given(corpus=quarter_corpora | st.tuples(references, specs),
+       thetas=st.sampled_from([(10.0, 30.0), (20.0,)]), le_mode=st.sampled_from(["micro", "macro"]))
+@settings(max_examples=60, deadline=None)
+def test_negating_every_azimuth_keeps_every_value_within_ulps(loc_mode, corpus, thetas, le_mode):
+    # cos is even and sin odd, so every unit vector's y flips sign on both sides, but
+    # the wrap to [-180, 180) rounds az and -az apart unless both are exact (+-180
+    # both wrap to -180, whose y does not flip). A segment mean's own azimuth is
+    # wrapped too, so only frame-average scores quarter degrees exactly.
+    refs, spec = corpus
+    config = EvaluationConfig(thetas=thetas, loc_mode=loc_mode, le_mode=le_mode)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        ref = write_synth_corpus(root, refs, {"pred": spec})
+        exact = (loc_mode == "frame-average" and quarter_degrees(ref)
+                 and quarter_degrees(root / "pred"))
+        want = evaluate_directory(ref, root / "pred", VOCAB, config)
+        got = evaluate_directory(mirror(ref, root / "ref_m", -2),
+                                 mirror(root / "pred", root / "pred_m", -2), VOCAB, config)
+    exactly = (0.0, 0.0)
+    assert_close(got.metrics, want.metrics, exactly if exact else ROUNDING)
+    assert_close(got.per_class, want.per_class, exactly if exact else ROUNDING)
+    assert_close(got.jackknife(), want.jackknife(), exactly if exact else JACKKNIFE_ROUNDING)
+
+
+@pytest.mark.parametrize("loc_mode", ["frame-average", "segment-mean"])
+@given(refs=references, spec=specs, thetas=st.sampled_from([(10.0, 30.0), (20.0,)]),
+       le_mode=st.sampled_from(["micro", "macro"]))
+@settings(max_examples=40, deadline=None)
+def test_leaving_out_a_file_is_evaluating_without_it(loc_mode, refs, spec, thetas, le_mode):
+    # the jackknife's partial for file i is the metrics of the table's total less
+    # row i: the metrics of the corpus without file i, but for LE's summation order
+    config = EvaluationConfig(thetas=thetas, loc_mode=loc_mode, le_mode=le_mode)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        ref = write_synth_corpus(root, refs, {"pred": spec})
+        whole = evaluate_directory(ref, root / "pred", VOCAB, config)
+        for i, name in enumerate(whole.files):
+            for side in ("ref", "pred"):
+                copy = shutil.copytree(root / side, root / f"{side}-{i}")
+                (copy / name).unlink()
+            without = evaluate_directory(root / f"ref-{i}", root / f"pred-{i}", VOCAB, config)
+            rest = whole.total - whole.per_file[i]
+            metrics, per_class = compute_metrics(rest, config, VOCAB)
+            assert_equal_but_le_sums(
+                without, whole._replace(total=rest, metrics=metrics, per_class=per_class))
 
 
 def by_system(table) -> dict:
