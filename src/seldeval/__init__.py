@@ -30,8 +30,7 @@ _EXPORTS = {
                   "rank_systems score_file",
     "geometry": "Direction angular_distance spherical_mean",
     "joint": "ClassCounts segment_class_counts",
-    "stats": "JackknifeEstimate RankTable build_rank_table cumulative_rank jackknife_ci "
-             "metric_ranks spearman",
+    "stats": "build_rank_table cumulative_rank jackknife_ci metric_ranks spearman",
     "synth": "PerturbationSpec grid_directions jitter_direction perturb serialize_prediction",
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names.split()}

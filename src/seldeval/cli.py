@@ -70,7 +70,6 @@ try:
     from .errors import ConfigError, SeldEvalError
     from .evaluation import (LE_MODES, LOC_MODES, EvaluationConfig, correlate_systems,
                              evaluate_directory, rank_systems)
-    from .stats import JackknifeEstimate
 finally:
     gc.freeze()
     if _collecting:
@@ -241,9 +240,9 @@ def _evaluate(args, config, vocabulary) -> dict:
            "metrics": {k: _round6(v) for k, v in result.metrics.items()},
            "warnings": list(total.warnings)}
     if args.command == "jackknife":
-        obj["ci"] = {key: {"point": _round6(est.point), "low": _round6(est.low),
-                           "high": _round6(est.high), "confidence": est.confidence}
-                     if isinstance(est, JackknifeEstimate) else {"error": est}
+        obj["ci"] = {key: {"error": est} if isinstance(est, str) else
+                     {"point": _round6(result.metrics[key]), "low": _round6(est[0]),
+                      "high": _round6(est[1]), "confidence": config.confidence}
                      for key, est in result.jackknife().items()}
     if args.per_class:
         obj["per_class"] = {label: {k: _round6(v) for k, v in vals.items()}
@@ -276,15 +275,16 @@ def _report_table(obj) -> list:
 
 
 def _rank(args, config, vocabulary) -> dict:
-    table = rank_systems(args.ref, _parse_systems(args.pred), vocabulary, config, args.metric_set)
-    keys = list(table.values)
-    return {"schema": RANK_SCHEMA, "metric_set": args.metric_set, "metrics": keys,
+    systems = _parse_systems(args.pred)
+    values, ranks, rank_sums, final_ranks = rank_systems(args.ref, systems, vocabulary, config,
+                                                         args.metric_set)
+    return {"schema": RANK_SCHEMA, "metric_set": args.metric_set, "metrics": list(values),
             "systems": [{"id": system_id,
-                         "values": {k: _round6(table.values[k][i]) for k in keys},
-                         "ranks": {k: table.ranks[k][i] for k in table.ranks},
-                         "rank_sum": table.rank_sums[i],
-                         "final_rank": table.final_ranks[i]}
-                        for i, system_id in enumerate(table.systems)]}
+                         "values": {k: _round6(v[i]) for k, v in values.items()},
+                         "ranks": {k: r[i] for k, r in ranks.items()},
+                         "rank_sum": rank_sums[i],
+                         "final_rank": final_ranks[i]}
+                        for i, (system_id, _) in enumerate(systems)]}
 
 
 def _rank_table(obj) -> list:
@@ -300,10 +300,11 @@ def _rank_table(obj) -> list:
 
 
 def _correlate(args, config, vocabulary) -> dict:
-    result = correlate_systems(args.ref, _parse_systems(args.pred), vocabulary, config)
-    return {"schema": CORRELATION_SCHEMA, "systems": result.systems, "metrics": result.metrics,
-            "spearman": [[_round6(v) for v in row] for row in result.matrix],
-            "warnings": result.warnings}
+    systems = _parse_systems(args.pred)
+    metrics, matrix, warnings = correlate_systems(args.ref, systems, vocabulary, config)
+    return {"schema": CORRELATION_SCHEMA, "systems": [system_id for system_id, _ in systems],
+            "metrics": metrics, "spearman": [[_round6(v) for v in row] for row in matrix],
+            "warnings": warnings}
 
 
 def _correlation_table(obj) -> list:

@@ -100,10 +100,10 @@ from .annotations import (
     reference_files,
 )
 from .assignment import THRESHOLD_EPS, assign_batch, ragged_arange
-from .errors import ConfigError, DegenerateRanks, MissingPair, UndefinedPartial
+from .errors import ConfigError, DegenerateRanks, MissingPair, UndefinedPartial, UndefinedValue
 from .geometry import angles_between, mean_unit_vectors, sorted_unique
-from .stats import (JackknifeEstimate, RankTable, build_rank_table, cumulative_rank, jackknife_ci,
-                    metric_ranks, rank_correlation, rank_moments)
+from .stats import (build_rank_table, cumulative_rank, jackknife_ci, metric_ranks,
+                    rank_correlation, rank_moments)
 
 LOC_MODES = ("frame-average", "segment-mean")
 LE_MODES = ("micro", "macro")
@@ -605,9 +605,10 @@ class EvaluationResult(NamedTuple):
         The point estimate is `metrics`, and the metrics are computed once
         per leave-one-out subset (the total less one file's row of the table);
         every key reads its values from those n + 1 metric maps.
-        Returns {key: JackknifeEstimate} for metrics where the interval
-        exists; undefined metrics and undefined partials map to an error
-        string instead of being silently skipped.
+        Returns {key: (low, high)}, the `jackknife_ci` bounds at
+        `config.confidence`, for metrics where the interval exists;
+        undefined metrics and undefined partials map to an error string
+        instead of being silently skipped.
         """
         rest = self.total - self.per_file  # row i: every file but file i
         partials = {name: compute_metrics(rest[i], self.config, self.vocabulary)[0]
@@ -694,8 +695,14 @@ def rank_systems(
     vocabulary: Vocabulary,
     config: EvaluationConfig,
     metric_set: str = "official",
-) -> RankTable:
-    """Evaluate and rank systems by the cumulative rank of a metric set."""
+) -> tuple:
+    """Evaluate and rank systems by the cumulative rank of a metric set.
+
+    Returns (values, ranks, rank_sums, final_ranks): each metric key's
+    values over the systems, in their order, and their `build_rank_table`.
+    A metric undefined for some system raises UndefinedValue naming the
+    metric and those systems, sorted.
+    """
     if len(systems) < 2:
         raise ConfigError("ranking needs at least two systems")
     if metric_set == "official":
@@ -706,8 +713,12 @@ def rank_systems(
         raise ConfigError(f"unknown metric set {metric_set!r}")
     directions = metric_directions(config)
     values = _system_values(ref_dir, systems, vocabulary, config, keys)
-    return build_rank_table([system_id for system_id, _ in systems], values,
-                            {k: directions[k] for k in keys})
+    for key, vals in values.items():
+        undefined = sorted(system_id for (system_id, _), v in zip(systems, vals) if v is None)
+        if undefined:
+            raise UndefinedValue(f"cannot rank systems: metric {key!r} is undefined for "
+                                 f"system(s) {', '.join(map(repr, undefined))}")
+    return (values, *build_rank_table(values, {k: directions[k] for k in keys}))
 
 
 def correlation_metric_keys(config: EvaluationConfig) -> list:
@@ -715,29 +726,25 @@ def correlation_metric_keys(config: EvaluationConfig) -> list:
     return [k for k in metric_keys(config.thetas) if k not in ("le_micro", "le_macro")]
 
 
-class CorrelationResult(NamedTuple):
-    systems: list
-    metrics: list            # metric keys, plus "official_rank" last
-    matrix: list             # rho values; None where undefined
-    warnings: list
-
-
 def correlate_systems(
     ref_dir,
     systems: Sequence,
     vocabulary: Vocabulary,
     config: EvaluationConfig,
-) -> CorrelationResult:
+) -> tuple:
     """Spearman correlation matrix between the challenge rankings of every
     metric: each defined metric's column is its `metric_ranks` (rank 1 =
     best), and the last, "official_rank", is the `cumulative_rank` of the
     er, f1, le and ecr columns when all four are defined.
+
+    Returns (metrics, matrix, warnings): the keys of the defined columns,
+    "official_rank" last; their rho matrix in that order, None where the
+    ranks are degenerate; and the warnings for what was skipped.
     """
     if len(systems) < 3:
         raise ConfigError("correlation needs at least three systems")
     directions = metric_directions(config)
     values = _system_values(ref_dir, systems, vocabulary, config, correlation_metric_keys(config))
-    ids = [system_id for system_id, _ in systems]
     warnings: list = []
 
     columns: dict = {}
@@ -763,4 +770,4 @@ def correlate_systems(
                 row.append(None)
                 warnings.append(f"degenerate ranks for {a!r} vs {b!r}")
         matrix.append(row)
-    return CorrelationResult(systems=ids, metrics=names, matrix=matrix, warnings=warnings)
+    return names, matrix, warnings

@@ -21,7 +21,7 @@ scipy at start-up.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import (
     DegenerateRanks,
@@ -32,18 +32,9 @@ from .errors import (
 )
 
 
-class JackknifeEstimate(NamedTuple):
-    """Leave-one-out confidence interval around a metric."""
-
-    point: float
-    low: float
-    high: float
-    confidence: float
-    n: int
-
-
-def jackknife_ci(point: float, partials: dict, confidence: float = 0.95) -> JackknifeEstimate:
-    """Confidence interval around `point`, the metric on all n files.
+def jackknife_ci(point: float, partials: dict, confidence: float = 0.95) -> tuple:
+    """The (low, high) bounds of the confidence interval around `point`,
+    the metric on all n files.
 
     `partials` maps each file to the metric on the other n - 1 files
     (None where it is undefined there), in file order. Pseudo-values are
@@ -71,9 +62,7 @@ def jackknife_ci(point: float, partials: dict, confidence: float = 0.95) -> Jack
 
         t = float(stdtrit(n - 1, q))
     half = t * math.sqrt(var / n)
-    return JackknifeEstimate(
-        point=point, low=mean - half, high=mean + half, confidence=confidence, n=n
-    )
+    return mean - half, mean + half
 
 
 def _average_ranks(keys: Sequence) -> list:
@@ -151,32 +140,13 @@ def rank_correlation(a: tuple, b: tuple) -> float:
     return cov / math.sqrt(var_a * var_b)
 
 
-class RankTable(NamedTuple):
-    """Per-metric values and ranks plus the cumulative final ranking."""
+def build_rank_table(metric_values: dict, higher_better: dict) -> tuple:
+    """Rank the systems on every metric and sum each system's ranks.
 
-    systems: list
-    values: dict   # metric name -> list of values, one per system
-    ranks: dict    # metric name -> list of ranks
-    rank_sums: list
-    final_ranks: list
-
-
-def build_rank_table(
-    systems: Sequence[str],
-    metric_values: dict,
-    higher_better: dict,
-) -> RankTable:
-    """Rank every system on every metric and sum the individual ranks."""
-    ranks = {}
-    for name, values in metric_values.items():
-        if len(values) != len(systems):
-            raise LengthMismatch(f"metric {name!r} has {len(values)} values for {len(systems)} systems")
-        ranks[name] = metric_ranks(values, higher_better[name])
-    sums, final = cumulative_rank(list(ranks.values()))
-    return RankTable(
-        systems=list(systems),
-        values=dict(metric_values),
-        ranks=ranks,
-        rank_sums=sums,
-        final_ranks=final,
-    )
+    `metric_values` maps each metric name to its values, one per system in
+    one order. Returns (ranks, rank_sums, final_ranks): each metric name's
+    `metric_ranks`, and the `cumulative_rank` of those lists.
+    """
+    ranks = {name: metric_ranks(values, higher_better[name])
+             for name, values in metric_values.items()}
+    return (ranks, *cumulative_rank(list(ranks.values())))

@@ -290,10 +290,10 @@ class TestRankCommand:
         systems = ["a-system-id-of-28-characters", "b", "c"]
         values = {"er": [0.0754717, 1.0, 0.0754717], "f1": [1.0, 0.5, 0.25],
                   "le": [3.0, 19.2374, 114.006], "ecr": [1.0, 0.539749, 1.0]}
-        table = build_rank_table(systems, values, {"er": False, "f1": True, "le": False,
-                                                   "ecr": True})
-        monkeypatch.setattr(cli, "rank_systems", lambda *args: table)
-        assert run(["rank", "--ref", ref_dir, "--pred", "x=unused", "--pred", "y=unused"]) == 0
+        ranking = (values, *build_rank_table(values, {"er": False, "f1": True, "le": False,
+                                                      "ecr": True}))
+        monkeypatch.setattr(cli, "rank_systems", lambda *args: ranking)
+        assert run(["rank", "--ref", ref_dir, *(f"--pred={s}=unused" for s in systems)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines == [
             "system                                    ER       F1          LE          ECR sum rank",
@@ -308,6 +308,26 @@ class TestRankCommand:
         ref_dir = make_corpus(tmp_path / "ref", VOCAB, 2, 6, seed=24)
         code = run(["rank", "--ref", ref_dir, "--pred", "no-equals-sign"])
         assert code == 1
+
+    @pytest.mark.parametrize("metric_set, key", [("official", "le"), ("joint", "le_cd")])
+    def test_undefined_metric_names_the_metric_and_systems(self, tmp_path, capsys,
+                                                           metric_set, key):
+        # systems c and b predict nothing, so no frame associates and LE is undefined
+        (tmp_path / "ref").mkdir()
+        (tmp_path / "ref" / "vocabulary.txt").write_text("dog\ncat\n")
+        (tmp_path / "ref" / "x.csv").write_text("dog,0.0,1.0,10,0\ncat,0.0,1.0,10,0\n")
+        for name in "abc":
+            (tmp_path / name).mkdir()
+        (tmp_path / "a" / "x.csv").write_text(
+            "".join(f"{frame},{c},10,0\n" for frame in range(50) for c in (0, 1)))
+        (tmp_path / "b" / "x.csv").write_text("")
+        (tmp_path / "c" / "x.csv").write_text("")
+        code = run(["rank", "--ref", tmp_path / "ref", "--metric-set", metric_set,
+                    *(f"--pred={name}={tmp_path / name}" for name in "cab")])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "UndefinedValue",
+            "message": f"cannot rank systems: metric {key!r} is undefined for system(s) 'b', 'c'"}
 
 
 class TestCorrelateCommand:

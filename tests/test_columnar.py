@@ -219,17 +219,32 @@ def frames_scene(frames):
             [(f, c, d) for f, _, pred in frames for c, d in pred])
 
 
+def relabel(side, i):
+    """`side` with its row i of the other class."""
+    c, d = side[i]
+    return side[:i] + ((1 - c, d),) + side[i + 1:]
+
+
 def small_scenes(max_rows=2):
     """Every one-frame scene of at most `max_rows` rows a side and a reference
-    row; and every two-frame scene of at most one row a side, whose second
-    frame repeats the first or changes one side of it, in frames 0-1 (one
-    2-frame segment) and 1-2 (across a segment boundary)."""
+    row; every two-frame scene of at most one row a side, whose second frame
+    repeats the first or changes one side of it; and every two-frame scene of
+    two rows a side at (0, 0) and (90, 0), whose second frame relabels one row
+    (a run of repeats must compare classes as well as directions). Each
+    two-frame scene is in frames 0-1 (one 2-frame segment) and 1-2 (across a
+    segment boundary)."""
     sides = frame_sides(max_rows)
     scenes = [frames_scene([(0, ref, pred)]) for ref in sides[1:] for pred in sides]
     one = frame_sides(1)
     for f, ref, pred in itertools.product((0, 1), one, one):
         nexts = [(ref, pred), *((r, pred) for r in one if r != ref),
                  *((ref, p) for p in one if p != pred)]
+        scenes += [frames_scene([(f, ref, pred), (f + 1, *nxt)]) for nxt in nexts]
+    two = list(itertools.combinations_with_replacement(
+        [(c, d) for c, d in TIE_ROWS if d in ((0.0, 0.0), (90.0, 0.0))], 2))
+    for f, ref, pred in itertools.product((0, 1), two, two):
+        nexts = [*((relabel(ref, i), pred) for i in range(2)),
+                 *((ref, relabel(pred, i)) for i in range(2))]
         scenes += [frames_scene([(f, ref, pred), (f + 1, *nxt)]) for nxt in nexts]
     return scenes
 
